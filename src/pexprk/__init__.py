@@ -10,18 +10,13 @@ command-line tool.
 from .coeffexpr import Const, Phi, Prod, Scale, Sum, ZMul, eval_coeff, eval_dense, eval_scalar
 from .krylov import EvalContext, KrylovConfig, KrylovResult, default_check_schedule, phi_times_vector
 from .operators import (
-    BlockDiagonalOperator,
     DenseOperator,
     DiagonalOperator,
-    EmbeddedOperator,
-    IdentityOperator,
     LinearOperator,
-    ScaledOperator,
     SparseOperator,
     SumOperator,
     ZeroOperator,
     laplacian_2d_periodic,
-    permuted_subblock,
 )
 from .phi import expm_dense, phi_dense_matrices, phi_dense_times_e1, phi_scalar
 from .problems import (
@@ -46,10 +41,8 @@ from .steppers import (
     residual2_stepper,
     stability_matrix_spectral_radius,
     step_exprk_original,
-    step_exprk_transformed,
     step_pexprk,
     step_pexprk2_residual,
-    transformed_stepper,
     unpartitioned_problem,
 )
 from .tableaux import (

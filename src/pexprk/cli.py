@@ -61,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--krylov-mmax", type=int, default=_UNSET)
     run.add_argument("--out", default=_UNSET, help="CSV output path")
     run.add_argument("--paper-scale", action="store_const", const=True, default=_UNSET)
-    run.add_argument("--seed", type=int, default=_UNSET)
 
     check = sub.add_parser("check-order", help="stiff order-condition residuals")
     check.add_argument("--order", type=int, required=True, choices=[2, 3, 4])
@@ -90,7 +89,7 @@ def _config_from_args(args) -> RunConfig:
 
     flag_names = [
         "problem", "grid", "partition", "order", "form", "jacobian", "tspan",
-        "steps_pow2", "steps", "krylov_tol", "krylov_mmax", "out", "paper_scale", "seed",
+        "steps_pow2", "steps", "krylov_tol", "krylov_mmax", "out", "paper_scale",
     ]
     for name in flag_names:
         value = getattr(args, name)

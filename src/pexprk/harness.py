@@ -31,7 +31,6 @@ from .steppers import (
     integrate_fixed,
     original_stepper,
     pexprk_stepper,
-    transformed_stepper,
 )
 
 REFERENCE_REFINEMENT = 32       # h_ref = smallest study step / 32
@@ -64,7 +63,6 @@ class RunConfig:
     krylov_tol: float = 1e-12
     krylov_mmax: int = 100
     out: str | None = None
-    seed: int = 0
     paper_scale: bool = False
 
     def validate(self):
@@ -183,7 +181,7 @@ def build_study(cfg: RunConfig):
     else:
         partition = None if cfg.partition == "none" else cfg.partition
         problem = gs_unpartitioned(model, jacobian=cfg.jacobian, partition=partition)
-        stepper = (original_stepper if cfg.form == "orig" else transformed_stepper)(cfg.order)
+        stepper = (original_stepper if cfg.form == "orig" else pexprk_stepper)(cfg.order)
     return model, problem, stepper, u0
 
 
@@ -200,7 +198,7 @@ def reference_solution(cfg: RunConfig, problem: SplitProblem | None = None, u0=N
         problem = gs_unpartitioned(model, jacobian="full")
     elif u0 is None:
         raise ValueError("an injected reference problem needs an initial state")
-    ref_stepper = transformed_stepper(4)
+    ref_stepper = pexprk_stepper(4)
     n_fine = max(cfg.step_counts()) * REFERENCE_REFINEMENT
     kcfg = KrylovConfig(tol=REFERENCE_TOL, m_max=cfg.krylov_mmax)
     start = time.perf_counter()
@@ -294,8 +292,8 @@ def emit_csv(rows: list, metadata: dict, path) -> None:
 
     Floats are written with shortest round-trip precision so parsing the file
     back reproduces the rows bit-exactly.  Timestamps stay in the comments;
-    the data rows depend only on configuration and seed (wall_ms excepted,
-    being a measurement).
+    the data rows depend only on the configuration (wall_ms excepted, being
+    a measurement).
     """
     lines = [f"# generated_at = {time.strftime('%Y-%m-%dT%H:%M:%S%z')}"]
     for key in sorted(metadata):

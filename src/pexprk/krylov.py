@@ -26,19 +26,10 @@ import numpy as np
 from .operators import LinearOperator
 from .phi import phi_array, phi_cols_e1
 
-try:
-    from numba import njit as _njit
 
-    @_njit(cache=True)
-    def _gs_pass(basis, w):
-        coeffs = basis.T @ w
-        w = w - basis @ coeffs
-        return coeffs, w
-
-except ImportError:  # pragma: no cover - numba is optional
-    def _gs_pass(basis, w):
-        coeffs = basis.T @ w
-        return coeffs, w - basis @ coeffs
+def _gs_pass(basis, w):
+    coeffs = basis.T @ w
+    return coeffs, w - basis @ coeffs
 
 
 _BREAKDOWN_RTOL = 1e-14

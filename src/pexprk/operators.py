@@ -1,10 +1,11 @@
 """Matrix-free linear operators.
 
 Carriers for the linear parts of split right-hand sides: dense matrices,
-sparse (compressed-row) matrices such as the discrete Laplacian, diagonals,
-block-diagonal compositions, permuted principal sub-blocks, sums, scalings
-and sub-block embeddings.  Operators are immutable after construction; the
-only mutable state is a per-operator matvec tally.
+sparse (compressed-row) matrices such as the discrete Laplacian and the
+partition operators of the benchmark, diagonals, zeros and sums.  The one
+composite is the sum, which the block Jacobian of a split needs.  Operators
+are immutable after construction; the only mutable state is a per-operator
+matvec tally.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ class LinearOperator:
     """Abstract matrix-free operator: a dimension plus apply-to-vector.
 
     ``apply`` increments a per-operator matvec counter readable as
-    ``op.matvecs``; composites also advance the counters of their children.
+    ``op.matvecs``; a sum also advances the counters of its terms.
     In CPython the plain-int tally is safe under concurrent apply calls.
     """
 
@@ -109,25 +110,6 @@ class ZeroOperator(LinearOperator):
         return np.zeros_like(v)
 
 
-class IdentityOperator(LinearOperator):
-    kind = "identity"
-
-    def _apply(self, v):
-        return v.copy()
-
-
-class ScaledOperator(LinearOperator):
-    kind = "scaled"
-
-    def __init__(self, factor: float, inner: LinearOperator):
-        super().__init__(inner.dim)
-        self.factor = float(factor)
-        self.inner = inner
-
-    def _apply(self, v):
-        return self.factor * self.inner.apply(v)
-
-
 class SumOperator(LinearOperator):
     kind = "sum"
 
@@ -145,77 +127,6 @@ class SumOperator(LinearOperator):
         for t in self.terms[1:]:
             acc = acc + t.apply(v)
         return acc
-
-
-class BlockDiagonalOperator(LinearOperator):
-    """Operators along the diagonal; offsets derived from the block dims."""
-
-    kind = "block-diagonal"
-
-    def __init__(self, *blocks: LinearOperator):
-        if not blocks:
-            raise OperatorContractError("block-diagonal operator needs at least one block")
-        super().__init__(sum(b.dim for b in blocks))
-        self.blocks = tuple(blocks)
-        offsets = [0]
-        for b in blocks:
-            offsets.append(offsets[-1] + b.dim)
-        self.offsets = tuple(offsets)
-
-    def _apply(self, v):
-        out = np.empty_like(v)
-        for b, lo, hi in zip(self.blocks, self.offsets, self.offsets[1:]):
-            out[lo:hi] = b.apply(v[lo:hi])
-        return out
-
-
-class PermutedSubblockOperator(LinearOperator):
-    """Principal sub-block of a symmetrically permuted operator.
-
-    With sigma the permutation (permuted[i] = full[sigma[i]]) and the index
-    window [lo, hi), this is (P^T J P)[lo:hi, lo:hi] applied without ever
-    materializing the permuted matrix: embed the input at the permuted
-    positions, apply J in the full space, and read back the same positions.
-    """
-
-    kind = "permuted-sub-block"
-
-    def __init__(self, inner: LinearOperator, perm: np.ndarray, window: tuple[int, int]):
-        perm = np.asarray(perm, dtype=np.intp)
-        if perm.shape != (inner.dim,) or not np.array_equal(np.sort(perm), np.arange(inner.dim)):
-            raise OperatorContractError("perm must be a bijection on the operator's index set")
-        lo, hi = window
-        if not (0 <= lo < hi <= inner.dim):
-            raise OperatorContractError(f"window {window} out of bounds for dim {inner.dim}")
-        super().__init__(hi - lo)
-        self.inner = inner
-        self.indices = perm[lo:hi].copy()
-
-    def _apply(self, v):
-        full = np.zeros(self.inner.dim)
-        full[self.indices] = v
-        return self.inner.apply(full)[self.indices]
-
-
-class EmbeddedOperator(LinearOperator):
-    """A sub-space operator scattered into a larger space (zero elsewhere)."""
-
-    kind = "embedded"
-
-    def __init__(self, inner: LinearOperator, indices: np.ndarray, dim: int):
-        indices = np.asarray(indices, dtype=np.intp)
-        if indices.shape != (inner.dim,):
-            raise OperatorContractError("index set must match inner operator dimension")
-        if len(np.unique(indices)) != len(indices) or indices.min() < 0 or indices.max() >= dim:
-            raise OperatorContractError("index set must be distinct and within the embedding space")
-        super().__init__(dim)
-        self.inner = inner
-        self.indices = indices.copy()
-
-    def _apply(self, v):
-        out = np.zeros_like(v)
-        out[self.indices] = self.inner.apply(v[self.indices])
-        return out
 
 
 def laplacian_2d_periodic(n: int, d: float) -> SparseOperator:
@@ -236,6 +147,3 @@ def laplacian_2d_periodic(n: int, d: float) -> SparseOperator:
     lap = scipy.sparse.kron(eye, ring) + scipy.sparse.kron(ring, eye)
     return SparseOperator(lap * (d * n * n))
 
-
-def permuted_subblock(op: LinearOperator, perm: np.ndarray, window: tuple[int, int]) -> PermutedSubblockOperator:
-    return PermutedSubblockOperator(op, perm, window)

@@ -15,16 +15,6 @@ import math
 import numpy as np
 import scipy.linalg
 
-try:
-    from numba import njit as _njit
-
-    def _jit(func):
-        return _njit(cache=True)(func)
-
-except ImportError:  # pragma: no cover - numba is optional
-    def _jit(func):
-        return func
-
 MAX_PHI_INDEX = 8
 
 # Below this magnitude the truncated series is exact to well under 1e-16
@@ -113,8 +103,7 @@ def phi_dense_times_vector(p: int, a: np.ndarray, v: np.ndarray) -> list[np.ndar
 
 
 # degree-13 diagonal Pade approximant with norm-based scaling; the hot
-# reduced-space path, so it is jitted when numba is available
-@_jit
+# reduced-space path
 def _expm_pade13(a):
     """Scaling-and-squaring exponential, lean path for the reduced-space
     evaluations inside the Krylov engine (no input validation)."""
@@ -150,7 +139,6 @@ def _expm_pade13(a):
     return r
 
 
-@_jit
 def _phi_cols_core(p, a):
     n = a.shape[0]
     aug = np.zeros((n + p, n + p))
@@ -173,7 +161,6 @@ def phi_cols_e1(p: int, a: np.ndarray) -> np.ndarray:
     return cols
 
 
-@_jit
 def phi_array(p, z):
     """phi_k at every entry of a real vector z, k = 1..p, as a (len(z), p)
     array.  Series below |z| = 0.5; the exponential-residual form

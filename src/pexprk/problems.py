@@ -21,16 +21,7 @@ import numpy as np
 import scipy.integrate
 import scipy.sparse
 
-from .operators import (
-    BlockDiagonalOperator,
-    DenseOperator,
-    EmbeddedOperator,
-    SparseOperator,
-    SumOperator,
-    ZeroOperator,
-    laplacian_2d_periodic,
-    permuted_subblock,
-)
+from .operators import DenseOperator, SparseOperator, SumOperator, ZeroOperator, laplacian_2d_periodic
 from .steppers import SplitProblem, unpartitioned_problem
 
 TIMESPAN = 0.262144          # benchmark integration window [0, T]
@@ -161,8 +152,10 @@ def gs_full_jacobian(m: GrayScottModel, u: np.ndarray) -> SparseOperator:
 
 
 def gs_partition_species(m: GrayScottModel) -> SplitProblem:
-    """Two-way split by chemical species; each operator is block-embedded."""
+    """Two-way split by chemical species; each operator is its species'
+    diagonal block of the Jacobian, with the other block zero."""
     cells = m.cells
+    zero = scipy.sparse.csr_matrix((cells, cells))
 
     def f1(u):
         a, b = _split_state(m, u)
@@ -178,11 +171,11 @@ def gs_partition_species(m: GrayScottModel) -> SplitProblem:
 
     def build_l1(u):
         _, b = _split_state(m, u)
-        return BlockDiagonalOperator(SparseOperator(_species_block_a(m, b)), ZeroOperator(cells))
+        return SparseOperator(scipy.sparse.block_diag((_species_block_a(m, b), zero), format="csr"))
 
     def build_l2(u):
         a, b = _split_state(m, u)
-        return BlockDiagonalOperator(ZeroOperator(cells), SparseOperator(_species_block_b(m, a, b)))
+        return SparseOperator(scipy.sparse.block_diag((zero, _species_block_b(m, a, b)), format="csr"))
 
     return SplitProblem(m.dim, (f1, f2), (build_l1, build_l2), name="species")
 
@@ -200,34 +193,32 @@ def gs_space_permutation(m: GrayScottModel) -> np.ndarray:
 def gs_partition_space(m: GrayScottModel) -> SplitProblem:
     """Two-way split by spatial location (lower half / upper half of the grid).
 
-    Operators are the principal sub-blocks of the permuted full Jacobian,
-    embedded back at their variable positions.
+    Each operator is the full Jacobian's principal sub-block on the
+    subdomain's variables, kept at their positions in the full state: the
+    entries whose row and column both lie in the subdomain.
     """
-    perm = gs_space_permutation(m)
-    half = m.dim // 2
-    idx1, idx2 = perm[:half], perm[half:]
+    inside = [np.isin(np.arange(m.dim), half) for half in np.split(gs_space_permutation(m), 2)]
 
-    def restrict(indices):
+    def restrict(mask):
         def f(u):
-            r = gs_rhs(m, u)
-            out = np.zeros_like(u)
-            out[indices] = r[indices]
-            return out
+            return np.where(mask, gs_rhs(m, u), 0.0)
 
         return f
 
-    def builder(window, indices):
+    def builder(mask):
         def build(u):
-            jac = gs_full_jacobian(m, u)
-            return EmbeddedOperator(permuted_subblock(jac, perm, window), indices, m.dim)
+            jac = gs_full_jacobian(m, u).matrix.tocoo()
+            keep = mask[jac.row] & mask[jac.col]
+            return SparseOperator(
+                scipy.sparse.csr_matrix(
+                    (jac.data[keep], (jac.row[keep], jac.col[keep])), shape=jac.shape
+                )
+            )
 
         return build
 
     return SplitProblem(
-        m.dim,
-        (restrict(idx1), restrict(idx2)),
-        (builder((0, half), idx1), builder((half, m.dim), idx2)),
-        name="space",
+        m.dim, [restrict(mask) for mask in inside], [builder(mask) for mask in inside], name="space"
     )
 
 
@@ -244,9 +235,7 @@ def gs_partition_physics(m: GrayScottModel) -> SplitProblem:
         return np.concatenate([-ab2 + m.feed * (1.0 - a), ab2 - (m.feed + m.kill) * b])
 
     def build_diffusion(u):
-        return BlockDiagonalOperator(
-            SparseOperator(_laplacian_csr(m, m.d_a)), SparseOperator(_laplacian_csr(m, m.d_b))
-        )
+        return SparseOperator(_diffusion_csr(m))
 
     def build_reaction(u):
         return SparseOperator(_reaction_jacobian_csr(m, u))

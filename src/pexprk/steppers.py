@@ -1,17 +1,17 @@
-"""Exponential Runge-Kutta steppers in four algebraically related forms.
+"""Exponential Runge-Kutta steppers in three algebraically related forms.
 
 ``step_exprk_original``     stages on the nonlinear remainder g = f - L y:
     Y_i     = y_n + h c_i phi_1(c_i hL) f(y_n) + h sum_{j<i} a_ij(hL) (g(Y_j) - g(y_n))
     y_{n+1} = y_n + h phi_1(hL) f(y_n)         + h sum_j    b_j(hL)  (g(Y_j) - g(y_n))
 
-``step_exprk_transformed``  the equivalent full-rhs form (alpha, beta):
-    U_i     = y_n + h alpha_i1(hL) f(y_n) + h sum_{j<i} alpha_ij(hL) (f(U_j) - f(y_n))
-    y_{n+1} = y_n + h beta_1(hL)  f(y_n)  + h sum_j    beta_j(hL)   (f(U_j) - f(y_n))
-
-``step_pexprk``             the transformed form applied additively to a
-P-way split f = sum_p f_p, where matrix functions of each partition operator
-L_p touch only that partition's f_p terms.  Component stage vectors are never
-materialized; only the summed stages U_i are carried.
+``step_pexprk``             the equivalent full-rhs (transformed) form with
+coefficients (alpha, beta), applied additively to a P-way split
+f = sum_p f_p, where matrix functions of each partition operator L_p touch
+only that partition's f_p terms:
+    U_i     = u_n + h sum_p [alpha_i1(hL_p) f_p(u_n) + sum_{j<i} alpha_ij(hL_p) (f_p(U_j) - f_p(u_n))]
+    u_{n+1} = u_n + h sum_p [beta_1(hL_p)  f_p(u_n)  + sum_j    beta_j(hL_p)   (f_p(U_j) - f_p(u_n))]
+Component stage vectors are never materialized; only the summed stages U_i
+are carried.  With P = 1 this is the unpartitioned transformed method.
 
 ``step_pexprk2_residual``   the order-2 partitioned method rewritten against
 partition residuals g_p(U) - g_p(u_n) = f_p(U) - f_p(u_n) - L_p (U - u_n),
@@ -131,39 +131,6 @@ def step_exprk_original(
     return y_n + h * acc
 
 
-def step_exprk_transformed(
-    tt: TransformedTableau,
-    L: LinearOperator,
-    f: Callable[[np.ndarray], np.ndarray],
-    y_n: np.ndarray,
-    h: float,
-    cfg: KrylovConfig,
-    ctx: EvalContext | None = None,
-) -> np.ndarray:
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    ctx = ctx if ctx is not None else EvalContext()
-    fn = f(y_n)
-    d: dict[int, np.ndarray] = {}
-    for i in range(1, tt.s):
-        acc = _apply_coeff(
-            tt.alpha[i][0], L, h, fn, cfg, ctx, f"stage {i + 1}, coefficient alpha[{i + 1}][1]"
-        )
-        for j in range(1, i):
-            entry = tt.alpha[i][j]
-            if entry is not None and not is_zero(entry):
-                acc = acc + _apply_coeff(
-                    entry, L, h, d[j], cfg, ctx, f"stage {i + 1}, coefficient alpha[{i + 1}][{j + 1}]"
-                )
-        u_i = y_n + h * acc
-        d[i] = f(u_i) - fn
-    acc = _apply_coeff(tt.beta[0], L, h, fn, cfg, ctx, "update, weight beta[1]")
-    for j in range(1, tt.s):
-        if not is_zero(tt.beta[j]):
-            acc = acc + _apply_coeff(tt.beta[j], L, h, d[j], cfg, ctx, f"update, weight beta[{j + 1}]")
-    return y_n + h * acc
-
-
 def step_pexprk(
     tt: TransformedTableau,
     prob: SplitProblem,
@@ -270,20 +237,6 @@ def original_stepper(order: int) -> Stepper:
             raise ValueError("the unpartitioned forms take a single-partition problem")
         (L,) = prob.build_operators(u)
         out = step_exprk_original(t, L, prob.f_parts[0], u, h, cfg, ctx)
-        _tally(ctx, [L])
-        return out
-
-    return step
-
-
-def transformed_stepper(order: int) -> Stepper:
-    tt = transformed(order)
-
-    def step(prob, u, h, cfg, ctx):
-        if prob.partitions != 1:
-            raise ValueError("the unpartitioned forms take a single-partition problem")
-        (L,) = prob.build_operators(u)
-        out = step_exprk_transformed(tt, L, prob.f_parts[0], u, h, cfg, ctx)
         _tally(ctx, [L])
         return out
 

@@ -22,7 +22,7 @@ from pexprk.harness import (
 )
 from pexprk.operators import DenseOperator
 from pexprk.phi import expm_dense
-from pexprk.steppers import unpartitioned_problem
+from pexprk.steppers import integrate_fixed, unpartitioned_problem
 
 
 def make_rows(errors, h0=0.5):
@@ -189,6 +189,32 @@ class TestStudy:
         assert res.stats.krylov_dim_total == 0
 
 
+# Work counters (matvecs, krylov_dim_total, solves) and the discrete L2 norm
+# of the final state for two steps of h = T/2 on grid 16 at order 4, per
+# (form, partition, jacobian).  A refactor that claims to reproduce the study
+# rows must reproduce these.
+GOLDEN = {
+    ("orig", "none", "full"): ((150, 478, 38), 0.49871571629035877),
+    ("tran", "none", "full"): ((722, 2042, 160), 0.49871571629035877),
+    ("tran", "species", "block"): ((722, 2042, 160), 0.49871572176745393),
+    ("part", "species", "full"): ((1300, 3670, 320), 0.49871572176745393),
+    ("part", "space", "full"): ((1444, 4084, 320), 0.4987158221269866),
+    ("part", "physics", "full"): ((1106, 3028, 320), 0.4987157166988749),
+    ("part", "imex", "full"): ((772, 2042, 320), 0.4987157168435433),
+}
+
+
+class TestGoldenCounts:
+    @pytest.mark.parametrize("form, partition, jacobian", list(GOLDEN), ids="-".join)
+    def test_counts_and_final_norm(self, form, partition, jacobian):
+        cfg = RunConfig(grid=16, form=form, partition=partition, jacobian=jacobian, order=4)
+        _, problem, stepper, u0 = build_study(cfg)
+        res = integrate_fixed(stepper, problem, u0, cfg.t0, cfg.tf, 2, cfg.krylov())
+        counts, norm = GOLDEN[(form, partition, jacobian)]
+        assert (res.stats.matvecs, res.stats.krylov_dim_total, res.stats.solves) == counts
+        assert discrete_l2(res.state) == pytest.approx(norm, rel=1e-12, abs=0.0)
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run(
@@ -247,9 +273,10 @@ class TestCli:
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"gird": 8}))
-        proc = self.run_cli("run", "--config", str(config))
-        assert proc.returncode == 2
+        for key in ("gird", "seed"):  # a typo, and a key the run does not take
+            config.write_text(json.dumps({key: 8}))
+            proc = self.run_cli("run", "--config", str(config))
+            assert proc.returncode == 2, key
 
     def test_tspan_and_steps_parsing(self, tmp_path):
         out = tmp_path / "study.csv"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pexprk.krylov import (
     EvalContext,
@@ -7,14 +8,7 @@ from pexprk.krylov import (
     default_check_schedule,
     phi_times_vector,
 )
-from pexprk.operators import (
-    BlockDiagonalOperator,
-    DenseOperator,
-    DiagonalOperator,
-    ScaledOperator,
-    IdentityOperator,
-    ZeroOperator,
-)
+from pexprk.operators import DenseOperator, DiagonalOperator, ZeroOperator
 from pexprk.phi import phi_dense_times_vector, phi_scalar
 
 
@@ -61,7 +55,7 @@ class TestCheckSchedule:
 class TestPhiTimesVector:
     def test_scaled_identity_converges_at_m1(self):
         cfg = KrylovConfig(tol=1e-12, m_max=20)
-        op = ScaledOperator(-3.0, IdentityOperator(10))
+        op = DiagonalOperator(np.full(10, -3.0))
         rng = np.random.default_rng(0)
         v = rng.uniform(-1, 1, size=10)
         for k in [1, 2, 4]:
@@ -97,8 +91,8 @@ class TestPhiTimesVector:
     def test_invariant_subspace_exact(self):
         # v supported on one 3x3 block: exact at M = 3 via lucky breakdown
         rng = np.random.default_rng(5)
-        blocks = [DenseOperator(rng.uniform(-1, 1, size=(3, 3))) for _ in range(3)]
-        op = BlockDiagonalOperator(*blocks)
+        blocks = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(3)]
+        op = DenseOperator(scipy.linalg.block_diag(*blocks))
         v = np.zeros(9)
         v[3:6] = rng.uniform(-1, 1, size=3)
         cfg = KrylovConfig(tol=1e-12, m_max=30)
@@ -182,7 +176,7 @@ class TestSharedFactorization:
         # phi of a block-diagonal operator acts block by block
         rng = np.random.default_rng(11)
         mats = [rng.uniform(-1, 1, size=(4, 4)) for _ in range(3)]
-        op = BlockDiagonalOperator(*[DenseOperator(m) for m in mats])
+        op = DenseOperator(scipy.linalg.block_diag(*mats))
         v = rng.uniform(-1, 1, size=12)
         h = 0.6
         cfg = KrylovConfig(tol=1e-13, m_max=30)

@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 
 from pexprk.operators import (
-    BlockDiagonalOperator,
     DenseOperator,
     DiagonalOperator,
-    EmbeddedOperator,
-    IdentityOperator,
     OperatorContractError,
-    ScaledOperator,
     SparseOperator,
     SumOperator,
     ZeroOperator,
     laplacian_2d_periodic,
-    permuted_subblock,
 )
 
 
@@ -39,12 +34,7 @@ def sample_operators(rng):
         SparseOperator(a),
         DiagonalOperator(rng.uniform(-2, 2, size=4)),
         ZeroOperator(4),
-        IdentityOperator(4),
-        ScaledOperator(-1.7, DenseOperator(a)),
         SumOperator(DenseOperator(a), DenseOperator(b)),
-        BlockDiagonalOperator(DenseOperator(a[:2, :2]), DiagonalOperator(np.array([1.0, -3.0]))),
-        permuted_subblock(DenseOperator(a), rng.permutation(4), (0, 4)),
-        EmbeddedOperator(DenseOperator(a[:2, :2]), np.array([3, 1]), 4),
     ]
 
 
@@ -123,58 +113,3 @@ class TestLaplacian:
     def test_small_grid_rejected(self):
         with pytest.raises(OperatorContractError):
             laplacian_2d_periodic(2, 1.0)
-
-
-class TestPermutedSubblock:
-    def test_identity_perm_full_window(self):
-        rng = np.random.default_rng(5)
-        a = rng.uniform(-1, 1, size=(4, 4))
-        op = permuted_subblock(DenseOperator(a), np.arange(4), (0, 4))
-        v = rng.uniform(-1, 1, size=4)
-        assert np.allclose(op.apply(v), a @ v, atol=1e-14)
-
-    def test_reversal_first_half(self):
-        rng = np.random.default_rng(6)
-        a = rng.uniform(-1, 1, size=(4, 4))
-        perm = np.array([3, 2, 1, 0])
-        op = permuted_subblock(DenseOperator(a), perm, (0, 2))
-        p = np.eye(4)[:, perm]  # P columns: P^T x = x[perm]
-        sub = (p.T @ a @ p)[:2, :2]
-        v = rng.uniform(-1, 1, size=2)
-        assert np.allclose(op.apply(v), sub @ v, atol=1e-13)
-
-    def test_zero_inner(self):
-        op = permuted_subblock(ZeroOperator(6), np.random.default_rng(0).permutation(6), (2, 5))
-        assert np.array_equal(op.apply(np.ones(3)), np.zeros(3))
-
-    def test_invalid_permutation_rejected(self):
-        with pytest.raises(OperatorContractError):
-            permuted_subblock(ZeroOperator(3), np.array([0, 0, 2]), (0, 2))
-
-
-class TestEmbedded:
-    def test_scatter_gather(self):
-        rng = np.random.default_rng(9)
-        a = rng.uniform(-1, 1, size=(3, 3))
-        idx = np.array([4, 0, 2])
-        op = EmbeddedOperator(DenseOperator(a), idx, 6)
-        v = rng.uniform(-1, 1, size=6)
-        expected = np.zeros(6)
-        expected[idx] = a @ v[idx]
-        assert np.allclose(op.apply(v), expected, atol=1e-14)
-
-    def test_rejects_duplicate_indices(self):
-        with pytest.raises(OperatorContractError):
-            EmbeddedOperator(ZeroOperator(2), np.array([1, 1]), 4)
-
-
-class TestBlockDiagonal:
-    def test_routing(self):
-        rng = np.random.default_rng(1)
-        a = rng.uniform(-1, 1, size=(3, 3))
-        d = rng.uniform(-1, 1, size=2)
-        op = BlockDiagonalOperator(DenseOperator(a), DiagonalOperator(d))
-        v = rng.uniform(-1, 1, size=5)
-        expected = np.concatenate([a @ v[:3], d * v[3:]])
-        assert np.allclose(op.apply(v), expected, atol=1e-14)
-        assert op.offsets == (0, 3, 5)

@@ -25,7 +25,7 @@ from pexprk.problems import (
     gs_unpartitioned,
     oracle_semilinear,
 )
-from pexprk.steppers import integrate_fixed, step_pexprk, transformed_stepper
+from pexprk.steppers import integrate_fixed, pexprk_stepper, step_pexprk
 from pexprk.tableaux import transformed
 
 
@@ -168,7 +168,7 @@ class TestPartitions:
         perm = gs_space_permutation(small_model)
         assert np.array_equal(np.sort(perm), np.arange(small_model.dim))
 
-    def test_space_operators_are_permuted_subblocks(self, small_model, random_state):
+    def test_space_operators_are_jacobian_subblocks(self, small_model, random_state):
         m = small_model
         perm = gs_space_permutation(m)
         jac = gs_full_jacobian(m, random_state).to_dense()
@@ -257,7 +257,7 @@ class TestSemilinearOracle:
         cfg = KrylovConfig(tol=1e-13, m_max=40)
         errs = [
             np.linalg.norm(
-                integrate_fixed(transformed_stepper(3), prob, orc.u0, 0.0, 1.0, n, cfg).state - ref
+                integrate_fixed(pexprk_stepper(3), prob, orc.u0, 0.0, 1.0, n, cfg).state - ref
             )
             for n in (10, 20)
         ]
