@@ -12,6 +12,9 @@ A coefficient is an expression tree over the node set
 Trees can be evaluated three ways: at a real scalar z, at a small dense
 matrix Z, or -- the production path -- applied to a vector through the
 matrix-free Krylov engine without ever materializing phi of the operator.
+The steppers apply only the Butcher-form a_ij/b_j trees (Sum, Scale, Phi)
+that way; Prod and ZMul, the nodes of the expanded transformed trees, are
+applied too, but by no stepper.
 Simplification is deliberately shallow (flattening sums, folding constant
 scales); no phi identities are rewritten, so structural comparisons of
 transformed coefficients stay deterministic.

@@ -169,12 +169,18 @@ def discrete_l2(v: np.ndarray) -> float:
     return float(np.linalg.norm(v) / math.sqrt(v.size))
 
 
-def build_study(cfg: RunConfig):
-    """Problem, stepper and initial state for a run configuration."""
+def study_model(cfg: RunConfig):
+    """The validated configuration's model (``--paper-scale`` replaces the
+    default grid side with the full-scale one) and its initial state."""
     cfg.validate()
     grid = PAPER_SCALE_GRID if cfg.paper_scale and cfg.grid == DESK_GRID else cfg.grid
     model = gs_default(n=grid)
-    u0 = gs_initial(model)
+    return model, gs_initial(model)
+
+
+def build_study(cfg: RunConfig):
+    """Problem, stepper and initial state for a run configuration."""
+    model, u0 = study_model(cfg)
     if cfg.form == "part":
         problem = gs_partition(model, cfg.partition)
         stepper = pexprk_stepper(cfg.order)
@@ -194,7 +200,7 @@ def reference_solution(cfg: RunConfig, problem: SplitProblem | None = None, u0=N
     and initial state may be injected (used by tests with known solutions).
     """
     if problem is None:
-        model, _, _, u0 = build_study(cfg)
+        model, u0 = study_model(cfg)
         problem = gs_unpartitioned(model, jacobian="full")
     elif u0 is None:
         raise ValueError("an injected reference problem needs an initial state")

@@ -195,9 +195,13 @@ def gs_partition_space(m: GrayScottModel) -> SplitProblem:
 
     Each operator is the full Jacobian's principal sub-block on the
     subdomain's variables, kept at their positions in the full state: the
-    entries whose row and column both lie in the subdomain.
+    entries whose row and column both lie in the subdomain.  The masked
+    diffusion part is state independent and built once; a step adds only the
+    subdomain's reaction entries, which couple the two species of a cell.
     """
-    inside = [np.isin(np.arange(m.dim), half) for half in np.split(gs_space_permutation(m), 2)]
+    halves = np.split(gs_space_permutation(m), 2)
+    inside = [np.isin(np.arange(m.dim), half) for half in halves]
+    diffusion = _diffusion_csr(m).tocoo()
 
     def restrict(mask):
         def f(u):
@@ -205,20 +209,32 @@ def gs_partition_space(m: GrayScottModel) -> SplitProblem:
 
         return f
 
-    def builder(mask):
+    def builder(mask, half):
+        keep = mask[diffusion.row] & mask[diffusion.col]
+        masked_diffusion = scipy.sparse.csr_matrix(
+            (diffusion.data[keep], (diffusion.row[keep], diffusion.col[keep])), shape=diffusion.shape
+        )
+        cells_a = half[: half.size // 2]   # the subdomain's a-variables, then its b-variables
+        cells_b = half[half.size // 2:]
+        rows = np.concatenate([cells_a, cells_a, cells_b, cells_b])
+        cols = np.concatenate([cells_a, cells_b, cells_a, cells_b])
+
         def build(u):
-            jac = gs_full_jacobian(m, u).matrix.tocoo()
-            keep = mask[jac.row] & mask[jac.col]
-            return SparseOperator(
-                scipy.sparse.csr_matrix(
-                    (jac.data[keep], (jac.row[keep], jac.col[keep])), shape=jac.shape
-                )
-            )
+            a, b = _split_state(m, u)
+            a, b = a[cells_a], b[cells_a]
+            b2 = b * b
+            ab = a * b
+            data = np.concatenate([-b2 - m.feed, -2.0 * ab, b2, 2.0 * ab - (m.feed + m.kill)])
+            reaction = scipy.sparse.csr_matrix((data, (rows, cols)), shape=diffusion.shape)
+            return SparseOperator(masked_diffusion + reaction)
 
         return build
 
     return SplitProblem(
-        m.dim, [restrict(mask) for mask in inside], [builder(mask) for mask in inside], name="space"
+        m.dim,
+        [restrict(mask) for mask in inside],
+        [builder(mask, half) for mask, half in zip(inside, halves)],
+        name="space",
     )
 
 

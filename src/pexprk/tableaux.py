@@ -12,8 +12,11 @@ is expanded symbolically (exact, since z A is nilpotent), giving
     alpha_{2:s,1} = E [c_i phi_1(c_i z)],   alpha_{2:s,2:s} = E A,
     beta_1 = phi_1 - z sum_j b_j alpha_{j,1},   beta_{2:s}^T = b_{2:s}^T E.
 
-Products are recorded as Prod/ZMul nodes and never evaluated here; the same
-trees later drive matrix-free application in the steppers.
+Products are recorded as Prod/ZMul nodes and never evaluated here.  The
+expanded trees serve ``dump-tableau`` and the dense oracles of the tests;
+the steppers take the Butcher form and apply E by forward substitution
+(see ``steppers``), at the Krylov cost of the original form rather than one
+solve per node of the much larger expanded trees.
 
 ``check_order_conditions`` evaluates the stiff order conditions up to order
 four as dense-matrix residuals on random instances; the conditions must hold

@@ -19,9 +19,11 @@ from pexprk.harness import (
     reference_solution,
     rows_data_equal,
     run_convergence_study,
+    study_model,
 )
 from pexprk.operators import DenseOperator
 from pexprk.phi import expm_dense
+from pexprk.problems import DESK_GRID, PAPER_SCALE_GRID
 from pexprk.steppers import integrate_fixed, unpartitioned_problem
 
 
@@ -70,6 +72,15 @@ class TestRunConfig:
             model, problem, stepper, u0 = build_study(cfg)
             assert u0.shape == (model.dim,)
             assert problem.partitions == (2 if form == "part" else 1)
+
+    @pytest.mark.parametrize("grid, side", [(DESK_GRID, PAPER_SCALE_GRID), (32, 32)])
+    def test_study_model_honours_paper_scale(self, grid, side):
+        # the reference integrates study_model's model; the study, build_study's
+        cfg = RunConfig(grid=grid, form="part", partition="species", paper_scale=True)
+        model, u0 = study_model(cfg)
+        study, _, _, study_u0 = build_study(cfg)
+        assert model == study and model.n == side
+        assert np.array_equal(u0, study_u0)
 
 
 class TestEstimateOrder:
@@ -195,24 +206,36 @@ class TestStudy:
 # rows must reproduce these.
 GOLDEN = {
     ("orig", "none", "full"): ((150, 478, 38), 0.49871571629035877),
-    ("tran", "none", "full"): ((722, 2042, 160), 0.49871571629035877),
-    ("tran", "species", "block"): ((722, 2042, 160), 0.49871572176745393),
-    ("part", "species", "full"): ((1300, 3670, 320), 0.49871572176745393),
-    ("part", "space", "full"): ((1444, 4084, 320), 0.4987158221269866),
-    ("part", "physics", "full"): ((1106, 3028, 320), 0.4987157166988749),
-    ("part", "imex", "full"): ((772, 2042, 320), 0.4987157168435433),
+    ("tran", "none", "full"): ((148, 478, 38), 0.49871571629035877),
+    ("tran", "species", "block"): ((148, 478, 38), 0.49871572176745393),
+    ("part", "species", "full"): ((266, 860, 76), 0.49871572176745393),
+    ("part", "space", "full"): ((296, 956, 76), 0.4987158221269866),
+    ("part", "physics", "full"): ((224, 704, 76), 0.4987157166988749),
+    ("part", "imex", "full"): ((148, 478, 76), 0.4987157168435433),
 }
+
+
+def golden_run(form, partition, jacobian):
+    """The golden integration of one case: (its problem, its result)."""
+    cfg = RunConfig(grid=16, form=form, partition=partition, jacobian=jacobian, order=4)
+    _, problem, stepper, u0 = build_study(cfg)
+    return problem, integrate_fixed(stepper, problem, u0, cfg.t0, cfg.tf, 2, cfg.krylov())
 
 
 class TestGoldenCounts:
     @pytest.mark.parametrize("form, partition, jacobian", list(GOLDEN), ids="-".join)
     def test_counts_and_final_norm(self, form, partition, jacobian):
-        cfg = RunConfig(grid=16, form=form, partition=partition, jacobian=jacobian, order=4)
-        _, problem, stepper, u0 = build_study(cfg)
-        res = integrate_fixed(stepper, problem, u0, cfg.t0, cfg.tf, 2, cfg.krylov())
+        _, res = golden_run(form, partition, jacobian)
         counts, norm = GOLDEN[(form, partition, jacobian)]
         assert (res.stats.matvecs, res.stats.krylov_dim_total, res.stats.solves) == counts
         assert discrete_l2(res.state) == pytest.approx(norm, rel=1e-12, abs=0.0)
+
+    def test_solves_per_partition_equal_original_form(self):
+        # forward substitution costs each partition the original form's solves
+        _, orig = golden_run("orig", "none", "full")
+        for case in GOLDEN:
+            problem, res = golden_run(*case)
+            assert res.stats.solves == problem.partitions * orig.stats.solves, case
 
 
 class TestCli:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse
 
 from pexprk.krylov import KrylovConfig
 from pexprk.operators import ZeroOperator
@@ -26,7 +27,7 @@ from pexprk.problems import (
     oracle_semilinear,
 )
 from pexprk.steppers import integrate_fixed, pexprk_stepper, step_pexprk
-from pexprk.tableaux import transformed
+from pexprk.tableaux import tableau
 
 
 def fd_jacobian(f, u, eps=1e-6):
@@ -182,6 +183,27 @@ class TestPartitions:
             expected[np.ix_(idx, idx)] = permuted[window, window]
             assert np.max(np.abs(dense - expected)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [16, 160])
+    def test_space_operators_equal_masked_full_jacobian(self, n):
+        # reference construction: assemble the whole Jacobian, keep the entries
+        # whose row and column both lie in the subdomain
+        m = gs_default(n=n)
+        inside = [np.isin(np.arange(m.dim), half) for half in np.split(gs_space_permutation(m), 2)]
+        prob = gs_partition_space(m)
+        u0 = gs_initial(m)
+        perturbed = u0 + 0.05 * np.sin(np.arange(m.dim) * 0.37)
+        for u in (u0, perturbed):
+            jac = gs_full_jacobian(m, u).matrix.tocoo()
+            for mask, build in zip(inside, prob.operator_builders):
+                keep = mask[jac.row] & mask[jac.col]
+                want = scipy.sparse.csr_matrix(
+                    (jac.data[keep], (jac.row[keep], jac.col[keep])), shape=jac.shape
+                )
+                got = build(u).matrix
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.data, want.data)
+
     def test_space_requires_even_grid(self):
         with pytest.raises(ValueError):
             gs_partition_space(gs_default(n=7))
@@ -212,7 +234,7 @@ class TestPartitions:
         m = small_model
         u0 = gs_initial(m)
         h = 1e-7
-        got = step_pexprk(transformed(2), gs_partition_imex(m), u0, h, KrylovConfig(tol=1e-13, m_max=60))
+        got = step_pexprk(tableau(2), gs_partition_imex(m), u0, h, KrylovConfig(tol=1e-13, m_max=60))
         taylor = u0 + h * gs_rhs(m, u0)
         assert np.linalg.norm(got - taylor) <= 10 * h**2 * np.linalg.norm(gs_rhs(m, u0)) * 100
 

@@ -29,27 +29,38 @@ TIGHT = KrylovConfig(tol=1e-13, m_max=60)
 from classical_rk import classical_rk_step
 
 
-def step_transformed(tt, L, f, y, h, cfg):
+def step_transformed(t, L, f, y, h, cfg):
     """One step of the unpartitioned transformed method: step_pexprk with P = 1."""
-    return step_pexprk(tt, unpartitioned_problem(L.dim, f, lambda u: L), y, h, cfg)
+    return step_pexprk(t, unpartitioned_problem(L.dim, f, lambda u: L), y, h, cfg)
+
+
+def dense_partitioned_step(tt, mats, f_parts, y, h):
+    """Independent oracle: the partitioned transformed step with every
+    coefficient alpha/beta evaluated as a dense matrix function of each
+    partition's Z_p = h L_p."""
+    zs = [h * m for m in mats]
+    fns = [fp(y) for fp in f_parts]
+    d = {}
+    for i in range(1, tt.s):
+        acc = np.zeros_like(y)
+        for p, z in enumerate(zs):
+            acc = acc + eval_dense(tt.alpha[i][0], z) @ fns[p]
+            for j in range(1, i):
+                if tt.alpha[i][j] is not None:
+                    acc = acc + eval_dense(tt.alpha[i][j], z) @ d[(p, j)]
+        for p, fp in enumerate(f_parts):
+            d[(p, i)] = fp(y + h * acc) - fns[p]
+    acc = np.zeros_like(y)
+    for p, z in enumerate(zs):
+        acc = acc + eval_dense(tt.beta[0], z) @ fns[p]
+        for j in range(1, tt.s):
+            acc = acc + eval_dense(tt.beta[j], z) @ d[(p, j)]
+    return y + h * acc
 
 
 def dense_transformed_step(tt, a, f, y, h):
-    """Independent oracle: the transformed step with every coefficient
-    evaluated as a dense matrix function of Z = h a."""
-    z = h * a
-    fn = f(y)
-    d = {}
-    for i in range(1, tt.s):
-        acc = eval_dense(tt.alpha[i][0], z) @ fn
-        for j in range(1, i):
-            if tt.alpha[i][j] is not None:
-                acc = acc + eval_dense(tt.alpha[i][j], z) @ d[j]
-        d[i] = f(y + h * acc) - fn
-    acc = eval_dense(tt.beta[0], z) @ fn
-    for j in range(1, tt.s):
-        acc = acc + eval_dense(tt.beta[j], z) @ d[j]
-    return y + h * acc
+    """The dense oracle with P = 1."""
+    return dense_partitioned_step(tt, [a], [f], y, h)
 
 
 class TestOriginalForm:
@@ -93,7 +104,7 @@ class TestTransformedEquivalence:
         L = orc.jacobian(orc.u0)
         h = 0.05
         a = step_exprk_original(tableau(order), L, orc.f, orc.u0, h, TIGHT)
-        b = step_transformed(transformed(order), L, orc.f, orc.u0, h, TIGHT)
+        b = step_transformed(tableau(order), L, orc.f, orc.u0, h, TIGHT)
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
@@ -101,14 +112,14 @@ class TestTransformedEquivalence:
         rng = np.random.default_rng(23)
         a = rng.normal(size=(8, 8)) / 3.0 - 2.0 * np.eye(8)
         y0 = rng.uniform(-1, 1, size=8)
-        got = step_transformed(transformed(order), DenseOperator(a), lambda u: a @ u, y0, 0.4, TIGHT)
+        got = step_transformed(tableau(order), DenseOperator(a), lambda u: a @ u, y0, 0.4, TIGHT)
         assert np.allclose(got, expm_dense(0.4 * a) @ y0, rtol=1e-11, atol=1e-13)
 
     def test_zero_operator_degenerates_to_classical(self):
         orc = oracle_semilinear(9, seed=5)
         h = 0.02
         for order in (2, 3, 4):
-            got = step_transformed(transformed(order), ZeroOperator(9), orc.f, orc.u0, h, TIGHT)
+            got = step_transformed(tableau(order), ZeroOperator(9), orc.f, orc.u0, h, TIGHT)
             ref = classical_rk_step(order, orc.f, orc.u0, h)
             assert np.linalg.norm(got - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
 
@@ -119,16 +130,39 @@ class TestPartitionedForm:
         orc = oracle_semilinear(10, seed=7)
         prob = orc.problem()
         h = 0.04
-        a = step_pexprk(transformed(order), prob, orc.u0, h, TIGHT)
+        a = step_pexprk(tableau(order), prob, orc.u0, h, TIGHT)
         b = dense_transformed_step(transformed(order), orc.jacobian(orc.u0).matrix, orc.f, orc.u0, h)
         assert np.linalg.norm(a - b) <= 1e-12 * max(1.0, np.linalg.norm(b))
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("shape", ["implicit", "imex", "explicit"])
+    def test_forward_substitution_matches_transformed_trees(self, order, shape):
+        # two partitions with non-commuting operators (the linear term and
+        # the Jacobian of the remainder); imex zeroes the second, explicit both
+        orc = oracle_semilinear(10, seed=19)
+        base = orc.split_linear_nonlinear()
+        zero = lambda u: ZeroOperator(orc.dim)  # noqa: E731
+        builders = {
+            "implicit": base.operator_builders,
+            "imex": (base.operator_builders[0], zero),
+            "explicit": (zero, zero),
+        }[shape]
+        prob = SplitProblem(orc.dim, base.f_parts, builders)
+        h = 0.04
+        ops = prob.build_operators(orc.u0)
+        got = step_pexprk(tableau(order), prob, orc.u0, h, TIGHT, ops=ops)
+        # densified from fresh operators: to_dense advances the matvec tally
+        mats = [op.to_dense() for op in prob.build_operators(orc.u0)]
+        want = dense_partitioned_step(transformed(order), mats, base.f_parts, orc.u0, h)
+        assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+        assert all(op.matvecs == 0 for op in ops if op.kind == "zero")
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_all_zero_operators_degenerate_to_classical(self, order):
         orc = oracle_semilinear(11, seed=9)
         prob = orc.split_all_explicit()
         h = 0.03
-        got = step_pexprk(transformed(order), prob, orc.u0, h, TIGHT)
+        got = step_pexprk(tableau(order), prob, orc.u0, h, TIGHT)
         ref = classical_rk_step(order, orc.f, orc.u0, h)
         assert np.linalg.norm(got - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
 
@@ -144,7 +178,7 @@ class TestPartitionedForm:
             (lambda u: l1 * u, lambda u: l2 * u),
             (lambda u: DiagonalOperator(l1), lambda u: DiagonalOperator(l2)),
         )
-        got = step_pexprk(transformed(2), prob, u0, h, TIGHT)
+        got = step_pexprk(tableau(2), prob, u0, h, TIGHT)
         phi1 = lambda z: phi_scalar(1, z)  # noqa: E731
         phi2 = lambda z: phi_scalar(2, z)  # noqa: E731
         expected = np.empty(2)
@@ -165,7 +199,7 @@ class TestPartitionedForm:
         u0 = gs_initial(model)
         h = 1e-3
         cfg = KrylovConfig(tol=1e-13, m_max=80)
-        direct = step_pexprk(transformed(2), prob, u0, h, cfg)
+        direct = step_pexprk(tableau(2), prob, u0, h, cfg)
         resid = step_pexprk2_residual(prob, u0, h, cfg)
         assert np.linalg.norm(direct - resid) <= 1e-9 * np.linalg.norm(direct)
 
@@ -173,7 +207,7 @@ class TestPartitionedForm:
         orc = oracle_semilinear(7, seed=13)
         prob = orc.split_all_explicit()
         h = 0.05
-        a = step_pexprk(transformed(2), prob, orc.u0, h, TIGHT)
+        a = step_pexprk(tableau(2), prob, orc.u0, h, TIGHT)
         b = step_pexprk2_residual(prob, orc.u0, h, TIGHT)
         assert np.linalg.norm(a - b) <= 1e-13
 
@@ -189,9 +223,9 @@ class TestPartitionedForm:
         u0 = gs_initial(model)
         cfg = KrylovConfig(tol=1e-13, m_max=100)
         h = 1e-3
-        part = step_pexprk(transformed(2), gs_partition(model, "species"), u0, h, cfg)
+        part = step_pexprk(tableau(2), gs_partition(model, "species"), u0, h, cfg)
         prob = gs_unpartitioned(model, jacobian="block", partition="species")
-        blocked = step_pexprk(transformed(2), prob, u0, h, cfg)
+        blocked = step_pexprk(tableau(2), prob, u0, h, cfg)
         assert np.linalg.norm(part - blocked) <= 1e-12 * np.linalg.norm(blocked)
 
 
@@ -200,7 +234,7 @@ class TestIntegrateFixed:
         orc = oracle_semilinear(8, seed=11)
         prob = orc.problem()
         res = integrate_fixed(pexprk_stepper(2), prob, orc.u0, 0.0, 0.1, 1, TIGHT)
-        direct = step_pexprk(transformed(2), prob, orc.u0, 0.1, TIGHT)
+        direct = step_pexprk(tableau(2), prob, orc.u0, 0.1, TIGHT)
         assert np.array_equal(res.state, direct)
         assert res.steps == 1 and res.stats.matvecs > 0
 
@@ -242,7 +276,7 @@ class TestIntegrateFixed:
         cfg = KrylovConfig(tol=1e-13, m_max=4)
         with pytest.raises(StepFailure, match="did not converge"):
             step_transformed(
-                transformed(2), DenseOperator(a), lambda u: a @ u, rng.uniform(size=30), 0.5, cfg
+                tableau(2), DenseOperator(a), lambda u: a @ u, rng.uniform(size=30), 0.5, cfg
             )
 
 
