@@ -14,7 +14,6 @@ from .operators import (
     DiagonalOperator,
     LinearOperator,
     SparseOperator,
-    SumOperator,
     ZeroOperator,
     laplacian_2d_periodic,
 )

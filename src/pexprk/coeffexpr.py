@@ -283,7 +283,7 @@ def _eval_coeff_node(expr, L, h, v, cfg, ctx):
     if isinstance(expr, Phi):
         tau = expr.c * h
         k = expr.k if expr.k >= 1 else 1
-        res = phi_times_vector(L, k, tau, v, cfg, ctx=ctx, keep_basis=False)
+        res = phi_times_vector(L, k, tau, v, cfg, ctx=ctx)
         if not res.converged:
             raise CoefficientEvalError(
                 f"phi_{k}({tau:g} L) v did not converge within m_max={cfg.m_max} "

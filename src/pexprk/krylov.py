@@ -62,20 +62,17 @@ def default_check_schedule(m_max: int) -> list[int]:
 
 @dataclass
 class KrylovConfig:
+    """Relative tolerance and largest Krylov dimension; the error checks run
+    at ``default_check_schedule(m_max)``."""
+
     tol: float = 1e-12
     m_max: int = 100
-    check_schedule: list[int] | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
-        if self.check_schedule is None:
-            self.check_schedule = default_check_schedule(self.m_max)
-        sched = self.check_schedule
-        if any(b <= a for a, b in zip(sched, sched[1:])) or sched[-1] != self.m_max:
-            raise ValueError("check schedule must be strictly increasing and end at m_max")
 
 
 @dataclass
@@ -85,10 +82,6 @@ class KrylovResult:
     matvecs: int
     est_error: float
     converged: bool
-    basis: np.ndarray | None = None       # N x M, orthonormal columns
-    hessenberg: np.ndarray | None = None  # M x M
-    h_next: float = 0.0                   # h_{M+1,M}
-    v_next: np.ndarray | None = None      # (M+1)-th basis vector, if any
 
 
 @dataclass
@@ -249,7 +242,6 @@ def phi_times_vector(
     v: np.ndarray,
     cfg: KrylovConfig,
     ctx: EvalContext | None = None,
-    keep_basis: bool = True,
 ) -> KrylovResult:
     """Approximate phi_k(tau * L) v to relative tolerance cfg.tol."""
     if k < 1:
@@ -272,7 +264,7 @@ def phi_times_vector(
     est = math.inf
     converged = False
     m_used = 0
-    for m_target in cfg.check_schedule:
+    for m_target in default_check_schedule(cfg.m_max):
         state.extend(m_target)
         m_eval = min(m_target, state.m)
         if m_eval <= m_used:
@@ -282,27 +274,9 @@ def phi_times_vector(
         if est <= cfg.tol:
             converged = True
             break
-    if w_red is None:  # pragma: no cover - schedule always has at least one entry
-        raise KrylovError("empty check schedule")
 
     w = vnorm * (state.V[:, :m_used] @ w_red)
-    at_end = m_used == state.m
-    result = KrylovResult(
-        approximation=w,
-        dim_used=m_used,
-        matvecs=state.matvecs_done - mv_before,
-        est_error=est,
-        converged=converged,
-        basis=state.V[:, :m_used].copy() if keep_basis else None,
-        hessenberg=state.H[:m_used, :m_used].copy() if keep_basis else None,
-        h_next=float(state.H[m_used, m_used - 1]),
-        v_next=(
-            state.V[:, m_used].copy()
-            if keep_basis and not (at_end and state.breakdown)
-            else None
-        ),
-    )
-    return _record(ctx, result)
+    return _record(ctx, KrylovResult(w, m_used, state.matvecs_done - mv_before, est, converged))
 
 
 def _record(ctx: EvalContext | None, result: KrylovResult) -> KrylovResult:

@@ -2,10 +2,10 @@
 
 Carriers for the linear parts of split right-hand sides: dense matrices,
 sparse (compressed-row) matrices such as the discrete Laplacian and the
-partition operators of the benchmark, diagonals, zeros and sums.  The one
-composite is the sum, which the block Jacobian of a split needs.  Operators
-are immutable after construction; the only mutable state is a per-operator
-matvec tally.
+partition operators of the benchmark, diagonals and zeros.  There are no
+composites: a sum of sparse operators is assembled as one sparse matrix.
+Operators are immutable after construction; the only mutable state is a
+per-operator matvec tally.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ class LinearOperator:
     """Abstract matrix-free operator: a dimension plus apply-to-vector.
 
     ``apply`` increments a per-operator matvec counter readable as
-    ``op.matvecs``; a sum also advances the counters of its terms.
+    ``op.matvecs``.
     In CPython the plain-int tally is safe under concurrent apply calls.
     """
 
@@ -108,25 +108,6 @@ class ZeroOperator(LinearOperator):
 
     def _apply(self, v):
         return np.zeros_like(v)
-
-
-class SumOperator(LinearOperator):
-    kind = "sum"
-
-    def __init__(self, *terms: LinearOperator):
-        if not terms:
-            raise OperatorContractError("sum operator needs at least one term")
-        dims = {t.dim for t in terms}
-        if len(dims) != 1:
-            raise OperatorContractError(f"sum operator terms disagree on dimension: {dims}")
-        super().__init__(terms[0].dim)
-        self.terms = tuple(terms)
-
-    def _apply(self, v):
-        acc = self.terms[0].apply(v)
-        for t in self.terms[1:]:
-            acc = acc + t.apply(v)
-        return acc
 
 
 def laplacian_2d_periodic(n: int, d: float) -> SparseOperator:

@@ -103,7 +103,12 @@ def phi_dense_times_vector(p: int, a: np.ndarray, v: np.ndarray) -> list[np.ndar
 
 
 # degree-13 diagonal Pade approximant with norm-based scaling; the hot
-# reduced-space path
+# reduced-space path.  It stays in numpy instead of calling scipy.linalg.expm:
+# the numpy and scipy wheels each load their own OpenBLAS (scipy_openblas64
+# 0.3.31 and scipy_openblas32 0.3.30), and on a 2-core Xeon with
+# OPENBLAS_NUM_THREADS=2, routing the reduced exponential through scipy took
+# the grid-160 benchmark reference from 4.4 to 22 s (at one thread, 3.5
+# against 3.2 s).
 def _expm_pade13(a):
     """Scaling-and-squaring exponential, lean path for the reduced-space
     evaluations inside the Krylov engine (no input validation)."""

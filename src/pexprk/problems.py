@@ -12,6 +12,11 @@ the right-hand side are provided: by chemical species, by spatial subdomain,
 by physical process, and the process split with the reaction treated
 explicitly.  A small dense semilinear problem with a smooth nonlinearity
 serves as the test oracle throughout.
+
+Every Gray-Scott operator is assembled from ``_reaction_values`` and the
+full Jacobian's sparsity pattern, which is built once per model.  The species
+and space partition operators are principal sub-blocks of the full Jacobian,
+kept at their positions in the full state.
 """
 
 from dataclasses import dataclass
@@ -21,7 +26,7 @@ import numpy as np
 import scipy.integrate
 import scipy.sparse
 
-from .operators import DenseOperator, SparseOperator, SumOperator, ZeroOperator, laplacian_2d_periodic
+from .operators import DenseOperator, SparseOperator, ZeroOperator, laplacian_2d_periodic
 from .steppers import SplitProblem, unpartitioned_problem
 
 TIMESPAN = 0.262144          # benchmark integration window [0, T]
@@ -118,27 +123,14 @@ def gs_rhs(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
     return np.concatenate([da, db])
 
 
-def _species_block_a(m: GrayScottModel, b: np.ndarray):
-    # d/da of the a-equation: d_a lap - diag(b^2) - f I
-    return _laplacian_csr(m, m.d_a) - scipy.sparse.diags(b * b + m.feed)
-
-
-def _species_block_b(m: GrayScottModel, a: np.ndarray, b: np.ndarray):
-    # d/db of the b-equation: d_b lap + 2 diag(a b) - (f + k) I
-    return _laplacian_csr(m, m.d_b) + scipy.sparse.diags(2.0 * a * b - (m.feed + m.kill))
-
-
-def _reaction_jacobian_csr(m: GrayScottModel, u: np.ndarray):
+def _reaction_values(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
+    """The reaction Jacobian's entries [[-b^2 - f, -2ab], [b^2, 2ab - (f + k)]]
+    as four blocks over the cells, row by row; cell i's lie in rows and
+    columns i and cells + i.  The only place that writes them."""
     a, b = _split_state(m, u)
     b2 = b * b
     ab = a * b
-    return scipy.sparse.bmat(
-        [
-            [scipy.sparse.diags(-b2 - m.feed), scipy.sparse.diags(-2.0 * ab)],
-            [scipy.sparse.diags(b2), scipy.sparse.diags(2.0 * ab - (m.feed + m.kill))],
-        ],
-        format="csr",
-    )
+    return np.concatenate([-b2 - m.feed, -2.0 * ab, b2, 2.0 * ab - (m.feed + m.kill)])
 
 
 def _diffusion_csr(m: GrayScottModel):
@@ -147,37 +139,107 @@ def _diffusion_csr(m: GrayScottModel):
     )
 
 
+def _csr(m: GrayScottModel, data, indices, indptr):
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(m.dim, m.dim))
+
+
+@lru_cache(maxsize=16)
+def _jacobian_structure(m: GrayScottModel) -> tuple:
+    """The full Jacobian's sparsity pattern, which no state changes: its CSR
+    indices and indptr (stencil plus reaction entries), the diffusion values
+    on it (0 at reaction-only entries) and the slot of each _reaction_values
+    entry in it."""
+    dim, cells = m.dim, m.cells
+    diffusion = _diffusion_csr(m).tocoo()
+    a = np.arange(cells, dtype=np.int64)
+    b = a + cells
+    # flat keys row * dim + col: int64, as dim**2 overflows int32 from grid side 153
+    diffusion_keys = diffusion.row.astype(np.int64) * dim + diffusion.col
+    reaction_keys = np.concatenate([a, a, b, b]) * dim + np.concatenate([a, b, a, b])
+    keys = np.sort(np.concatenate([diffusion_keys, reaction_keys]))
+    # distinct keys by sort: numpy 2.4's hash-based np.union1d took 30x longer at grid 160
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    values = np.zeros(keys.size)
+    values[np.searchsorted(keys, diffusion_keys)] = diffusion.data
+    indptr = np.searchsorted(keys, np.arange(dim + 1, dtype=np.int64) * dim)
+    slots = np.searchsorted(keys, reaction_keys)
+    structure = ((keys % dim).astype(np.int32), indptr.astype(np.int32), values, slots)
+    for array in structure:
+        array.flags.writeable = False  # the cache hands these arrays to every caller
+    return structure
+
+
+def _jacobian_data(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
+    """The full Jacobian's values on its fixed pattern."""
+    _, _, diffusion, slots = _jacobian_structure(m)
+    data = diffusion.copy()
+    data[slots] += _reaction_values(m, u)
+    return data
+
+
 def gs_full_jacobian(m: GrayScottModel, u: np.ndarray) -> SparseOperator:
-    return SparseOperator(_diffusion_csr(m) + _reaction_jacobian_csr(m, u))
+    indices, indptr, _, _ = _jacobian_structure(m)
+    return SparseOperator(_csr(m, _jacobian_data(m, u), indices, indptr))
+
+
+def _reaction_csr(m: GrayScottModel, u: np.ndarray):
+    """The reaction Jacobian alone: in each row, the columns of the cell's a and b."""
+    cell = np.arange(m.cells, dtype=np.int32)
+    indices = np.tile(np.column_stack([cell, cell + m.cells]).ravel(), 2)
+    indptr = np.arange(0, 2 * m.dim + 1, 2, dtype=np.int32)
+    # row by row: the a-equation's d/da and d/db of each cell, then the b-equation's
+    data = _reaction_values(m, u).reshape(2, 2, m.cells).transpose(0, 2, 1).ravel()
+    return _csr(m, data, indices, indptr)
+
+
+def _subblock_masks(m: GrayScottModel, name: str) -> np.ndarray:
+    """Which variables each part of the species or space split holds: the two
+    halves of the species-major state, or of ``gs_space_permutation``."""
+    order = np.arange(m.dim) if name == "species" else gs_space_permutation(m)
+    masks = np.zeros((2, m.dim), dtype=bool)
+    for mask, variables in zip(masks, np.split(order, 2)):
+        mask[variables] = True
+    return masks
+
+
+@lru_cache(maxsize=16)
+def _subblock_entries(m: GrayScottModel, name: str) -> tuple:
+    """Per part: the positions of the full Jacobian's entries whose row and
+    column both lie in the part's set, and their CSR indices and indptr."""
+    indices, indptr, _, _ = _jacobian_structure(m)
+    rows = np.repeat(np.arange(m.dim), np.diff(indptr))
+    parts = []
+    for mask in _subblock_masks(m, name):
+        take = np.flatnonzero(mask[rows] & mask[indices])
+        entries = (take, indices[take], np.searchsorted(take, indptr).astype(np.int32))
+        for array in entries:
+            array.flags.writeable = False  # the cache hands these arrays to every caller
+        parts.append(entries)
+    return tuple(parts)
+
+
+def _subblock_split(m: GrayScottModel, name: str) -> SplitProblem:
+    """One part per set of variables: the right-hand side on the set (zero
+    elsewhere) and the full Jacobian's principal sub-block on it, kept at its
+    position in the full state.  A step only gathers the sub-block's values."""
+
+    def part(p, mask):
+        def f(u):
+            return np.where(mask, gs_rhs(m, u), 0.0)
+
+        def build(u):
+            take, indices, indptr = _subblock_entries(m, name)[p]
+            return SparseOperator(_csr(m, _jacobian_data(m, u)[take], indices, indptr))
+
+        return f, build
+
+    f_parts, builders = zip(*(part(p, mask) for p, mask in enumerate(_subblock_masks(m, name))))
+    return SplitProblem(m.dim, f_parts, builders, name=name)
 
 
 def gs_partition_species(m: GrayScottModel) -> SplitProblem:
-    """Two-way split by chemical species; each operator is its species'
-    diagonal block of the Jacobian, with the other block zero."""
-    cells = m.cells
-    zero = scipy.sparse.csr_matrix((cells, cells))
-
-    def f1(u):
-        a, b = _split_state(m, u)
-        out = np.zeros_like(u)
-        out[:cells] = _laplacian_csr(m, m.d_a) @ a - a * b * b + m.feed * (1.0 - a)
-        return out
-
-    def f2(u):
-        a, b = _split_state(m, u)
-        out = np.zeros_like(u)
-        out[cells:] = _laplacian_csr(m, m.d_b) @ b + a * b * b - (m.feed + m.kill) * b
-        return out
-
-    def build_l1(u):
-        _, b = _split_state(m, u)
-        return SparseOperator(scipy.sparse.block_diag((_species_block_a(m, b), zero), format="csr"))
-
-    def build_l2(u):
-        a, b = _split_state(m, u)
-        return SparseOperator(scipy.sparse.block_diag((zero, _species_block_b(m, a, b)), format="csr"))
-
-    return SplitProblem(m.dim, (f1, f2), (build_l1, build_l2), name="species")
+    """Two-way split by chemical species: the a-variables, then the b-variables."""
+    return _subblock_split(m, "species")
 
 
 def gs_space_permutation(m: GrayScottModel) -> np.ndarray:
@@ -191,51 +253,9 @@ def gs_space_permutation(m: GrayScottModel) -> np.ndarray:
 
 
 def gs_partition_space(m: GrayScottModel) -> SplitProblem:
-    """Two-way split by spatial location (lower half / upper half of the grid).
-
-    Each operator is the full Jacobian's principal sub-block on the
-    subdomain's variables, kept at their positions in the full state: the
-    entries whose row and column both lie in the subdomain.  The masked
-    diffusion part is state independent and built once; a step adds only the
-    subdomain's reaction entries, which couple the two species of a cell.
-    """
-    halves = np.split(gs_space_permutation(m), 2)
-    inside = [np.isin(np.arange(m.dim), half) for half in halves]
-    diffusion = _diffusion_csr(m).tocoo()
-
-    def restrict(mask):
-        def f(u):
-            return np.where(mask, gs_rhs(m, u), 0.0)
-
-        return f
-
-    def builder(mask, half):
-        keep = mask[diffusion.row] & mask[diffusion.col]
-        masked_diffusion = scipy.sparse.csr_matrix(
-            (diffusion.data[keep], (diffusion.row[keep], diffusion.col[keep])), shape=diffusion.shape
-        )
-        cells_a = half[: half.size // 2]   # the subdomain's a-variables, then its b-variables
-        cells_b = half[half.size // 2:]
-        rows = np.concatenate([cells_a, cells_a, cells_b, cells_b])
-        cols = np.concatenate([cells_a, cells_b, cells_a, cells_b])
-
-        def build(u):
-            a, b = _split_state(m, u)
-            a, b = a[cells_a], b[cells_a]
-            b2 = b * b
-            ab = a * b
-            data = np.concatenate([-b2 - m.feed, -2.0 * ab, b2, 2.0 * ab - (m.feed + m.kill)])
-            reaction = scipy.sparse.csr_matrix((data, (rows, cols)), shape=diffusion.shape)
-            return SparseOperator(masked_diffusion + reaction)
-
-        return build
-
-    return SplitProblem(
-        m.dim,
-        [restrict(mask) for mask in inside],
-        [builder(mask, half) for mask, half in zip(inside, halves)],
-        name="space",
-    )
+    """Two-way split by spatial location: both species of the lower half of the
+    grid, then of the upper half."""
+    return _subblock_split(m, "space")
 
 
 def gs_partition_physics(m: GrayScottModel) -> SplitProblem:
@@ -254,7 +274,7 @@ def gs_partition_physics(m: GrayScottModel) -> SplitProblem:
         return SparseOperator(_diffusion_csr(m))
 
     def build_reaction(u):
-        return SparseOperator(_reaction_jacobian_csr(m, u))
+        return SparseOperator(_reaction_csr(m, u))
 
     return SplitProblem(m.dim, (f_diffusion, f_reaction), (build_diffusion, build_reaction), name="physics")
 
@@ -298,7 +318,9 @@ def gs_unpartitioned(m: GrayScottModel, jacobian: str = "full", partition: str |
         split = gs_partition(m, partition)
 
         def builder(u):
-            return SumOperator(*[build(u) for build in split.operator_builders])
+            ops = [build(u) for build in split.operator_builders]
+            matrices = [op.matrix for op in ops if op.kind != "zero"]
+            return SparseOperator(sum(matrices[1:], matrices[0]))
 
     else:
         raise ValueError(f"unknown jacobian kind {jacobian!r}")

@@ -20,8 +20,9 @@ residuals r_{p,j} = f_p(U_j) - f_p(u_n) - h L_p X_j^p:
     U_i     = u_n + h sum_p X_i^p
     u_{n+1} = u_n + h sum_p [phi_1(hL_p) f_p(u_n) + sum_j b_j(hL_p) r_{p,j}]
 the last line following from E = I - z E A.  Each partition thus costs what
-one original-form step costs: at order 4, 19 phi products on 5 Arnoldi
-factorizations (one per vector f_p(u_n), r_{p,2}, ..., r_{p,5}).  A zero
+one original-form step costs: at order 4, 16 phi products on 5 Arnoldi
+factorizations (one per vector f_p(u_n), r_{p,2}, ..., r_{p,5}); both forms
+compute phi_1(c hL) f(u_n) once per distinct abscissa c.  A zero
 operator (an explicitly treated partition) skips the L_p X matvec and
 reduces to the classical Runge-Kutta method.  With P = 1 this is the
 unpartitioned transformed method.
@@ -102,7 +103,7 @@ def _apply_coeff(expr, L, h, v, cfg, ctx, where):
 
 def _phi(L, k, tau, v, cfg, ctx, where):
     try:
-        res = phi_times_vector(L, k, tau, v, cfg, ctx=ctx, keep_basis=False)
+        res = phi_times_vector(L, k, tau, v, cfg, ctx=ctx)
     except _EVAL_ERRORS as exc:
         raise StepFailure(f"{where}: {exc}") from exc
     if not res.converged:
@@ -111,6 +112,19 @@ def _phi(L, k, tau, v, cfg, ctx, where):
             f"(estimated error {res.est_error:.3g}, tol {cfg.tol:g})"
         )
     return res.approximation
+
+
+def _phi1_terms(L, h, fn, cfg, ctx):
+    """c -> phi_1(c hL) f(u_n), each computed once per step: stages that share
+    an abscissa, and the update (c = 1), reuse one product."""
+    terms: dict[float, np.ndarray] = {}
+
+    def term(c, where):
+        if c not in terms:
+            terms[c] = _phi(L, 1, c * h, fn, cfg, ctx, where)
+        return terms[c]
+
+    return term
 
 
 def step_exprk_original(
@@ -127,9 +141,10 @@ def step_exprk_original(
     ctx = ctx if ctx is not None else EvalContext()
     fn = f(y_n)
     gn = fn - L.apply(y_n)
+    phi1 = _phi1_terms(L, h, fn, cfg, ctx)
     d: dict[int, np.ndarray] = {}
     for i in range(1, t.s):
-        acc = t.c[i] * _phi(L, 1, t.c[i] * h, fn, cfg, ctx, f"stage {i + 1}, phi_1 term")
+        acc = t.c[i] * phi1(t.c[i], f"stage {i + 1}, phi_1 term")
         for j in range(1, i):
             if not is_zero(t.a[i][j]):
                 acc = acc + _apply_coeff(
@@ -137,7 +152,7 @@ def step_exprk_original(
                 )
         y_i = y_n + h * acc
         d[i] = f(y_i) - L.apply(y_i) - gn
-    acc = _phi(L, 1, h, fn, cfg, ctx, "update, phi_1 term")
+    acc = phi1(1.0, "update, phi_1 term")
     for j in range(1, t.s):
         if not is_zero(t.b[j]):
             acc = acc + _apply_coeff(t.b[j], L, h, d[j], cfg, ctx, f"update, weight b[{j + 1}]")
@@ -159,13 +174,12 @@ def step_pexprk(
     ops = list(ops) if ops is not None else prob.build_operators(u_n)
     fns = [fp(u_n) for fp in prob.f_parts]
     nparts = prob.partitions
+    phi1 = [_phi1_terms(ops[p], h, fns[p], cfg, ctx) for p in range(nparts)]
     r: dict[tuple[int, int], np.ndarray] = {}
     for i in range(1, t.s):
         xs = []
         for p in range(nparts):
-            x = t.c[i] * _phi(
-                ops[p], 1, t.c[i] * h, fns[p], cfg, ctx, f"stage {i + 1}, partition {p + 1}, phi_1 term"
-            )
+            x = t.c[i] * phi1[p](t.c[i], f"stage {i + 1}, partition {p + 1}, phi_1 term")
             for j in range(1, i):
                 if not is_zero(t.a[i][j]):
                     x = x + _apply_coeff(
@@ -180,7 +194,7 @@ def step_pexprk(
                 r[(p, i)] -= h * ops[p].apply(xs[p])
     acc = np.zeros_like(u_n)
     for p in range(nparts):
-        acc = acc + _phi(ops[p], 1, h, fns[p], cfg, ctx, f"update, partition {p + 1}, phi_1 term")
+        acc = acc + phi1[p](1.0, f"update, partition {p + 1}, phi_1 term")
         for j in range(1, t.s):
             if not is_zero(t.b[j]):
                 acc = acc + _apply_coeff(

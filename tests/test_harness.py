@@ -205,13 +205,13 @@ class TestStudy:
 # (form, partition, jacobian).  A refactor that claims to reproduce the study
 # rows must reproduce these.
 GOLDEN = {
-    ("orig", "none", "full"): ((150, 478, 38), 0.49871571629035877),
-    ("tran", "none", "full"): ((148, 478, 38), 0.49871571629035877),
-    ("tran", "species", "block"): ((148, 478, 38), 0.49871572176745393),
-    ("part", "species", "full"): ((266, 860, 76), 0.49871572176745393),
-    ("part", "space", "full"): ((296, 956, 76), 0.4987158221269866),
-    ("part", "physics", "full"): ((224, 704, 76), 0.4987157166988749),
-    ("part", "imex", "full"): ((148, 478, 76), 0.4987157168435433),
+    ("orig", "none", "full"): ((150, 406, 32), 0.49871571629035877),
+    ("tran", "none", "full"): ((148, 406, 32), 0.49871571629035877),
+    ("tran", "species", "block"): ((148, 406, 32), 0.49871572176745393),
+    ("part", "species", "full"): ((266, 730, 64), 0.49871572176745393),
+    ("part", "space", "full"): ((296, 812, 64), 0.4987158221269866),
+    ("part", "physics", "full"): ((224, 600, 64), 0.4987157166988749),
+    ("part", "imex", "full"): ((148, 406, 64), 0.4987157168435433),
 }
 
 

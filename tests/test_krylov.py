@@ -5,6 +5,7 @@ import scipy.linalg
 from pexprk.krylov import (
     EvalContext,
     KrylovConfig,
+    _ArnoldiState,
     default_check_schedule,
     phi_times_vector,
 )
@@ -16,6 +17,12 @@ def stable_dense(rng, n, shift=2.0):
     """Random dense matrix with spectrum shifted into the left half-plane."""
     a = rng.uniform(-1, 1, size=(n, n))
     return a - (np.max(np.real(np.linalg.eigvals(a))) + shift) * np.eye(n)
+
+
+def symmetric_stable(rng, n, spread=20.0):
+    """Random symmetric matrix with eigenvalues in [-spread, 0]."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return (q * -rng.uniform(0.0, spread, size=n)) @ q.T
 
 
 def dense_phi_reference(k, tau, a, v):
@@ -123,8 +130,7 @@ class TestPhiTimesVector:
         rng = np.random.default_rng(8)
         a = stable_dense(rng, 40, shift=1.0) * 500.0
         v = rng.uniform(-1, 1, size=40)
-        sched = default_check_schedule(5)
-        res = phi_times_vector(DenseOperator(a), 1, 1.0, v, KrylovConfig(tol=1e-12, m_max=5, check_schedule=sched))
+        res = phi_times_vector(DenseOperator(a), 1, 1.0, v, KrylovConfig(tol=1e-12, m_max=5))
         assert not res.converged
         assert res.dim_used == 5
         assert res.est_error > 1e-12
@@ -133,12 +139,15 @@ class TestPhiTimesVector:
         rng = np.random.default_rng(21)
         a = stable_dense(rng, 35)
         v = rng.uniform(-1, 1, size=35)
-        res = phi_times_vector(DenseOperator(a), 1, 0.4, v, KrylovConfig(tol=1e-8, m_max=30))
-        V, H = res.basis, res.hessenberg
+        op = DenseOperator(a)
+        ctx = EvalContext()
+        res = phi_times_vector(op, 1, 0.4, v, KrylovConfig(tol=1e-8, m_max=30), ctx=ctx)
+        state = ctx.arnoldi_state(op, v)
         m = res.dim_used
+        V, H = state.V[:, :m], state.H[:m, :m]
         assert np.max(np.abs(V.T @ V - np.eye(m))) <= 1e-10
         lhs = a @ V
-        rhs = V @ H + res.h_next * np.outer(res.v_next, np.eye(m)[m - 1])
+        rhs = V @ H + state.H[m, m - 1] * np.outer(state.V[:, m], np.eye(m)[m - 1])
         denom = np.linalg.norm(lhs)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * denom
 
@@ -147,6 +156,35 @@ class TestPhiTimesVector:
             phi_times_vector(ZeroOperator(3), 0, 1.0, np.zeros(3), KrylovConfig())
         with pytest.raises(ValueError):
             phi_times_vector(ZeroOperator(3), 1, 1.0, np.zeros(4), KrylovConfig())
+
+
+class TestSurrogateErrorEstimate:
+    """The phi_1 surrogate estimate against the true error of phi_k, k = 1..3."""
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["expm-path", "eigh-path"])
+    def test_estimate_bounds_true_error(self, symmetric):
+        tau = 0.5
+        checked = {1: 0, 2: 0, 3: 0}
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            a = symmetric_stable(rng, 40) if symmetric else stable_dense(rng, 40)
+            v = rng.uniform(-1, 1, size=40)
+            state = _ArnoldiState(DenseOperator(a), v)
+            state.extend(39)
+            refs = {k: dense_phi_reference(k, tau, a, v) for k in checked}
+            for m in range(2, state.m):
+                # the reduced evaluation this test covers
+                assert (state._eigendecomposition(m) is not None) == symmetric
+                for k, ref in refs.items():
+                    w_red, est = state.reduced_phi(k, tau, m)
+                    if est > 1e-6:
+                        continue
+                    true = np.linalg.norm(state.vnorm * (state.V[:, :m] @ w_red) - ref) / np.linalg.norm(ref)
+                    # below ~1e-13 the true error is rounding, which the
+                    # estimate of the truncation error does not bound
+                    assert true <= max(est, 1e-13), (seed, m, k, true, est)
+                    checked[k] += est >= 1e-12
+        assert min(checked.values()) >= 10, checked
 
 
 class TestSharedFactorization:

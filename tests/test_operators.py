@@ -6,7 +6,6 @@ from pexprk.operators import (
     DiagonalOperator,
     OperatorContractError,
     SparseOperator,
-    SumOperator,
     ZeroOperator,
     laplacian_2d_periodic,
 )
@@ -28,13 +27,11 @@ def dense_laplacian_reference(n, d):
 
 def sample_operators(rng):
     a = rng.uniform(-1, 1, size=(4, 4))
-    b = rng.uniform(-1, 1, size=(4, 4))
     return [
         DenseOperator(a),
         SparseOperator(a),
         DiagonalOperator(rng.uniform(-2, 2, size=4)),
         ZeroOperator(4),
-        SumOperator(DenseOperator(a), DenseOperator(b)),
     ]
 
 
@@ -47,14 +44,6 @@ class TestApplyContract:
         d = np.array([1.0, -2.0, 0.5])
         v = np.array([3.0, 4.0, 5.0])
         assert np.allclose(DiagonalOperator(d).apply(v), d * v)
-
-    def test_sum_matches_dense_reference(self):
-        rng = np.random.default_rng(42)
-        a = rng.uniform(-1, 1, size=(4, 4))
-        b = rng.uniform(-1, 1, size=(4, 4))
-        v = rng.uniform(-1, 1, size=4)
-        got = SumOperator(DenseOperator(a), DenseOperator(b)).apply(v)
-        assert np.allclose(got, a @ v + b @ v, atol=1e-14)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(OperatorContractError):

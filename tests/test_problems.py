@@ -13,6 +13,7 @@ from pexprk.problems import (
     PAPER_SCALE_GRID,
     TIMESPAN,
     GrayScottModel,
+    _laplacian_csr,
     gs_default,
     gs_full_jacobian,
     gs_initial,
@@ -39,6 +40,51 @@ def fd_jacobian(f, u, eps=1e-6):
         e[j] = eps
         out[:, j] = (f(u + e) - f(u - e)) / (2 * eps)
     return out
+
+
+def reference_jacobian_parts(m, u):
+    """Reference assembly of the Jacobian's two terms: the block-diagonal
+    diffusion and the reaction as a 2 x 2 block matrix of diagonals, as CSR."""
+    a, b = u[: m.cells], u[m.cells:]
+    b2 = b * b
+    ab = a * b
+    diffusion = scipy.sparse.block_diag(
+        [_laplacian_csr(m, m.d_a), _laplacian_csr(m, m.d_b)], format="csr"
+    )
+    reaction = scipy.sparse.bmat(
+        [
+            [scipy.sparse.diags(-b2 - m.feed), scipy.sparse.diags(-2.0 * ab)],
+            [scipy.sparse.diags(b2), scipy.sparse.diags(2.0 * ab - (m.feed + m.kill))],
+        ],
+        format="csr",
+    )
+    return diffusion, reaction
+
+
+def reference_states(m):
+    u0 = gs_initial(m)
+    return u0, u0 + 0.05 * np.sin(np.arange(m.dim) * 0.37)
+
+
+def assert_csr_equal(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def assert_masked_full_jacobian(m, prob, variable_sets):
+    # reference construction: assemble the whole Jacobian, keep the entries
+    # whose row and column both lie in the set
+    inside = [np.isin(np.arange(m.dim), variables) for variables in variable_sets]
+    for u in reference_states(m):
+        diffusion, reaction = reference_jacobian_parts(m, u)
+        jac = (diffusion + reaction).tocoo()
+        for mask, build in zip(inside, prob.operator_builders):
+            keep = mask[jac.row] & mask[jac.col]
+            want = scipy.sparse.csr_matrix(
+                (jac.data[keep], (jac.row[keep], jac.col[keep])), shape=jac.shape
+            )
+            assert_csr_equal(build(u).matrix, want)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +165,16 @@ class TestRhs:
         numeric = fd_jacobian(lambda u: gs_rhs(m, u), random_state)
         assert np.max(np.abs(analytic - numeric)) <= 1e-6
 
+    @pytest.mark.parametrize("n", [16, 160])
+    def test_full_jacobian_and_reaction_operator_equal_reference_assembly(self, n):
+        # grid 160 puts the flat entry keys row * dim + col past int32
+        m = gs_default(n=n)
+        reaction_op = gs_partition_physics(m).operator_builders[1]
+        for u in reference_states(m):
+            diffusion, reaction = reference_jacobian_parts(m, u)
+            assert_csr_equal(gs_full_jacobian(m, u).matrix, diffusion + reaction)
+            assert_csr_equal(reaction_op(u).matrix, reaction)
+
     def test_length_mismatch(self, small_model):
         with pytest.raises(ValueError):
             gs_rhs(small_model, np.zeros(5))
@@ -185,24 +241,13 @@ class TestPartitions:
 
     @pytest.mark.parametrize("n", [16, 160])
     def test_space_operators_equal_masked_full_jacobian(self, n):
-        # reference construction: assemble the whole Jacobian, keep the entries
-        # whose row and column both lie in the subdomain
         m = gs_default(n=n)
-        inside = [np.isin(np.arange(m.dim), half) for half in np.split(gs_space_permutation(m), 2)]
-        prob = gs_partition_space(m)
-        u0 = gs_initial(m)
-        perturbed = u0 + 0.05 * np.sin(np.arange(m.dim) * 0.37)
-        for u in (u0, perturbed):
-            jac = gs_full_jacobian(m, u).matrix.tocoo()
-            for mask, build in zip(inside, prob.operator_builders):
-                keep = mask[jac.row] & mask[jac.col]
-                want = scipy.sparse.csr_matrix(
-                    (jac.data[keep], (jac.row[keep], jac.col[keep])), shape=jac.shape
-                )
-                got = build(u).matrix
-                assert np.array_equal(got.indptr, want.indptr)
-                assert np.array_equal(got.indices, want.indices)
-                assert np.array_equal(got.data, want.data)
+        assert_masked_full_jacobian(m, gs_partition_space(m), np.split(gs_space_permutation(m), 2))
+
+    @pytest.mark.parametrize("n", [16, 160])
+    def test_species_operators_equal_masked_full_jacobian(self, n):
+        m = gs_default(n=n)
+        assert_masked_full_jacobian(m, gs_partition_species(m), np.split(np.arange(m.dim), 2))
 
     def test_space_requires_even_grid(self):
         with pytest.raises(ValueError):
