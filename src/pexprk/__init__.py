@@ -17,7 +17,7 @@ from .operators import (
     ZeroOperator,
     laplacian_2d_periodic,
 )
-from .phi import expm_dense, phi_dense_matrices, phi_dense_times_e1, phi_scalar
+from .phi import expm_dense, phi_dense_matrices, phi_dense_times_vector, phi_scalar
 from .problems import (
     DESK_GRID,
     PAPER_SCALE_GRID,

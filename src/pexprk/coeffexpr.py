@@ -12,9 +12,11 @@ A coefficient is an expression tree over the node set
 Trees can be evaluated three ways: at a real scalar z, at a small dense
 matrix Z, or -- the production path -- applied to a vector through the
 matrix-free Krylov engine without ever materializing phi of the operator.
-The steppers apply only the Butcher-form a_ij/b_j trees (Sum, Scale, Phi)
-that way; Prod and ZMul, the nodes of the expanded transformed trees, are
-applied too, but by no stepper.
+Only Butcher-form coefficients are applied that way: Phi with k >= 1, Const,
+Scale and Sum, the nodes of the a_ij/b_j and of the steppers' phi_1 terms.
+Prod, ZMul and phi_0, the nodes of the expanded transformed trees, are
+evaluated only at scalars and dense matrices (``dump-tableau`` and the
+tests' dense oracle).
 Simplification is deliberately shallow (flattening sums, folding constant
 scales); no phi identities are rewritten, so structural comparisons of
 transformed coefficients stay deterministic.
@@ -259,38 +261,33 @@ def eval_coeff(
     cfg: KrylovConfig,
     ctx: EvalContext | None = None,
 ) -> np.ndarray:
-    """Apply expr(h L) to v matrix-free, right to left through the tree.
+    """Apply a Butcher-form expr(h L) to v matrix-free.
 
-    Phi nodes go through the Krylov engine with tau = c * h (phi_0 as
-    I + c h L phi_1(c h L) compositionally); ZMul applies h L directly.  With
-    a shared EvalContext, repeated subtree applications to the same vector
-    are memoized and Arnoldi factorizations are reused across phi indices.
+    Phi nodes go through the Krylov engine with tau = c * h.  With a shared
+    EvalContext, repeated subtree applications to the same vector are
+    memoized (each entry holds its operator and vector, so their ids stay
+    unique) and Arnoldi factorizations are reused across phi indices.
     """
     if ctx is not None:
         memo_key = (expr.key(), id(L), id(v))
         cached = ctx.memo.get(memo_key)
         if cached is not None:
-            return cached
+            return cached[0]
     out = _eval_coeff_node(expr, L, h, v, cfg, ctx)
     if ctx is not None:
-        ctx.memo[memo_key] = out
-        ctx.keep(v)
-        ctx.keep(L)
+        ctx.memo[memo_key] = (out, L, v)
     return out
 
 
 def _eval_coeff_node(expr, L, h, v, cfg, ctx):
-    if isinstance(expr, Phi):
+    if isinstance(expr, Phi) and expr.k >= 1:
         tau = expr.c * h
-        k = expr.k if expr.k >= 1 else 1
-        res = phi_times_vector(L, k, tau, v, cfg, ctx=ctx)
+        res = phi_times_vector(L, expr.k, tau, v, cfg, ctx=ctx)
         if not res.converged:
             raise CoefficientEvalError(
-                f"phi_{k}({tau:g} L) v did not converge within m_max={cfg.m_max} "
+                f"phi_{expr.k}({tau:g} L) v did not converge within m_max={cfg.m_max} "
                 f"(estimated error {res.est_error:.3g}, tol {cfg.tol:g})"
             )
-        if expr.k == 0:
-            return v + tau * L.apply(res.approximation)
         return res.approximation
     if isinstance(expr, Const):
         return expr.r * v
@@ -301,9 +298,4 @@ def _eval_coeff_node(expr, L, h, v, cfg, ctx):
         for ch in expr.children:
             acc = acc + eval_coeff(ch, L, h, v, cfg, ctx)
         return acc
-    if isinstance(expr, Prod):
-        inner = eval_coeff(expr.right, L, h, v, cfg, ctx)
-        return eval_coeff(expr.left, L, h, inner, cfg, ctx)
-    if isinstance(expr, ZMul):
-        return h * L.apply(eval_coeff(expr.child, L, h, v, cfg, ctx))
-    raise TypeError(f"not a coefficient expression: {expr!r}")
+    raise TypeError(f"not applied matrix-free: {expr} (only Phi k >= 1, Const, Scale, Sum)")

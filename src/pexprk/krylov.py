@@ -15,7 +15,8 @@ through the phi_1 surrogate
 the leading term of the error integral for the phi_1 product, which is
 conservative for the faster-converging higher phi indices.  There is no
 sub-stepping in tau: a product that does not converge by m_max is returned
-with ``converged=False``.
+with ``converged=False``.  Matvecs are counted only by the operator's own
+tally (``op.matvecs``); the engine records solves and Krylov dimensions.
 """
 
 import math
@@ -79,14 +80,13 @@ class KrylovConfig:
 class KrylovResult:
     approximation: np.ndarray
     dim_used: int
-    matvecs: int
     est_error: float
     converged: bool
 
 
 @dataclass
 class KrylovStats:
-    matvecs: int = 0
+    matvecs: int = 0  # the step's operator tallies, written by the stepper
     krylov_dim_total: int = 0
     solves: int = 0
 
@@ -101,14 +101,14 @@ class EvalContext:
 
     Shares Arnoldi factorizations between phi products on the same
     (operator, vector) pair -- the basis is independent of the phi index and
-    of tau -- and memoizes coefficient-expression applications.  Holding the
-    keyed objects keeps their ids stable for the context's lifetime.
+    of tau -- and memoizes coefficient-expression applications.  Both caches
+    are keyed by the ids of operator and vector, and each entry holds the two
+    objects, which keeps the ids unique for the context's lifetime.
     """
 
     def __init__(self):
         self._arnoldi: dict = {}
         self.memo: dict = {}
-        self._memo_refs: list = []
         self.stats = KrylovStats()
 
     def arnoldi_state(self, op: LinearOperator, v: np.ndarray, m_hint: int = 0) -> "_ArnoldiState":
@@ -118,9 +118,6 @@ class EvalContext:
             entry = (_ArnoldiState(op, v, m_hint), op, v)
             self._arnoldi[key] = entry
         return entry[0]
-
-    def keep(self, obj):
-        self._memo_refs.append(obj)
 
 
 class _ArnoldiState:
@@ -140,7 +137,6 @@ class _ArnoldiState:
         self.m = 0
         self.breakdown = False
         self.scale = 0.0
-        self.matvecs_done = 0
         self._eig: dict = {}  # per-dimension eigendecompositions of symmetric H
 
     def _grow(self, cap: int):
@@ -168,7 +164,6 @@ class _ArnoldiState:
         while self.m < m_target and not self.breakdown:
             j = self.m
             w = self.op.apply(self.V[:, j])
-            self.matvecs_done += 1
             w_norm = math.sqrt(float(w @ w))
             self.scale = max(self.scale, w_norm)
             # classical Gram-Schmidt with one reorthogonalization pass when
@@ -217,7 +212,7 @@ class _ArnoldiState:
         eig = self._eigendecomposition(m)
         if eig is not None:
             lam, q, q_row0 = eig
-            vals = phi_array(max(k, 1), tau * lam)
+            vals = phi_array(k, tau * lam)
             if not np.all(np.isfinite(vals)):
                 raise KrylovError(
                     f"phi evaluation overflowed (spectral radius {np.max(np.abs(tau * lam)):.3g})"
@@ -225,7 +220,7 @@ class _ArnoldiState:
             w_red = q @ (vals[:, k - 1] * q_row0)
             phi1_last = float((q[m - 1, :] * vals[:, 0]) @ q_row0)
         else:
-            cols = phi_cols_e1(max(k, 1), tau * self.H[:m, :m])
+            cols = phi_cols_e1(k, tau * self.H[:m, :m])
             w_red = cols[:, k - 1]
             phi1_last = float(cols[m - 1, 0])
         if self.breakdown and m == self.m:
@@ -251,14 +246,13 @@ def phi_times_vector(
         raise ValueError(f"vector of shape {v.shape} does not match operator dim {L.dim}")
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:
-        return _record(ctx, KrylovResult(np.zeros(L.dim), 0, 0, 0.0, True))
+        return _record(ctx, KrylovResult(np.zeros(L.dim), 0, 0.0, True))
     if tau == 0.0 or L.kind == "zero":
         w = v / math.factorial(k)
-        return _record(ctx, KrylovResult(w, 0, 0, 0.0, True))
+        return _record(ctx, KrylovResult(w, 0, 0.0, True))
 
     m_hint = min(cfg.m_max, L.dim)
     state = ctx.arnoldi_state(L, v, m_hint) if ctx is not None else _ArnoldiState(L, v, m_hint)
-    mv_before = state.matvecs_done
 
     w_red = None
     est = math.inf
@@ -276,12 +270,11 @@ def phi_times_vector(
             break
 
     w = vnorm * (state.V[:, :m_used] @ w_red)
-    return _record(ctx, KrylovResult(w, m_used, state.matvecs_done - mv_before, est, converged))
+    return _record(ctx, KrylovResult(w, m_used, est, converged))
 
 
 def _record(ctx: EvalContext | None, result: KrylovResult) -> KrylovResult:
     if ctx is not None:
-        ctx.stats.matvecs += result.matvecs
         ctx.stats.krylov_dim_total += result.dim_used
         ctx.stats.solves += 1
     return result

@@ -133,10 +133,15 @@ def _reaction_values(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
     return np.concatenate([-b2 - m.feed, -2.0 * ab, b2, 2.0 * ab - (m.feed + m.kill)])
 
 
+@lru_cache(maxsize=16)
 def _diffusion_csr(m: GrayScottModel):
-    return scipy.sparse.block_diag(
+    """The block-diagonal diffusion matrix, which no state changes."""
+    diffusion = scipy.sparse.block_diag(
         [_laplacian_csr(m, m.d_a), _laplacian_csr(m, m.d_b)], format="csr"
     )
+    for array in (diffusion.data, diffusion.indices, diffusion.indptr):
+        array.flags.writeable = False  # the cache hands these arrays to every caller
+    return diffusion
 
 
 def _csr(m: GrayScottModel, data, indices, indptr):
@@ -271,6 +276,7 @@ def gs_partition_physics(m: GrayScottModel) -> SplitProblem:
         return np.concatenate([-ab2 + m.feed * (1.0 - a), ab2 - (m.feed + m.kill) * b])
 
     def build_diffusion(u):
+        # a fresh operator around the cached matrix: each step's tally starts at 0
         return SparseOperator(_diffusion_csr(m))
 
     def build_reaction(u):

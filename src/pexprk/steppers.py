@@ -21,8 +21,9 @@ residuals r_{p,j} = f_p(U_j) - f_p(u_n) - h L_p X_j^p:
     u_{n+1} = u_n + h sum_p [phi_1(hL_p) f_p(u_n) + sum_j b_j(hL_p) r_{p,j}]
 the last line following from E = I - z E A.  Each partition thus costs what
 one original-form step costs: at order 4, 16 phi products on 5 Arnoldi
-factorizations (one per vector f_p(u_n), r_{p,2}, ..., r_{p,5}); both forms
-compute phi_1(c hL) f(u_n) once per distinct abscissa c.  A zero
+factorizations (one per vector f_p(u_n), r_{p,2}, ..., r_{p,5}).  Both forms
+apply phi_1(c hL) f(u_n) as the coefficient Phi(1, c), so the step's one
+coefficient memo computes it once per distinct abscissa c.  A zero
 operator (an explicitly treated partition) skips the L_p X matvec and
 reduces to the classical Runge-Kutta method.  With P = 1 this is the
 unpartitioned transformed method.
@@ -42,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coeffexpr import CoefficientEvalError, eval_coeff, is_zero
+from .coeffexpr import CoefficientEvalError, Phi, eval_coeff, is_zero
 from .krylov import EvalContext, KrylovConfig, KrylovError, KrylovStats, phi_times_vector
 from .operators import LinearOperator
 from .phi import PhiEvaluationError, expm_dense
@@ -114,17 +115,12 @@ def _phi(L, k, tau, v, cfg, ctx, where):
     return res.approximation
 
 
-def _phi1_terms(L, h, fn, cfg, ctx):
-    """c -> phi_1(c hL) f(u_n), each computed once per step: stages that share
-    an abscissa, and the update (c = 1), reuse one product."""
-    terms: dict[float, np.ndarray] = {}
-
-    def term(c, where):
-        if c not in terms:
-            terms[c] = _phi(L, 1, c * h, fn, cfg, ctx, where)
-        return terms[c]
-
-    return term
+def _phi1_term(c, L, h, fn, cfg, ctx, where):
+    """c phi_1(c hL) f(u_n), zero at c = 0; stages that share an abscissa, and
+    the update (c = 1), get one memoized product."""
+    if c == 0:
+        return np.zeros_like(fn)
+    return c * _apply_coeff(Phi(1, c), L, h, fn, cfg, ctx, where)
 
 
 def step_exprk_original(
@@ -141,10 +137,9 @@ def step_exprk_original(
     ctx = ctx if ctx is not None else EvalContext()
     fn = f(y_n)
     gn = fn - L.apply(y_n)
-    phi1 = _phi1_terms(L, h, fn, cfg, ctx)
     d: dict[int, np.ndarray] = {}
     for i in range(1, t.s):
-        acc = t.c[i] * phi1(t.c[i], f"stage {i + 1}, phi_1 term")
+        acc = _phi1_term(t.c[i], L, h, fn, cfg, ctx, f"stage {i + 1}, phi_1 term")
         for j in range(1, i):
             if not is_zero(t.a[i][j]):
                 acc = acc + _apply_coeff(
@@ -152,7 +147,7 @@ def step_exprk_original(
                 )
         y_i = y_n + h * acc
         d[i] = f(y_i) - L.apply(y_i) - gn
-    acc = phi1(1.0, "update, phi_1 term")
+    acc = _phi1_term(1.0, L, h, fn, cfg, ctx, "update, phi_1 term")
     for j in range(1, t.s):
         if not is_zero(t.b[j]):
             acc = acc + _apply_coeff(t.b[j], L, h, d[j], cfg, ctx, f"update, weight b[{j + 1}]")
@@ -174,12 +169,13 @@ def step_pexprk(
     ops = list(ops) if ops is not None else prob.build_operators(u_n)
     fns = [fp(u_n) for fp in prob.f_parts]
     nparts = prob.partitions
-    phi1 = [_phi1_terms(ops[p], h, fns[p], cfg, ctx) for p in range(nparts)]
     r: dict[tuple[int, int], np.ndarray] = {}
     for i in range(1, t.s):
         xs = []
         for p in range(nparts):
-            x = t.c[i] * phi1[p](t.c[i], f"stage {i + 1}, partition {p + 1}, phi_1 term")
+            x = _phi1_term(
+                t.c[i], ops[p], h, fns[p], cfg, ctx, f"stage {i + 1}, partition {p + 1}, phi_1 term"
+            )
             for j in range(1, i):
                 if not is_zero(t.a[i][j]):
                     x = x + _apply_coeff(
@@ -194,7 +190,9 @@ def step_pexprk(
                 r[(p, i)] -= h * ops[p].apply(xs[p])
     acc = np.zeros_like(u_n)
     for p in range(nparts):
-        acc = acc + phi1[p](1.0, f"update, partition {p + 1}, phi_1 term")
+        acc = acc + _phi1_term(
+            1.0, ops[p], h, fns[p], cfg, ctx, f"update, partition {p + 1}, phi_1 term"
+        )
         for j in range(1, t.s):
             if not is_zero(t.b[j]):
                 acc = acc + _apply_coeff(
@@ -241,8 +239,8 @@ def step_pexprk2_residual(
 
 
 # stepper factories with a uniform (prob, u, h, cfg, ctx) -> u_next signature;
-# each builds the frozen partition operators at u_n and reports the complete
-# per-step matvec tally (Krylov plus direct applies) through ctx.stats
+# each builds the frozen partition operators at u_n and writes their tallies,
+# the step's only matvec count (Krylov plus direct applies), to ctx.stats
 
 Stepper = Callable[[SplitProblem, np.ndarray, float, KrylovConfig, EvalContext], np.ndarray]
 

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pexprk
 from pexprk.harness import (
     ConfigError,
     ConvergenceRow,
@@ -240,8 +243,12 @@ class TestGoldenCounts:
 
 class TestCli:
     def run_cli(self, *args):
+        # the subprocess imports the same pexprk as this test, installed or not
+        source = str(Path(pexprk.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "pexprk.cli", *args], capture_output=True, text=True
+            [sys.executable, "-m", "pexprk.cli", *args], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_check_order_subcommand(self):

@@ -72,15 +72,17 @@ class TestPhiTimesVector:
 
     def test_zero_vector_short_circuits(self):
         cfg = KrylovConfig()
-        res = phi_times_vector(DenseOperator(np.eye(4)), 1, 0.5, np.zeros(4), cfg)
-        assert res.converged and res.dim_used == 0 and res.matvecs == 0
+        op = DenseOperator(np.eye(4))
+        res = phi_times_vector(op, 1, 0.5, np.zeros(4), cfg)
+        assert res.converged and res.dim_used == 0 and op.matvecs == 0
         assert np.array_equal(res.approximation, np.zeros(4))
 
     def test_zero_operator_short_circuits(self):
         cfg = KrylovConfig()
         v = np.arange(1.0, 5.0)
-        res = phi_times_vector(ZeroOperator(4), 2, 0.3, v, cfg)
-        assert res.converged and res.dim_used == 0 and res.matvecs == 0
+        op = ZeroOperator(4)
+        res = phi_times_vector(op, 2, 0.3, v, cfg)
+        assert res.converged and res.dim_used == 0 and op.matvecs == 0
         assert np.allclose(res.approximation, v / 2.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -199,6 +201,7 @@ class TestSharedFactorization:
 
         ctx = EvalContext()
         first = phi_times_vector(op, 1, 0.3, v, cfg, ctx=ctx)
+        after_first = op.matvecs
         second = phi_times_vector(op, 2, 0.3, v, cfg, ctx=ctx)
         third = phi_times_vector(op, 3, 0.3, v, cfg, ctx=ctx)
         # identical results whether or not the factorization was shared
@@ -206,9 +209,8 @@ class TestSharedFactorization:
         assert np.array_equal(second.approximation, fresh[1])
         assert np.array_equal(third.approximation, fresh[2])
         # higher phi indices converge no later, so no new matvecs are needed
-        assert second.matvecs == 0 and third.matvecs == 0
+        assert op.matvecs == after_first
         assert ctx.stats.solves == 3
-        assert ctx.stats.matvecs == first.matvecs
 
     def test_block_diagonal_phi_identity(self):
         # phi of a block-diagonal operator acts block by block

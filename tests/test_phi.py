@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from pexprk.phi import (
     PhiEvaluationError,
     expm_dense,
+    phi_array,
     phi_dense_matrices,
-    phi_dense_times_e1,
+    phi_dense_times_vector,
     phi_scalar,
 )
 
@@ -22,6 +24,27 @@ def phi_exact_scalar(k, z):
     """Independent oracle in 50-digit arithmetic (series is cancellation-free there)."""
     with mp.workdps(50):
         return float(mp.nsum(lambda i: mp.mpf(z) ** i / mp.factorial(k + i), [0, mp.inf]))
+
+
+def phi_fraction_series(k, z):
+    """Independent oracle: the series sum_i z^i / (k+i)! summed exactly in
+    rationals from the float z, truncated once the terms fall below 2^-200
+    and shrink by more than half per term, then rounded once to float."""
+    x = Fraction(z)
+    term = Fraction(1, math.factorial(k))
+    acc = Fraction(0)
+    i = 0
+    while i <= 2 * abs(z) + 1 or abs(term) * 2**200 > 1:
+        acc += term
+        i += 1
+        term = term * x / (k + i)
+    return float(acc)
+
+
+def e1(n):
+    out = np.zeros(n)
+    out[0] = 1.0
+    return out
 
 
 def phi_series_matrix(k, a, terms=40):
@@ -84,6 +107,17 @@ class TestPhiScalar:
         with pytest.raises(ValueError):
             phi_scalar(9, 1.0)
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_against_exact_series(self, k):
+        # from |z| = 0.5 the residual form is correctly rounded (at 4.2464 an
+        # augmented-matrix expm is off by 8.5e-13 for k = 1); below it the
+        # float series is within two ulps
+        mags = np.concatenate([np.geomspace(1e-3, 20.0, 30), [0.49, 0.5, 4.2464]])
+        for z in np.concatenate([mags, -mags]):
+            exact = phi_fraction_series(k, float(z))
+            rtol = 2e-16 if abs(z) >= 0.5 else 4e-16
+            assert abs(phi_scalar(k, z) - exact) <= rtol * abs(exact), (k, z)
+
 
 class TestExpmDense:
     def test_zero_matrix(self):
@@ -116,23 +150,20 @@ class TestExpmDense:
 
 class TestPhiDenseTimesE1:
     def test_zero_matrix(self):
-        cols = phi_dense_times_e1(2, np.zeros((3, 3)))
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert np.allclose(cols[0], e1 * 1.0, atol=1e-15)
-        assert np.allclose(cols[1], e1 * 0.5, atol=1e-15)
+        cols = phi_dense_times_vector(2, np.zeros((3, 3)), e1(3))
+        assert np.allclose(cols[0], e1(3) * 1.0, atol=1e-15)
+        assert np.allclose(cols[1], e1(3) * 0.5, atol=1e-15)
 
     def test_scalar_case(self):
-        (w,) = phi_dense_times_e1(1, np.array([[1.0]]))
+        (w,) = phi_dense_times_vector(1, np.array([[1.0]]), e1(1))
         assert w[0] == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_random_5x5_matches_series(self):
         rng = np.random.default_rng(7)
         a = rng.uniform(-1, 1, size=(5, 5))
-        cols = phi_dense_times_e1(4, a)
-        e1 = np.zeros(5)
-        e1[0] = 1.0
+        cols = phi_dense_times_vector(4, a, e1(5))
         for k in range(1, 5):
-            expected = phi_series_matrix(k, a, terms=41) @ e1
+            expected = phi_series_matrix(k, a, terms=41) @ e1(5)
             assert np.max(np.abs(cols[k - 1] - expected)) <= 1e-12
 
     def test_matrix_recurrence_consistency(self):
@@ -141,20 +172,16 @@ class TestPhiDenseTimesE1:
         rng = np.random.default_rng(11)
         a = rng.uniform(-1, 1, size=(6, 6)) + 3.0 * np.eye(6)
         assert np.linalg.cond(a) < 50
-        cols = phi_dense_times_e1(4, a)
-        e1 = np.zeros(6)
-        e1[0] = 1.0
+        cols = phi_dense_times_vector(4, a, e1(6))
         mats = [expm_dense(a)]
         for k in range(1, 5):
             mats.append(np.linalg.solve(a.T, (mats[k - 1] - np.eye(6) / math.factorial(k - 1)).T).T)
         for k in range(1, 5):
-            assert np.max(np.abs(cols[k - 1] - mats[k] @ e1)) <= 1e-10
+            assert np.max(np.abs(cols[k - 1] - mats[k] @ e1(6))) <= 1e-10
 
 
 class TestPhiArray:
     def test_against_exact_oracle(self):
-        from pexprk.phi import phi_array
-
         zs = np.array([-5e4, -8600.0, -300.0, -35.0, -5.0, -1.0, -0.51, -0.49,
                        -1e-8, 0.0, 0.3, 0.49, 0.51, 2.0, 30.0, 300.0])
         vals = phi_array(4, zs)
@@ -174,13 +201,26 @@ class TestPhiArray:
                     partial += term
 
     def test_matches_phi_scalar(self):
-        from pexprk.phi import phi_array
-
         zs = np.linspace(-40.0, 3.0, 57)
         vals = phi_array(6, zs)
         for i, z in enumerate(zs):
             for k in range(1, 7):
                 assert vals[i, k - 1] == pytest.approx(phi_scalar(k, z), rel=1e-12)
+
+    def test_sweep_against_phi_scalar(self):
+        # a log grid over the whole range, both signs, plus the switch point
+        # |z| = 0.5 and its float neighbours; k = 1..3 are the indices the
+        # catalog and the residual form use.  The residual branch cancels
+        # most just above 0.5: there k = 3 is off by 1.05e-14, and k >= 4 by
+        # more (1.2e-13 at k = 4)
+        switch = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
+        mags = np.concatenate([np.geomspace(1e-8, 700.0, 400), switch])
+        zs = np.concatenate([mags, -mags])
+        vals = phi_array(3, zs)
+        for i, z in enumerate(zs):
+            for k, rtol in ((1, 1e-14), (2, 1e-14), (3, 2e-14)):
+                exact = phi_scalar(k, float(z))
+                assert abs(vals[i, k - 1] - exact) <= rtol * abs(exact), (k, z)
 
 
 class TestPhiDenseMatrices:
@@ -194,7 +234,7 @@ class TestPhiDenseMatrices:
     def test_consistent_with_e1_columns(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(-1, 1, size=(5, 5))
-        cols = phi_dense_times_e1(3, a)
+        cols = phi_dense_times_vector(3, a, e1(5))
         mats = phi_dense_matrices(3, a)
         for k in range(3):
             assert np.allclose(cols[k], mats[k][:, 0], atol=1e-13)

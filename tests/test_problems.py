@@ -181,6 +181,19 @@ class TestRhs:
 
 
 class TestPartitions:
+    @pytest.mark.parametrize("n", [16, 160])
+    def test_physics_diffusion_is_fresh_operator_on_block_diagonal(self, n):
+        m = gs_default(n=n)
+        build = gs_partition_physics(m).operator_builders[0]
+        u0, u1 = reference_states(m)
+        first, second = build(u0), build(u1)
+        want, _ = reference_jacobian_parts(m, u0)
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(first.matrix, attr).tobytes() == getattr(want, attr).tobytes()
+        # a new operator per step, so each step's matvec tally starts at zero
+        first.apply(u0)
+        assert second is not first and second.matvecs == 0
+
     @pytest.mark.parametrize("name", ["species", "space", "physics", "imex"])
     def test_parts_sum_to_full_rhs(self, small_model, name):
         m = small_model

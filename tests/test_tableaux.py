@@ -16,7 +16,7 @@ from pexprk.coeffexpr import (
     simplify,
 )
 from pexprk.krylov import KrylovConfig
-from pexprk.operators import DenseOperator, DiagonalOperator, ZeroOperator
+from pexprk.operators import DiagonalOperator, ZeroOperator
 from pexprk.phi import phi_scalar
 from pexprk.tableaux import (
     check_order_conditions,
@@ -76,33 +76,16 @@ class TestEvalCoeff:
         out = eval_coeff(Const(1.0), ZeroOperator(4), 0.1, v, KrylovConfig())
         assert np.array_equal(out, v)
 
-    def test_beta1_zero_operator_gives_identity(self):
-        tt = transformed(2)
+    @pytest.mark.parametrize(
+        "expr",
+        [Prod(Phi(1), Phi(2)), ZMul(Phi(1)), Phi(0, 1.0), transformed(2).beta[0]],
+        ids=["prod", "zmul", "phi0", "beta1-tree"],
+    )
+    def test_rejects_non_butcher_nodes(self, expr):
+        # the expanded transformed trees are evaluated only at scalars and dense matrices
         v = np.arange(1.0, 5.0)
-        out = eval_coeff(tt.beta[0], ZeroOperator(4), 0.1, v, KrylovConfig())
-        assert np.allclose(out, v, atol=1e-14)
-
-    def test_beta1_diagonal_matches_scalar(self):
-        tt = transformed(2)
-        lam = np.array([-3.0, -1.0, 0.5])
-        h = 0.1
-        v = np.array([1.0, -2.0, 0.7])
-        out = eval_coeff(tt.beta[0], DiagonalOperator(lam), h, v, KrylovConfig(tol=1e-13, m_max=10))
-        hz = h * lam
-        expected = np.array(
-            [(phi_scalar(1, z) - z * phi_scalar(2, z) * phi_scalar(1, z)) for z in hz]
-        ) * v
-        assert np.allclose(out, expected, rtol=1e-11)
-
-    def test_phi0_node_compositional(self):
-        rng = np.random.default_rng(4)
-        a = rng.uniform(-1, 1, size=(6, 6))
-        v = rng.uniform(-1, 1, size=6)
-        h = 0.3
-        out = eval_coeff(Phi(0, 1.0), DenseOperator(a), h, v, KrylovConfig(tol=1e-13, m_max=10))
-        from pexprk.phi import expm_dense
-
-        assert np.allclose(out, expm_dense(h * a) @ v, atol=1e-11)
+        with pytest.raises(TypeError, match="not applied matrix-free"):
+            eval_coeff(expr, DiagonalOperator(-np.ones(4)), 0.1, v, KrylovConfig())
 
 
 class TestCatalog:
