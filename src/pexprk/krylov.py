@@ -6,6 +6,13 @@ cancellation, and the product is approximated in the reduced space,
 
     phi_k(tau L) v ~= ||v|| * V_M * phi_k(tau H_M) e_1.
 
+An operator declared ``symmetric`` gets the three-term Lanczos recurrence
+instead: O(n) work per step rather than O(n m), and a tridiagonal H_M whose
+phi always comes from its eigendecomposition.  The basis is not
+reorthogonalized; Lanczos approximations of matrix functions stay accurate
+when orthogonality is lost (Druskin, Greenbaum & Knizhnerman, SISC 19(1),
+1998; Hochbruck & Lubich, SINUM 34(5), 1997).
+
 The error is estimated only at pre-determined check indices, spaced so that
 each check costs roughly as much as all preceding checks combined, and only
 through the phi_1 surrogate
@@ -21,6 +28,7 @@ tally (``op.matvecs``); the engine records solves and Krylov dimensions.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +67,11 @@ def default_check_schedule(m_max: int) -> list[int]:
         schedule.append(m)
         total += m**3
     return schedule
+
+
+@lru_cache(maxsize=8)
+def _check_schedule(m_max: int) -> tuple[int, ...]:
+    return tuple(default_check_schedule(m_max))
 
 
 @dataclass
@@ -121,10 +134,12 @@ class EvalContext:
 
 
 class _ArnoldiState:
-    """Incrementally extensible Arnoldi factorization of (L, v)."""
+    """Incrementally extensible Arnoldi factorization of (L, v); Lanczos
+    when L is declared symmetric."""
 
     def __init__(self, op: LinearOperator, v: np.ndarray, m_hint: int = 0):
         self.op = op
+        self.symmetric = op.symmetric
         self.n = op.dim
         self.m_hint = min(m_hint, self.n) if m_hint else 0
         self.vnorm = float(np.linalg.norm(v))
@@ -166,18 +181,32 @@ class _ArnoldiState:
             w = self.op.apply(self.V[:, j])
             w_norm = math.sqrt(float(w @ w))
             self.scale = max(self.scale, w_norm)
-            # classical Gram-Schmidt with one reorthogonalization pass when
-            # the norm drop signals loss of orthogonality
-            basis = self.V[:, : j + 1]
-            coeffs, w = _gs_pass(basis, w)
-            h_next = math.sqrt(float(w @ w))
-            if h_next < 0.7071 * w_norm:
-                corr, w = _gs_pass(basis, w)
-                coeffs += corr
+            if self.symmetric:
+                # Lanczos: w = L v_j - beta_{j-1} v_{j-1}, alpha_j = v_j^T w,
+                # w -= alpha_j v_j; H is filled symmetrically, column by column
+                if j > 0:
+                    beta_prev = self.H[j, j - 1]
+                    w -= beta_prev * self.V[:, j - 1]
+                    self.H[j - 1, j] = beta_prev
+                alpha = float(self.V[:, j] @ w)
+                w -= alpha * self.V[:, j]
                 h_next = math.sqrt(float(w @ w))
-            if not math.isfinite(h_next) or not np.all(np.isfinite(coeffs)):
-                raise KrylovError("non-finite entries in the Arnoldi basis")
-            self.H[: j + 1, j] = coeffs
+                if not (math.isfinite(alpha) and math.isfinite(h_next)):
+                    raise KrylovError("non-finite entries in the Lanczos recurrence")
+                self.H[j, j] = alpha
+            else:
+                # classical Gram-Schmidt with one reorthogonalization pass when
+                # the norm drop signals loss of orthogonality
+                basis = self.V[:, : j + 1]
+                coeffs, w = _gs_pass(basis, w)
+                h_next = math.sqrt(float(w @ w))
+                if h_next < 0.7071 * w_norm:
+                    corr, w = _gs_pass(basis, w)
+                    coeffs += corr
+                    h_next = math.sqrt(float(w @ w))
+                if not math.isfinite(h_next) or not np.all(np.isfinite(coeffs)):
+                    raise KrylovError("non-finite entries in the Arnoldi basis")
+                self.H[: j + 1, j] = coeffs
             self.H[j + 1, j] = h_next
             self.m = j + 1
             if h_next <= _BREAKDOWN_RTOL * max(self.scale, 1e-300):
@@ -187,19 +216,23 @@ class _ArnoldiState:
                 self.V[:, j + 1] = w / h_next
 
     def _eigendecomposition(self, m: int):
-        """Eigendecomposition of H_m when it is numerically symmetric
-        (symmetric operators make the Hessenberg matrix tridiagonal); None
-        otherwise.  Lets every phi evaluation cost O(m^2) after one O(m^3)
-        factorization instead of one scaled exponential per check."""
+        """Eigendecomposition of H_m when L is declared symmetric (Lanczos
+        fills H_m as an exactly symmetric tridiagonal) or H_m is numerically
+        symmetric; None otherwise.  Lets every phi evaluation cost O(m^2)
+        after one O(m^3) factorization instead of one scaled exponential per
+        check.  numpy's eigh, not scipy's tridiagonal solver: the two wheels
+        load separate OpenBLAS builds (see phi._expm_pade13)."""
         if m in self._eig:
             return self._eig[m]
         h = self.H[:m, :m]
-        hscale = float(np.max(np.abs(h))) if m else 0.0
-        if float(np.max(np.abs(h - h.T))) <= _SYMMETRY_RTOL * max(hscale, 1e-300):
-            lam, q = np.linalg.eigh(0.5 * (h + h.T))
-            entry = (lam, q, np.ascontiguousarray(q[0, :]))
-        else:
-            entry = None
+        if not self.symmetric:
+            hscale = float(np.max(np.abs(h))) if m else 0.0
+            if float(np.max(np.abs(h - h.T))) > _SYMMETRY_RTOL * max(hscale, 1e-300):
+                self._eig[m] = None
+                return None
+            h = 0.5 * (h + h.T)
+        lam, q = np.linalg.eigh(h)
+        entry = (lam, q, np.ascontiguousarray(q[0, :]))
         self._eig[m] = entry
         return entry
 
@@ -258,7 +291,7 @@ def phi_times_vector(
     est = math.inf
     converged = False
     m_used = 0
-    for m_target in default_check_schedule(cfg.m_max):
+    for m_target in _check_schedule(cfg.m_max):
         state.extend(m_target)
         m_eval = min(m_target, state.m)
         if m_eval <= m_used:

@@ -5,7 +5,9 @@ sparse (compressed-row) matrices such as the discrete Laplacian and the
 partition operators of the benchmark, diagonals and zeros.  There are no
 composites: a sum of sparse operators is assembled as one sparse matrix.
 Operators are immutable after construction; the only mutable state is a
-per-operator matvec tally.
+per-operator matvec tally.  An operator may be declared ``symmetric`` where
+it is built; the Krylov engine then runs the Lanczos recurrence on it.  The
+declaration is trusted, not checked.
 """
 
 import numpy as np
@@ -22,9 +24,11 @@ class LinearOperator:
     ``apply`` increments a per-operator matvec counter readable as
     ``op.matvecs``.
     In CPython the plain-int tally is safe under concurrent apply calls.
+    ``symmetric`` declares that the matrix equals its transpose.
     """
 
     kind = "abstract"
+    symmetric = False
 
     def __init__(self, dim: int):
         if dim < 0:
@@ -74,16 +78,18 @@ class DenseOperator(LinearOperator):
 
 
 class SparseOperator(LinearOperator):
-    """Compressed-sparse-row operator; O(nnz) apply."""
+    """Compressed-sparse-row operator; O(nnz) apply.  ``symmetric=True``
+    declares the matrix equal to its transpose (the caller's guarantee)."""
 
     kind = "sparse"
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, symmetric: bool = False):
         matrix = scipy.sparse.csr_matrix(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise OperatorContractError(f"sparse operator needs a square matrix, got {matrix.shape}")
         super().__init__(matrix.shape[0])
         self.matrix = matrix
+        self.symmetric = symmetric
 
     def _apply(self, v):
         return self.matrix @ v
@@ -126,5 +132,5 @@ def laplacian_2d_periodic(n: int, d: float) -> SparseOperator:
     ring = scipy.sparse.csr_matrix(ring)
     eye = scipy.sparse.identity(n, format="csr")
     lap = scipy.sparse.kron(eye, ring) + scipy.sparse.kron(ring, eye)
-    return SparseOperator(lap * (d * n * n))
+    return SparseOperator(lap * (d * n * n), symmetric=True)
 

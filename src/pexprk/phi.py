@@ -25,6 +25,15 @@ MAX_PHI_INDEX = 8
 # absorb its cancellation, is correctly rounded.
 _SERIES_CUTOFF = 0.5
 _SERIES_TERMS = 25
+# phi_array sums the series for phi_k up to |z| = 1 + k, where 40 terms
+# leave a truncation error far below rounding for every k <= MAX_PHI_INDEX.
+# Column k - 1 of _SERIES_COEFFS holds 1 / (k + i)!, i = 0..39; of
+# _PARTIAL_COEFFS, 1 / j! for j = 1..k - 1 (the residual's sum_{0<j<k} z^j/j!)
+_ARRAY_SERIES_TERMS = 40
+_SERIES_SWITCH = 1.0 + np.arange(1, MAX_PHI_INDEX + 1)
+_INV_FACT = 1.0 / np.array([float(math.factorial(j)) for j in range(MAX_PHI_INDEX + _ARRAY_SERIES_TERMS)])
+_SERIES_COEFFS = _INV_FACT[np.add.outer(np.arange(_ARRAY_SERIES_TERMS), np.arange(1, MAX_PHI_INDEX + 1))]
+_PARTIAL_COEFFS = np.triu(np.tile(_INV_FACT[1:MAX_PHI_INDEX, None], MAX_PHI_INDEX), 1)
 
 
 class PhiEvaluationError(ArithmeticError):
@@ -49,7 +58,10 @@ def phi_scalar(k: int, z: float) -> float:
     if not math.isfinite(z):
         raise ValueError(f"phi argument must be finite, got {z}")
     if k == 0:
-        return math.exp(z)
+        try:
+            return math.exp(z)
+        except OverflowError:
+            raise PhiEvaluationError(f"phi_0({z!r}) overflows") from None
     if abs(z) < _SERIES_CUTOFF:
         acc = 0.0
         for i in reversed(range(_SERIES_TERMS)):
@@ -120,13 +132,8 @@ def _expm_pade13(a):
     """Scaling-and-squaring exponential, lean path for the reduced-space
     evaluations inside the Krylov engine (no input validation)."""
     n = a.shape[0]
-    norm1 = 0.0
-    for j in range(n):
-        col = 0.0
-        for i in range(n):
-            col += abs(a[i, j])
-        if col > norm1:
-            norm1 = col
+    # column sums accumulate row by row, in the order of a plain double loop
+    norm1 = float(np.abs(a).sum(axis=0).max())
     squarings = 0
     if norm1 > 5.371920351148152:
         squarings = int(math.ceil(math.log2(norm1 / 5.371920351148152)))
@@ -166,34 +173,18 @@ def phi_cols_e1(p: int, a: np.ndarray) -> np.ndarray:
 
 def phi_array(p, z):
     """phi_k at every entry of a real vector z, k = 1..p, as a (len(z), p)
-    array.  Series below |z| = 0.5; the exponential-residual form
-    (e^z - sum_{j<k} z^j/j!) / z^k elsewhere, which is cancellation-free
-    away from the origin for the small indices used here."""
-    n = z.shape[0]
-    out = np.empty((n, p))
-    fact = np.empty(p + 25)
-    fact[0] = 1.0
-    for j in range(1, p + 25):
-        fact[j] = fact[j - 1] * j
-    for i in range(n):
-        zi = z[i]
-        if abs(zi) < 0.5:
-            for k in range(1, p + 1):
-                acc = 1.0 / fact[k + 24]
-                for idx in range(23, -1, -1):
-                    acc = acc * zi + 1.0 / fact[k + idx]
-                out[i, k - 1] = acc
-        else:
-            ez = math.exp(zi)
-            partial = 1.0   # sum_{j<k} z^j / j!
-            term = 1.0
-            zpow = zi
-            for k in range(1, p + 1):
-                out[i, k - 1] = (ez - partial) / zpow
-                term *= zi / k
-                partial += term
-                zpow *= zi
-    return out
+    array.  A series below |z| = 1 + k, where the exponential-residual form
+    (e^z - sum_{j<k} z^j/j!) / z^k cancels; that form elsewhere.  Overflow
+    gives non-finite entries, which callers check."""
+    z = np.asarray(z, dtype=float)
+    powers = np.empty((z.shape[0], _ARRAY_SERIES_TERMS - 1))
+    powers[:] = z[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.multiply.accumulate(powers, axis=1, out=powers)   # z^1 .. z^39
+        series = _SERIES_COEFFS[0, :p] + powers @ _SERIES_COEFFS[1:, :p]
+        partial = 1.0 + powers[:, : p - 1] @ _PARTIAL_COEFFS[: p - 1, :p]
+        residual = (np.exp(z)[:, None] - partial) / powers[:, :p]
+    return np.where(np.abs(z)[:, None] < _SERIES_SWITCH[:p], series, residual)
 
 
 def phi_dense_matrices(p: int, a: np.ndarray) -> list[np.ndarray]:

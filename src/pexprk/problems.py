@@ -16,7 +16,11 @@ serves as the test oracle throughout.
 Every Gray-Scott operator is assembled from ``_reaction_values`` and the
 full Jacobian's sparsity pattern, which is built once per model.  The species
 and space partition operators are principal sub-blocks of the full Jacobian,
-kept at their positions in the full state.
+kept at their positions in the full state.  Operators that are symmetric by
+construction are declared so: the species sub-blocks (a Laplacian plus a
+diagonal), the diffusion and sums of such operators.  The space sub-blocks,
+the reaction operator and the full Jacobian carry the cross-species entries
+-2ab and b^2 and are not.
 """
 
 from dataclasses import dataclass
@@ -113,14 +117,25 @@ def _split_state(m: GrayScottModel, u: np.ndarray):
     return u[: m.cells], u[m.cells:]
 
 
+def _equation_a(m: GrayScottModel, diffusion, a, b):
+    """a_t at cells with values a, b, given the diffusion term there."""
+    return diffusion - a * b * b + m.feed * (1.0 - a)
+
+
+def _equation_b(m: GrayScottModel, diffusion, a, b):
+    """b_t at cells with values a, b, given the diffusion term there."""
+    return diffusion + a * b * b - (m.feed + m.kill) * b
+
+
+_EQUATIONS = (_equation_a, _equation_b)
+
+
 def gs_rhs(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
     a, b = _split_state(m, u)
-    lap_a = _laplacian_csr(m, m.d_a)
-    lap_b = _laplacian_csr(m, m.d_b)
-    ab2 = a * b * b
-    da = lap_a @ a - ab2 + m.feed * (1.0 - a)
-    db = lap_b @ b + ab2 - (m.feed + m.kill) * b
-    return np.concatenate([da, db])
+    return np.concatenate([
+        _equation_a(m, _laplacian_csr(m, m.d_a) @ a, a, b),
+        _equation_b(m, _laplacian_csr(m, m.d_b) @ b, a, b),
+    ])
 
 
 def _reaction_values(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
@@ -223,22 +238,50 @@ def _subblock_entries(m: GrayScottModel, name: str) -> tuple:
     return tuple(parts)
 
 
+@lru_cache(maxsize=16)
+def _subblock_rows(m: GrayScottModel, name: str) -> tuple:
+    """Per part and species s it holds (0 for a, 1 for b): s, the part's cells
+    of that species as a slice, and the species' diffusion stencil on those
+    rows.  Both splits hold a contiguous range of cells of each species, so
+    every gather is a view."""
+    parts = []
+    for mask in _subblock_masks(m, name):
+        rows = []
+        for s, d in enumerate((m.d_a, m.d_b)):
+            cells = np.flatnonzero(mask[s * m.cells: (s + 1) * m.cells])
+            if cells.size == 0:
+                continue
+            start, stop = int(cells[0]), int(cells[-1]) + 1
+            if stop - start != cells.size:
+                raise ValueError(f"{name} split: part cells are not contiguous")
+            rows.append((s, slice(start, stop), _laplacian_csr(m, d)[start:stop]))
+        parts.append(tuple(rows))
+    return tuple(parts)
+
+
 def _subblock_split(m: GrayScottModel, name: str) -> SplitProblem:
     """One part per set of variables: the right-hand side on the set (zero
     elsewhere) and the full Jacobian's principal sub-block on it, kept at its
-    position in the full state.  A step only gathers the sub-block's values."""
+    position in the full state.  A step only gathers the sub-block's values.
+    Each part evaluates only its own rows, with ``gs_rhs``'s arithmetic."""
+    symmetric = name == "species"  # one species' stencil plus a diagonal
 
-    def part(p, mask):
+    def part(p):
         def f(u):
-            return np.where(mask, gs_rhs(m, u), 0.0)
+            state = a, b = _split_state(m, u)
+            out = np.zeros(m.dim)
+            for s, cells, stencil in _subblock_rows(m, name)[p]:
+                species_rows = out[s * m.cells: (s + 1) * m.cells]   # a view into out
+                species_rows[cells] = _EQUATIONS[s](m, stencil @ state[s], a[cells], b[cells])
+            return out
 
         def build(u):
             take, indices, indptr = _subblock_entries(m, name)[p]
-            return SparseOperator(_csr(m, _jacobian_data(m, u)[take], indices, indptr))
+            return SparseOperator(_csr(m, _jacobian_data(m, u)[take], indices, indptr), symmetric)
 
         return f, build
 
-    f_parts, builders = zip(*(part(p, mask) for p, mask in enumerate(_subblock_masks(m, name))))
+    f_parts, builders = zip(*(part(p) for p in range(2)))
     return SplitProblem(m.dim, f_parts, builders, name=name)
 
 
@@ -260,6 +303,7 @@ def gs_space_permutation(m: GrayScottModel) -> np.ndarray:
 def gs_partition_space(m: GrayScottModel) -> SplitProblem:
     """Two-way split by spatial location: both species of the lower half of the
     grid, then of the upper half."""
+    gs_space_permutation(m)  # rejects an odd grid side now, not at the first step
     return _subblock_split(m, "space")
 
 
@@ -277,7 +321,7 @@ def gs_partition_physics(m: GrayScottModel) -> SplitProblem:
 
     def build_diffusion(u):
         # a fresh operator around the cached matrix: each step's tally starts at 0
-        return SparseOperator(_diffusion_csr(m))
+        return SparseOperator(_diffusion_csr(m), symmetric=True)
 
     def build_reaction(u):
         return SparseOperator(_reaction_csr(m, u))
@@ -324,9 +368,11 @@ def gs_unpartitioned(m: GrayScottModel, jacobian: str = "full", partition: str |
         split = gs_partition(m, partition)
 
         def builder(u):
-            ops = [build(u) for build in split.operator_builders]
-            matrices = [op.matrix for op in ops if op.kind != "zero"]
-            return SparseOperator(sum(matrices[1:], matrices[0]))
+            ops = [op for op in (build(u) for build in split.operator_builders) if op.kind != "zero"]
+            matrices = [op.matrix for op in ops]
+            # entrywise sums of exactly symmetric matrices are exactly symmetric
+            symmetric = all(op.symmetric for op in ops)
+            return SparseOperator(sum(matrices[1:], matrices[0]), symmetric)
 
     else:
         raise ValueError(f"unknown jacobian kind {jacobian!r}")

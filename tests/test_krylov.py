@@ -5,11 +5,12 @@ import scipy.linalg
 from pexprk.krylov import (
     EvalContext,
     KrylovConfig,
+    KrylovError,
     _ArnoldiState,
     default_check_schedule,
     phi_times_vector,
 )
-from pexprk.operators import DenseOperator, DiagonalOperator, ZeroOperator
+from pexprk.operators import DenseOperator, DiagonalOperator, SparseOperator, ZeroOperator
 from pexprk.phi import phi_dense_times_vector, phi_scalar
 
 
@@ -23,6 +24,11 @@ def symmetric_stable(rng, n, spread=20.0):
     """Random symmetric matrix with eigenvalues in [-spread, 0]."""
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return (q * -rng.uniform(0.0, spread, size=n)) @ q.T
+
+
+def declared_symmetric(a):
+    """A SparseOperator declared symmetric on an exactly symmetric copy of a."""
+    return SparseOperator(0.5 * (a + a.T), symmetric=True)
 
 
 def dense_phi_reference(k, tau, a, v):
@@ -187,6 +193,73 @@ class TestSurrogateErrorEstimate:
                     assert true <= max(est, 1e-13), (seed, m, k, true, est)
                     checked[k] += est >= 1e-12
         assert min(checked.values()) >= 10, checked
+
+
+class TestLanczos:
+    """Declared-symmetric operators run the three-term recurrence."""
+
+    @pytest.mark.parametrize("n, m_max", [(40, 39), (200, 80)])
+    def test_surrogate_estimate_bounds_true_error(self, n, m_max):
+        tau = 0.5
+        checked = {1: 0, 2: 0, 3: 0}
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            op = declared_symmetric(symmetric_stable(rng, n))
+            a = op.matrix.toarray()
+            v = rng.uniform(-1, 1, size=n)
+            state = _ArnoldiState(op, v)
+            state.extend(m_max)
+            t = state.H[: state.m, : state.m]
+            # H is filled as an exactly symmetric tridiagonal
+            assert np.array_equal(t, t.T) and np.array_equal(t, np.triu(np.tril(t, 1), -1))
+            refs = {k: dense_phi_reference(k, tau, a, v) for k in checked}
+            for m in range(2, state.m):
+                assert state._eigendecomposition(m) is not None
+                for k, ref in refs.items():
+                    w_red, est = state.reduced_phi(k, tau, m)
+                    if est > 1e-6:
+                        continue
+                    true = np.linalg.norm(state.vnorm * (state.V[:, :m] @ w_red) - ref) / np.linalg.norm(ref)
+                    assert true <= max(est, 1e-13), (seed, m, k, true, est)
+                    checked[k] += est >= 1e-12
+        assert min(checked.values()) >= 10, checked
+
+    def test_lanczos_relation_and_agreement_with_arnoldi(self):
+        rng = np.random.default_rng(3)
+        a = symmetric_stable(rng, 60)
+        lanczos_op = declared_symmetric(a)
+        arnoldi_op = SparseOperator(lanczos_op.matrix)
+        v = rng.uniform(-1, 1, size=60)
+        cfg = KrylovConfig(tol=1e-12, m_max=60)
+        ctx = EvalContext()
+        lanczos = phi_times_vector(lanczos_op, 2, 0.4, v, cfg, ctx=ctx)
+        arnoldi = phi_times_vector(arnoldi_op, 2, 0.4, v, cfg)
+        assert lanczos.converged and arnoldi.converged
+        diff = np.linalg.norm(lanczos.approximation - arnoldi.approximation)
+        assert diff <= 1e-12 * np.linalg.norm(arnoldi.approximation)
+        # one matvec per dimension, and L V_m = V_m T_m + beta_m v_{m+1} e_m^T
+        state = ctx.arnoldi_state(lanczos_op, v)
+        m = state.m
+        assert lanczos_op.matvecs == m
+        V = state.V[:, :m]
+        rhs = V @ state.H[:m, :m] + state.H[m, m - 1] * np.outer(state.V[:, m], np.eye(m)[m - 1])
+        assert np.linalg.norm(a @ V - rhs) <= 1e-12 * np.linalg.norm(a @ V)
+
+    def test_lucky_breakdown(self):
+        # v in a 3-dimensional invariant subspace: exact at m = 3
+        a = np.diag([-1.0, -1.0, -2.0, -2.0, -3.0, -3.0])
+        v = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        op = SparseOperator(a, symmetric=True)
+        res = phi_times_vector(op, 1, 1.0, v, KrylovConfig(tol=1e-12, m_max=6))
+        assert res.converged and res.dim_used == 3 and res.est_error == 0.0
+        want = np.array([phi_scalar(1, lam) for lam in np.diag(a)]) * v
+        assert np.allclose(res.approximation, want, rtol=1e-13, atol=0.0)
+
+    def test_non_finite_recurrence_raises(self):
+        # ||L v||^2 overflows: beta is not finite
+        op = SparseOperator(np.diag([1e200, -1e200]), symmetric=True)
+        with np.errstate(over="ignore"), pytest.raises(KrylovError):
+            phi_times_vector(op, 1, 1.0, np.ones(2), KrylovConfig())
 
 
 class TestSharedFactorization:

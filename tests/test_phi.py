@@ -97,6 +97,13 @@ class TestPhiScalar:
                     phi_series_scalar(k, z, terms=40), rel=1e-14
                 )
 
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_overflow_reported(self, k):
+        # phi_0 overflows past z = 709.78, like every k >= 1 somewhat later
+        assert math.isfinite(phi_scalar(k, 709.0))
+        with pytest.raises(PhiEvaluationError):
+            phi_scalar(k, 800.0)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             phi_scalar(1, float("nan"))
@@ -208,19 +215,20 @@ class TestPhiArray:
                 assert vals[i, k - 1] == pytest.approx(phi_scalar(k, z), rel=1e-12)
 
     def test_sweep_against_phi_scalar(self):
-        # a log grid over the whole range, both signs, plus the switch point
-        # |z| = 0.5 and its float neighbours; k = 1..3 are the indices the
-        # catalog and the residual form use.  The residual branch cancels
-        # most just above 0.5: there k = 3 is off by 1.05e-14, and k >= 4 by
-        # more (1.2e-13 at k = 4)
-        switch = [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]
-        mags = np.concatenate([np.geomspace(1e-8, 700.0, 400), switch])
+        # a log grid over the whole range and a fine grid over the switch
+        # region, both signs, plus each switch point |z| = 1 + k, the old
+        # single switch point 0.5 and their float neighbours.  The residual
+        # form cancels most just above its switch point (with one switch at
+        # 0.5 it was off by 1.05e-14 at k = 3 and 3.9e-9 at k = 8)
+        switches = [1.0 + k for k in range(1, 9)] + [0.5]
+        near = [np.nextafter(s, d) for s in switches for d in (0.0, 100.0)]
+        mags = np.concatenate([np.geomspace(1e-8, 700.0, 400), np.linspace(0.3, 10.0, 400), switches, near])
         zs = np.concatenate([mags, -mags])
-        vals = phi_array(3, zs)
-        for i, z in enumerate(zs):
-            for k, rtol in ((1, 1e-14), (2, 1e-14), (3, 2e-14)):
+        vals = phi_array(8, zs)
+        for k in range(1, 9):
+            for i, z in enumerate(zs):
                 exact = phi_scalar(k, float(z))
-                assert abs(vals[i, k - 1] - exact) <= rtol * abs(exact), (k, z)
+                assert abs(vals[i, k - 1] - exact) <= 2e-15 * abs(exact), (k, z)
 
 
 class TestPhiDenseMatrices:

@@ -6,7 +6,7 @@ import scipy.integrate
 import scipy.sparse
 
 from pexprk.krylov import KrylovConfig
-from pexprk.operators import ZeroOperator
+from pexprk.operators import SparseOperator, ZeroOperator, laplacian_2d_periodic
 from pexprk.phi import expm_dense
 from pexprk.problems import (
     DESK_GRID,
@@ -14,6 +14,7 @@ from pexprk.problems import (
     TIMESPAN,
     GrayScottModel,
     _laplacian_csr,
+    _subblock_masks,
     gs_default,
     gs_full_jacobian,
     gs_initial,
@@ -27,7 +28,7 @@ from pexprk.problems import (
     gs_unpartitioned,
     oracle_semilinear,
 )
-from pexprk.steppers import integrate_fixed, pexprk_stepper, step_pexprk
+from pexprk.steppers import SplitProblem, integrate_fixed, pexprk_stepper, step_pexprk
 from pexprk.tableaux import tableau
 
 
@@ -70,6 +71,15 @@ def assert_csr_equal(got, want):
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.data, want.data)
+
+
+def assert_byte_symmetric(matrix):
+    # CSR arrays of the matrix and of its transpose, both with sorted indices
+    mat, tr = matrix.tocsr().copy(), matrix.T.tocsr()
+    mat.sort_indices()
+    tr.sort_indices()
+    assert_csr_equal(mat, tr)
+    assert mat.data.tobytes() == tr.data.tobytes()
 
 
 def assert_masked_full_jacobian(m, prob, variable_sets):
@@ -261,6 +271,66 @@ class TestPartitions:
     def test_species_operators_equal_masked_full_jacobian(self, n):
         m = gs_default(n=n)
         assert_masked_full_jacobian(m, gs_partition_species(m), np.split(np.arange(m.dim), 2))
+
+    @pytest.mark.parametrize("n", [16, 160])
+    @pytest.mark.parametrize("name", ["species", "space"])
+    def test_subblock_parts_equal_masked_full_rhs(self, n, name):
+        # each part evaluates only its own rows, with gs_rhs's arithmetic
+        m = gs_default(n=n)
+        prob = gs_partition(m, name)
+        for u in reference_states(m):
+            full = gs_rhs(m, u)
+            for f, mask in zip(prob.f_parts, _subblock_masks(m, name)):
+                assert f(u).tobytes() == np.where(mask, full, 0.0).tobytes()
+
+    @pytest.mark.parametrize("n", [16, 160])
+    @pytest.mark.parametrize("spacing", ["unit", "1/n"])
+    def test_symmetry_declarations(self, n, spacing):
+        m = GrayScottModel(n=n, spacing=1.0 if spacing == "unit" else 1.0 / n)
+        for u in reference_states(m):
+            flagged = [
+                *gs_partition_species(m).build_operators(u),
+                gs_partition_physics(m).build_operators(u)[0],
+                gs_partition_imex(m).build_operators(u)[0],
+                gs_unpartitioned(m, jacobian="block", partition="species").build_operators(u)[0],
+                gs_unpartitioned(m, jacobian="block", partition="imex").build_operators(u)[0],
+                laplacian_2d_periodic(n, m.d_a),
+            ]
+            for op in flagged:
+                assert op.symmetric
+                assert_byte_symmetric(op.matrix)
+            unflagged = [
+                *gs_partition_space(m).build_operators(u),
+                gs_partition_physics(m).build_operators(u)[1],
+                gs_full_jacobian(m, u),
+                gs_unpartitioned(m, jacobian="full").build_operators(u)[0],
+                gs_unpartitioned(m, jacobian="block", partition="space").build_operators(u)[0],
+                gs_unpartitioned(m, jacobian="block", partition="physics").build_operators(u)[0],
+            ]
+            assert not any(op.symmetric for op in unflagged)
+
+    @pytest.mark.parametrize("name", ["species", "physics", "imex"])
+    def test_stiff_lanczos_matches_arnoldi(self, name):
+        # unit-square spacing (h lambda down to about -300): the declared
+        # operators run Lanczos, their undeclared copies Arnoldi
+        m = GrayScottModel(n=12, spacing=1.0 / 12)
+        prob = gs_partition(m, name)
+
+        def undeclared(build):
+            def rebuilt(u):
+                op = build(u)
+                return SparseOperator(op.matrix) if op.symmetric else op
+
+            return rebuilt
+
+        plain = SplitProblem(prob.dim, prob.f_parts, tuple(map(undeclared, prob.operator_builders)))
+        assert any(op.symmetric for op in prob.build_operators(gs_initial(m)))
+        cfg = KrylovConfig(tol=1e-12, m_max=100)
+        lanczos, arnoldi = (
+            integrate_fixed(pexprk_stepper(4), p, gs_initial(m), 0.0, TIMESPAN, 2, cfg).state
+            for p in (prob, plain)
+        )
+        assert np.linalg.norm(lanczos - arnoldi) <= 1e-12 * np.linalg.norm(arnoldi)
 
     def test_space_requires_even_grid(self):
         with pytest.raises(ValueError):
