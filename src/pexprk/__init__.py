@@ -9,14 +9,7 @@ command-line tool.
 
 from .coeffexpr import Const, Phi, Prod, Scale, Sum, ZMul, eval_coeff, eval_dense, eval_scalar
 from .krylov import EvalContext, KrylovConfig, KrylovResult, default_check_schedule, phi_times_vector
-from .operators import (
-    DenseOperator,
-    DiagonalOperator,
-    LinearOperator,
-    SparseOperator,
-    ZeroOperator,
-    laplacian_2d_periodic,
-)
+from .operators import LinearOperator, SparseOperator, ZeroOperator, laplacian_2d_periodic
 from .phi import expm_dense, phi_dense_matrices, phi_dense_times_vector, phi_scalar
 from .problems import (
     DESK_GRID,

@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a convergence study and emit CSV")
     run.add_argument("--config", help="JSON file mirroring the flags; flags override it")
-    run.add_argument("--problem", default=_UNSET)
     run.add_argument("--grid", type=int, default=_UNSET)
     run.add_argument("--partition", default=_UNSET,
                      choices=["none", "species", "space", "physics", "imex"])
@@ -88,7 +87,7 @@ def _config_from_args(args) -> RunConfig:
         values.update({key.replace("-", "_"): value for key, value in raw.items()})
 
     flag_names = [
-        "problem", "grid", "partition", "order", "form", "jacobian", "tspan",
+        "grid", "partition", "order", "form", "jacobian", "tspan",
         "steps_pow2", "steps", "krylov_tol", "krylov_mmax", "out", "paper_scale",
     ]
     for name in flag_names:
@@ -103,9 +102,7 @@ def _config_from_args(args) -> RunConfig:
         elif key == "steps_pow2":
             cfg.steps_pow2 = _parse_pair(str(value), "steps-pow2", int)
         elif key == "steps":
-            cfg.steps = _parse_steps(value) if isinstance(value, str) else tuple(value)
-        elif key in ("t0", "tf"):
-            setattr(cfg, key, float(value))
+            cfg.steps = tuple(value) if isinstance(value, list) else _parse_steps(str(value))
         elif hasattr(cfg, key):
             setattr(cfg, key, value)
         else:
@@ -116,7 +113,7 @@ def _config_from_args(args) -> RunConfig:
 
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    print(f"# {cfg.label()} on {cfg.problem}, grid {cfg.grid}, partition {cfg.partition}")
+    print(f"# {cfg.label()} on gray-scott, grid {cfg.grid_side()}, partition {cfg.partition}")
     result = run_convergence_study(cfg)
     print(f"# reference gap {result.reference.gap:.3e} over {result.reference.n_steps} steps")
     print(f"{'h':>12} {'error_l2':>14} {'order':>7} {'matvecs':>9} {'krylov':>9} {'ms':>9}")

@@ -26,13 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krylov import EvalContext, KrylovConfig, phi_times_vector
+from .krylov import EvalContext, KrylovConfig, phi_times_vector, require_converged
 from .operators import LinearOperator
 from .phi import expm_dense, phi_dense_matrices, phi_scalar
-
-
-class CoefficientEvalError(RuntimeError):
-    """A Krylov product inside a coefficient failed to converge."""
 
 
 class CoefficientExpr:
@@ -282,13 +278,7 @@ def eval_coeff(
 def _eval_coeff_node(expr, L, h, v, cfg, ctx):
     if isinstance(expr, Phi) and expr.k >= 1:
         tau = expr.c * h
-        res = phi_times_vector(L, expr.k, tau, v, cfg, ctx=ctx)
-        if not res.converged:
-            raise CoefficientEvalError(
-                f"phi_{expr.k}({tau:g} L) v did not converge within m_max={cfg.m_max} "
-                f"(estimated error {res.est_error:.3g}, tol {cfg.tol:g})"
-            )
-        return res.approximation
+        return require_converged(phi_times_vector(L, expr.k, tau, v, cfg, ctx=ctx), expr.k, tau, cfg)
     if isinstance(expr, Const):
         return expr.r * v
     if isinstance(expr, Scale):

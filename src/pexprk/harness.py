@@ -9,6 +9,7 @@ guarded by a self-consistency gate: the reference computed at h_ref and at
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -50,7 +51,6 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class RunConfig:
-    problem: str = "gray-scott"
     grid: int = DESK_GRID
     partition: str = "none"
     order: int = 2
@@ -66,8 +66,14 @@ class RunConfig:
     paper_scale: bool = False
 
     def validate(self):
-        if self.problem != "gray-scott":
-            raise ConfigError(f"unknown problem {self.problem!r}")
+        for name in ("grid", "order", "krylov_mmax"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("t0", "tf", "krylov_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if self.partition not in ("none",) + PARTITION_NAMES:
             raise ConfigError(f"unknown partition {self.partition!r}")
         if self.order not in (2, 3, 4):
@@ -97,6 +103,13 @@ class RunConfig:
                 raise ConfigError(f"bad dyadic step range {self.steps_pow2}")
         if self.grid < 3:
             raise ConfigError(f"grid side must be >= 3, got {self.grid}")
+        splits_space = self.partition == "space" and (self.form == "part" or self.jacobian == "block")
+        if splits_space and self.grid_side() % 2:
+            raise ConfigError(f"the space partition needs an even grid side, got {self.grid_side()}")
+
+    def grid_side(self) -> int:
+        """The model's grid side: ``--paper-scale`` replaces the default one."""
+        return PAPER_SCALE_GRID if self.paper_scale and self.grid == DESK_GRID else self.grid
 
     def step_counts(self) -> list[int]:
         if self.steps is not None:
@@ -173,8 +186,7 @@ def study_model(cfg: RunConfig):
     """The validated configuration's model (``--paper-scale`` replaces the
     default grid side with the full-scale one) and its initial state."""
     cfg.validate()
-    grid = PAPER_SCALE_GRID if cfg.paper_scale and cfg.grid == DESK_GRID else cfg.grid
-    model = gs_default(n=grid)
+    model = gs_default(n=cfg.grid_side())
     return model, gs_initial(model)
 
 

@@ -4,11 +4,14 @@ An incremental Arnoldi factorization of (L, v) is built with classical
 Gram-Schmidt plus a reorthogonalization pass whenever the norm drop signals
 cancellation, and the product is approximated in the reduced space,
 
-    phi_k(tau L) v ~= ||v|| * V_M * phi_k(tau H_M) e_1.
+    phi_k(tau L) v ~= ||v|| * V_M * phi_k(tau H_M) e_1,
+
+with phi_k(tau H_M) e_1 taken from one augmented exponential.
 
 An operator declared ``symmetric`` gets the three-term Lanczos recurrence
 instead: O(n) work per step rather than O(n m), and a tridiagonal H_M whose
-phi always comes from its eigendecomposition.  The basis is not
+phi comes from its eigendecomposition.  The declaration alone picks the
+path; H_M is never inspected for symmetry.  The basis is not
 reorthogonalized; Lanczos approximations of matrix functions stay accurate
 when orthogonality is lost (Druskin, Greenbaum & Knizhnerman, SISC 19(1),
 1998; Hochbruck & Lubich, SINUM 34(5), 1997).
@@ -42,11 +45,11 @@ def _gs_pass(basis, w):
 
 
 _BREAKDOWN_RTOL = 1e-14
-_SYMMETRY_RTOL = 1e-12
 
 
 class KrylovError(RuntimeError):
-    """Breakdown of the Arnoldi process (non-finite basis entries)."""
+    """Breakdown of the Krylov process (non-finite basis entries), or a
+    product that did not converge where its caller needs it to."""
 
 
 def default_check_schedule(m_max: int) -> list[int]:
@@ -124,11 +127,11 @@ class EvalContext:
         self.memo: dict = {}
         self.stats = KrylovStats()
 
-    def arnoldi_state(self, op: LinearOperator, v: np.ndarray, m_hint: int = 0) -> "_ArnoldiState":
+    def arnoldi_state(self, op: LinearOperator, v: np.ndarray, m_max: int) -> "_ArnoldiState":
         key = (id(op), id(v))
         entry = self._arnoldi.get(key)
         if entry is None:
-            entry = (_ArnoldiState(op, v, m_hint), op, v)
+            entry = (_ArnoldiState(op, v, m_max), op, v)
             self._arnoldi[key] = entry
         return entry[0]
 
@@ -137,11 +140,11 @@ class _ArnoldiState:
     """Incrementally extensible Arnoldi factorization of (L, v); Lanczos
     when L is declared symmetric."""
 
-    def __init__(self, op: LinearOperator, v: np.ndarray, m_hint: int = 0):
+    def __init__(self, op: LinearOperator, v: np.ndarray, m_max: int):
         self.op = op
         self.symmetric = op.symmetric
         self.n = op.dim
-        self.m_hint = min(m_hint, self.n) if m_hint else 0
+        self.m_max = min(m_max, self.n)
         self.vnorm = float(np.linalg.norm(v))
         cap = min(16, self.n)
         # column-major storage: every slice V[:, :j] stays BLAS-friendly
@@ -152,7 +155,7 @@ class _ArnoldiState:
         self.m = 0
         self.breakdown = False
         self.scale = 0.0
-        self._eig: dict = {}  # per-dimension eigendecompositions of symmetric H
+        self._eig: dict = {}  # per-dimension eigendecompositions of the Lanczos H
 
     def _grow(self, cap: int):
         old = self.V.shape[1] - 1
@@ -160,10 +163,7 @@ class _ArnoldiState:
             return
         # aggressive growth, capped at the configured maximum dimension:
         # repeated large copies of the basis cost more than spare columns
-        new_cap = max(cap, 8 * old)
-        if self.m_hint:
-            new_cap = min(new_cap, max(self.m_hint, cap))
-        new_cap = min(new_cap, self.n)
+        new_cap = min(max(cap, 8 * old), max(self.m_max, cap), self.n)
         V = np.empty((self.n, new_cap + 1), order="F")
         V[:, : old + 1] = self.V
         H = np.zeros((new_cap + 1, new_cap))
@@ -216,22 +216,15 @@ class _ArnoldiState:
                 self.V[:, j + 1] = w / h_next
 
     def _eigendecomposition(self, m: int):
-        """Eigendecomposition of H_m when L is declared symmetric (Lanczos
-        fills H_m as an exactly symmetric tridiagonal) or H_m is numerically
-        symmetric; None otherwise.  Lets every phi evaluation cost O(m^2)
-        after one O(m^3) factorization instead of one scaled exponential per
-        check.  numpy's eigh, not scipy's tridiagonal solver: the two wheels
-        load separate OpenBLAS builds (see phi._expm_pade13)."""
+        """Eigendecomposition of the symmetric tridiagonal H_m that Lanczos
+        fills for a declared-symmetric L.  Lets every phi evaluation cost
+        O(m^2) after one O(m^3) factorization instead of one scaled
+        exponential per check.  numpy's eigh, not scipy's tridiagonal
+        solver: the two wheels load separate OpenBLAS builds (see
+        phi._expm_pade13)."""
         if m in self._eig:
             return self._eig[m]
-        h = self.H[:m, :m]
-        if not self.symmetric:
-            hscale = float(np.max(np.abs(h))) if m else 0.0
-            if float(np.max(np.abs(h - h.T))) > _SYMMETRY_RTOL * max(hscale, 1e-300):
-                self._eig[m] = None
-                return None
-            h = 0.5 * (h + h.T)
-        lam, q = np.linalg.eigh(h)
+        lam, q = np.linalg.eigh(self.H[:m, :m])
         entry = (lam, q, np.ascontiguousarray(q[0, :]))
         self._eig[m] = entry
         return entry
@@ -242,9 +235,8 @@ class _ArnoldiState:
         Evaluated at an explicit dimension m <= self.m so that results do not
         depend on how far a shared factorization happens to have been built.
         """
-        eig = self._eigendecomposition(m)
-        if eig is not None:
-            lam, q, q_row0 = eig
+        if self.symmetric:
+            lam, q, q_row0 = self._eigendecomposition(m)
             vals = phi_array(k, tau * lam)
             if not np.all(np.isfinite(vals)):
                 raise KrylovError(
@@ -284,8 +276,7 @@ def phi_times_vector(
         w = v / math.factorial(k)
         return _record(ctx, KrylovResult(w, 0, 0.0, True))
 
-    m_hint = min(cfg.m_max, L.dim)
-    state = ctx.arnoldi_state(L, v, m_hint) if ctx is not None else _ArnoldiState(L, v, m_hint)
+    state = ctx.arnoldi_state(L, v, cfg.m_max) if ctx is not None else _ArnoldiState(L, v, cfg.m_max)
 
     w_red = None
     est = math.inf
@@ -304,6 +295,17 @@ def phi_times_vector(
 
     w = vnorm * (state.V[:, :m_used] @ w_red)
     return _record(ctx, KrylovResult(w, m_used, est, converged))
+
+
+def require_converged(res: KrylovResult, k: int, tau: float, cfg: KrylovConfig) -> np.ndarray:
+    """The approximation of a phi_k(tau L) v product; KrylovError if it did
+    not converge within cfg.m_max."""
+    if not res.converged:
+        raise KrylovError(
+            f"phi_{k}({tau:g} L) v did not converge within m_max={cfg.m_max} "
+            f"(estimated error {res.est_error:.3g}, tol {cfg.tol:g})"
+        )
+    return res.approximation
 
 
 def _record(ctx: EvalContext | None, result: KrylovResult) -> KrylovResult:

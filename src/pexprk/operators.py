@@ -1,13 +1,13 @@
 """Matrix-free linear operators.
 
-Carriers for the linear parts of split right-hand sides: dense matrices,
-sparse (compressed-row) matrices such as the discrete Laplacian and the
-partition operators of the benchmark, diagonals and zeros.  There are no
-composites: a sum of sparse operators is assembled as one sparse matrix.
-Operators are immutable after construction; the only mutable state is a
-per-operator matvec tally.  An operator may be declared ``symmetric`` where
-it is built; the Krylov engine then runs the Lanczos recurrence on it.  The
-declaration is trusted, not checked.
+Carriers for the linear parts of split right-hand sides: zeros, and
+compressed-row matrices (``SparseOperator``) for everything matrix-backed,
+such as the discrete Laplacian and the partition operators of the
+benchmark.  There are no composites: a sum of sparse operators is assembled
+as one sparse matrix.  Operators are immutable after construction; the only
+mutable state is a per-operator matvec tally.  An operator may be declared
+``symmetric`` where it is built; the Krylov engine then runs the Lanczos
+recurrence on it, and only then.  The declaration is trusted, not checked.
 """
 
 import numpy as np
@@ -63,20 +63,6 @@ class LinearOperator:
         return out
 
 
-class DenseOperator(LinearOperator):
-    kind = "dense"
-
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise OperatorContractError(f"dense operator needs a square matrix, got {matrix.shape}")
-        super().__init__(matrix.shape[0])
-        self.matrix = matrix
-
-    def _apply(self, v):
-        return self.matrix @ v
-
-
 class SparseOperator(LinearOperator):
     """Compressed-sparse-row operator; O(nnz) apply.  ``symmetric=True``
     declares the matrix equal to its transpose (the caller's guarantee)."""
@@ -93,20 +79,6 @@ class SparseOperator(LinearOperator):
 
     def _apply(self, v):
         return self.matrix @ v
-
-
-class DiagonalOperator(LinearOperator):
-    kind = "diagonal"
-
-    def __init__(self, diag: np.ndarray):
-        diag = np.asarray(diag, dtype=float)
-        if diag.ndim != 1:
-            raise OperatorContractError("diagonal operator needs a 1-d array")
-        super().__init__(diag.shape[0])
-        self.diag = diag
-
-    def _apply(self, v):
-        return self.diag * v
 
 
 class ZeroOperator(LinearOperator):

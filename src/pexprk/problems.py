@@ -30,7 +30,7 @@ import numpy as np
 import scipy.integrate
 import scipy.sparse
 
-from .operators import DenseOperator, SparseOperator, ZeroOperator, laplacian_2d_periodic
+from .operators import SparseOperator, ZeroOperator, laplacian_2d_periodic
 from .steppers import SplitProblem, unpartitioned_problem
 
 TIMESPAN = 0.262144          # benchmark integration window [0, T]
@@ -399,8 +399,8 @@ class SemilinearOracle:
     def f(self, u):
         return self.matrix @ u + self.g(u)
 
-    def jacobian(self, u) -> DenseOperator:
-        return DenseOperator(self.matrix + self.eps * np.diag(np.cos(u)))
+    def jacobian(self, u) -> SparseOperator:
+        return SparseOperator(self.matrix + self.eps * np.diag(np.cos(u)))
 
     def problem(self) -> SplitProblem:
         return unpartitioned_problem(self.dim, self.f, self.jacobian, name="semilinear")
@@ -411,8 +411,8 @@ class SemilinearOracle:
             self.dim,
             (lambda u: self.matrix @ u, self.g),
             (
-                lambda u: DenseOperator(self.matrix),
-                lambda u: DenseOperator(self.eps * np.diag(np.cos(u))),
+                lambda u: SparseOperator(self.matrix),
+                lambda u: SparseOperator(scipy.sparse.diags(self.eps * np.cos(u)), symmetric=True),
             ),
             name="semilinear-split",
         )

@@ -43,8 +43,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coeffexpr import CoefficientEvalError, Phi, eval_coeff, is_zero
-from .krylov import EvalContext, KrylovConfig, KrylovError, KrylovStats, phi_times_vector
+from .coeffexpr import Phi, eval_coeff, is_zero
+from .krylov import EvalContext, KrylovConfig, KrylovError, KrylovStats, phi_times_vector, require_converged
 from .operators import LinearOperator
 from .phi import PhiEvaluationError, expm_dense
 from .tableaux import ExprkTableau, tableau
@@ -92,7 +92,7 @@ class SplitProblem:
         return [build(u) for build in self.operator_builders]
 
 
-_EVAL_ERRORS = (CoefficientEvalError, PhiEvaluationError, KrylovError)
+_EVAL_ERRORS = (PhiEvaluationError, KrylovError)
 
 
 def _apply_coeff(expr, L, h, v, cfg, ctx, where):
@@ -104,15 +104,9 @@ def _apply_coeff(expr, L, h, v, cfg, ctx, where):
 
 def _phi(L, k, tau, v, cfg, ctx, where):
     try:
-        res = phi_times_vector(L, k, tau, v, cfg, ctx=ctx)
+        return require_converged(phi_times_vector(L, k, tau, v, cfg, ctx=ctx), k, tau, cfg)
     except _EVAL_ERRORS as exc:
         raise StepFailure(f"{where}: {exc}") from exc
-    if not res.converged:
-        raise StepFailure(
-            f"{where}: phi_{k}({tau:g} L) v did not converge within m_max={cfg.m_max} "
-            f"(estimated error {res.est_error:.3g}, tol {cfg.tol:g})"
-        )
-    return res.approximation
 
 
 def _phi1_term(c, L, h, fn, cfg, ctx, where):

@@ -20,7 +20,7 @@ from classical_rk import classical_rk_step
 
 from pexprk.harness import RunConfig, reference_solution, run_convergence_study
 from pexprk.krylov import KrylovConfig, phi_times_vector
-from pexprk.operators import DenseOperator, DiagonalOperator
+from pexprk.operators import SparseOperator
 from pexprk.phi import expm_dense, phi_dense_times_vector
 from pexprk.problems import (
     TIMESPAN,
@@ -145,7 +145,7 @@ class TestCriterion3LinearExactness:
         t_final = 1.0
         exact = expm_dense(t_final * a) @ y0
         cfg = KrylovConfig(tol=1e-12, m_max=100)
-        prob = unpartitioned_problem(50, lambda u: a @ u, lambda u: DenseOperator(a))
+        prob = unpartitioned_problem(50, lambda u: a @ u, lambda u: SparseOperator(a))
         # the residual form takes the full operator in partition one, zero in two
         from pexprk.operators import ZeroOperator
         from pexprk.steppers import SplitProblem
@@ -153,7 +153,7 @@ class TestCriterion3LinearExactness:
         split = SplitProblem(
             50,
             (lambda u: a @ u, lambda u: np.zeros_like(u)),
-            (lambda u: DenseOperator(a), lambda u: ZeroOperator(50)),
+            (lambda u: SparseOperator(a), lambda u: ZeroOperator(50)),
         )
         worst = 0.0
         for n_steps in (1, 4, 16):
@@ -181,13 +181,13 @@ class TestCriterion4KrylovFidelity:
             for k in (1, 2, 3, 4):
                 a = stable_dense(rng, 40, shift=2.0)
                 v = rng.uniform(-1, 1, size=40)
-                res = phi_times_vector(DenseOperator(a), k, 0.1, v, cfg)
+                res = phi_times_vector(SparseOperator(a), k, 0.1, v, cfg)
                 assert res.converged
                 ref = phi_dense_times_vector(k, 0.1 * a, v)[k - 1]
                 rel = np.linalg.norm(res.approximation - ref) / np.linalg.norm(res.approximation)
                 worst_ratio = max(worst_ratio, rel / tol)
         ident = phi_times_vector(
-            DiagonalOperator(np.full(25, -2.0)), 2, 0.5, np.ones(25), KrylovConfig()
+            SparseOperator(-2.0 * np.eye(25), symmetric=True), 2, 0.5, np.ones(25), KrylovConfig()
         )
         elapsed = time.perf_counter() - start
         ok = worst_ratio <= 10.0 and ident.dim_used == 1 and ident.converged

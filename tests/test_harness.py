@@ -24,7 +24,7 @@ from pexprk.harness import (
     run_convergence_study,
     study_model,
 )
-from pexprk.operators import DenseOperator
+from pexprk.operators import SparseOperator
 from pexprk.phi import expm_dense
 from pexprk.problems import DESK_GRID, PAPER_SCALE_GRID
 from pexprk.steppers import integrate_fixed, unpartitioned_problem
@@ -52,7 +52,6 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(problem="heat"),
             dict(partition="rows"),
             dict(order=5),
             dict(form="part"),  # partition defaults to none
@@ -63,6 +62,13 @@ class TestRunConfig:
             dict(steps=(4, 2)),
             dict(steps_pow2=(0, 3)),
             dict(grid=2),
+            dict(grid=33, partition="space", form="part"),
+            dict(grid=33, partition="space", form="tran", jacobian="block"),
+            dict(grid=299, partition="space", form="part", paper_scale=True),
+            dict(grid="64"),
+            dict(order=True),
+            dict(krylov_tol="1e-12"),
+            dict(tf=None),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -75,6 +81,11 @@ class TestRunConfig:
             model, problem, stepper, u0 = build_study(cfg)
             assert u0.shape == (model.dim,)
             assert problem.partitions == (2 if form == "part" else 1)
+
+    def test_odd_grid_without_the_space_split_accepted(self):
+        # the full Jacobian takes no blocks, so the space split is never built
+        RunConfig(grid=33, partition="space", form="tran").validate()
+        RunConfig(grid=33, partition="species", form="part").validate()
 
     @pytest.mark.parametrize("grid, side", [(DESK_GRID, PAPER_SCALE_GRID), (32, 32)])
     def test_study_model_honours_paper_scale(self, grid, side):
@@ -171,7 +182,7 @@ class TestStudy:
         rng = np.random.default_rng(14)
         a = rng.normal(size=(12, 12)) / 3.0 - 1.5 * np.eye(12)
         u0 = rng.uniform(-1, 1, size=12)
-        prob = unpartitioned_problem(12, lambda u: a @ u, lambda u: DenseOperator(a))
+        prob = unpartitioned_problem(12, lambda u: a @ u, lambda u: SparseOperator(a))
         cfg = RunConfig(grid=8, t0=0.0, tf=1.0, steps_pow2=(1, 3))
         ref = reference_solution(cfg, problem=prob, u0=u0)
         exact = expm_dense(a) @ u0
@@ -303,10 +314,25 @@ class TestCli:
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         config = tmp_path / "cfg.json"
-        for key in ("gird", "seed"):  # a typo, and a key the run does not take
-            config.write_text(json.dumps({key: 8}))
+        # a typo, and keys the run does not take
+        for key, value in (("gird", 8), ("seed", 8), ("problem", "gray-scott")):
+            config.write_text(json.dumps({key: value}))
             proc = self.run_cli("run", "--config", str(config))
             assert proc.returncode == 2, key
+
+    def test_wrongly_typed_config_value_exit_code(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        for values in ({"grid": "64"}, {"krylov_tol": "1e-12"}, {"steps": 2.5}):
+            config.write_text(json.dumps(values))
+            proc = self.run_cli("run", "--config", str(config))
+            assert proc.returncode == 2, values
+            assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_odd_grid_space_split_exit_code(self):
+        for form in (["--form", "part"], ["--form", "tran", "--jacobian", "block"]):
+            proc = self.run_cli("run", "--grid", "33", "--partition", "space", *form, "--steps", "1")
+            assert proc.returncode == 2, form
+            assert "even grid side" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_tspan_and_steps_parsing(self, tmp_path):
         out = tmp_path / "study.csv"

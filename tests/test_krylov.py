@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from pexprk.krylov import (
     EvalContext,
@@ -10,7 +11,7 @@ from pexprk.krylov import (
     default_check_schedule,
     phi_times_vector,
 )
-from pexprk.operators import DenseOperator, DiagonalOperator, SparseOperator, ZeroOperator
+from pexprk.operators import SparseOperator, ZeroOperator
 from pexprk.phi import phi_dense_times_vector, phi_scalar
 
 
@@ -68,7 +69,7 @@ class TestCheckSchedule:
 class TestPhiTimesVector:
     def test_scaled_identity_converges_at_m1(self):
         cfg = KrylovConfig(tol=1e-12, m_max=20)
-        op = DiagonalOperator(np.full(10, -3.0))
+        op = SparseOperator(scipy.sparse.diags(np.full(10, -3.0)), symmetric=True)
         rng = np.random.default_rng(0)
         v = rng.uniform(-1, 1, size=10)
         for k in [1, 2, 4]:
@@ -78,7 +79,7 @@ class TestPhiTimesVector:
 
     def test_zero_vector_short_circuits(self):
         cfg = KrylovConfig()
-        op = DenseOperator(np.eye(4))
+        op = SparseOperator(np.eye(4))
         res = phi_times_vector(op, 1, 0.5, np.zeros(4), cfg)
         assert res.converged and res.dim_used == 0 and op.matvecs == 0
         assert np.array_equal(res.approximation, np.zeros(4))
@@ -97,7 +98,7 @@ class TestPhiTimesVector:
         a = stable_dense(rng, 40)
         v = rng.uniform(-1, 1, size=40)
         cfg = KrylovConfig(tol=1e-10, m_max=60)
-        res = phi_times_vector(DenseOperator(a), k, 0.1, v, cfg)
+        res = phi_times_vector(SparseOperator(a), k, 0.1, v, cfg)
         ref = dense_phi_reference(k, 0.1, a, v)
         assert res.converged
         err = np.linalg.norm(res.approximation - ref) / np.linalg.norm(res.approximation)
@@ -107,7 +108,7 @@ class TestPhiTimesVector:
         # v supported on one 3x3 block: exact at M = 3 via lucky breakdown
         rng = np.random.default_rng(5)
         blocks = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(3)]
-        op = DenseOperator(scipy.linalg.block_diag(*blocks))
+        op = SparseOperator(scipy.linalg.block_diag(*blocks))
         v = np.zeros(9)
         v[3:6] = rng.uniform(-1, 1, size=3)
         cfg = KrylovConfig(tol=1e-12, m_max=30)
@@ -117,7 +118,7 @@ class TestPhiTimesVector:
         assert np.linalg.norm(res.approximation - ref) <= 1e-11 * np.linalg.norm(ref)
 
     def test_lucky_breakdown_diagonal(self):
-        op = DiagonalOperator(np.full(6, -2.5))
+        op = SparseOperator(scipy.sparse.diags(np.full(6, -2.5)), symmetric=True)
         v = np.ones(6)
         res = phi_times_vector(op, 1, 1.0, v, KrylovConfig(tol=1e-12, m_max=10))
         assert res.converged and res.dim_used == 1 and res.est_error == 0.0
@@ -129,7 +130,7 @@ class TestPhiTimesVector:
         ref = dense_phi_reference(1, 0.5, a, v)
         errs = []
         for tol in [1e-4, 1e-6, 1e-8, 1e-10, 1e-12]:
-            res = phi_times_vector(DenseOperator(a), 1, 0.5, v, KrylovConfig(tol=tol, m_max=40))
+            res = phi_times_vector(SparseOperator(a), 1, 0.5, v, KrylovConfig(tol=tol, m_max=40))
             errs.append(np.linalg.norm(res.approximation - ref))
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse + 1e-15
@@ -138,7 +139,7 @@ class TestPhiTimesVector:
         rng = np.random.default_rng(8)
         a = stable_dense(rng, 40, shift=1.0) * 500.0
         v = rng.uniform(-1, 1, size=40)
-        res = phi_times_vector(DenseOperator(a), 1, 1.0, v, KrylovConfig(tol=1e-12, m_max=5))
+        res = phi_times_vector(SparseOperator(a), 1, 1.0, v, KrylovConfig(tol=1e-12, m_max=5))
         assert not res.converged
         assert res.dim_used == 5
         assert res.est_error > 1e-12
@@ -147,10 +148,10 @@ class TestPhiTimesVector:
         rng = np.random.default_rng(21)
         a = stable_dense(rng, 35)
         v = rng.uniform(-1, 1, size=35)
-        op = DenseOperator(a)
+        op = SparseOperator(a)
         ctx = EvalContext()
         res = phi_times_vector(op, 1, 0.4, v, KrylovConfig(tol=1e-8, m_max=30), ctx=ctx)
-        state = ctx.arnoldi_state(op, v)
+        state = ctx.arnoldi_state(op, v, 30)
         m = res.dim_used
         V, H = state.V[:, :m], state.H[:m, :m]
         assert np.max(np.abs(V.T @ V - np.eye(m))) <= 1e-10
@@ -167,22 +168,21 @@ class TestPhiTimesVector:
 
 
 class TestSurrogateErrorEstimate:
-    """The phi_1 surrogate estimate against the true error of phi_k, k = 1..3."""
+    """The phi_1 surrogate estimate against the true error of phi_k, k = 1..3,
+    on the Arnoldi path; ``TestLanczos`` covers declared-symmetric operators."""
 
-    @pytest.mark.parametrize("symmetric", [False, True], ids=["expm-path", "eigh-path"])
-    def test_estimate_bounds_true_error(self, symmetric):
+    @pytest.mark.parametrize("n", [40], ids=["expm-path"])
+    def test_estimate_bounds_true_error(self, n):
         tau = 0.5
         checked = {1: 0, 2: 0, 3: 0}
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            a = symmetric_stable(rng, 40) if symmetric else stable_dense(rng, 40)
-            v = rng.uniform(-1, 1, size=40)
-            state = _ArnoldiState(DenseOperator(a), v)
-            state.extend(39)
+            a = stable_dense(rng, n)
+            v = rng.uniform(-1, 1, size=n)
+            state = _ArnoldiState(SparseOperator(a), v, n - 1)
+            state.extend(n - 1)
             refs = {k: dense_phi_reference(k, tau, a, v) for k in checked}
             for m in range(2, state.m):
-                # the reduced evaluation this test covers
-                assert (state._eigendecomposition(m) is not None) == symmetric
                 for k, ref in refs.items():
                     w_red, est = state.reduced_phi(k, tau, m)
                     if est > 1e-6:
@@ -192,6 +192,7 @@ class TestSurrogateErrorEstimate:
                     # estimate of the truncation error does not bound
                     assert true <= max(est, 1e-13), (seed, m, k, true, est)
                     checked[k] += est >= 1e-12
+            assert not state._eig  # every evaluation took the augmented exponential
         assert min(checked.values()) >= 10, checked
 
 
@@ -207,7 +208,7 @@ class TestLanczos:
             op = declared_symmetric(symmetric_stable(rng, n))
             a = op.matrix.toarray()
             v = rng.uniform(-1, 1, size=n)
-            state = _ArnoldiState(op, v)
+            state = _ArnoldiState(op, v, m_max)
             state.extend(m_max)
             t = state.H[: state.m, : state.m]
             # H is filled as an exactly symmetric tridiagonal
@@ -238,12 +239,29 @@ class TestLanczos:
         diff = np.linalg.norm(lanczos.approximation - arnoldi.approximation)
         assert diff <= 1e-12 * np.linalg.norm(arnoldi.approximation)
         # one matvec per dimension, and L V_m = V_m T_m + beta_m v_{m+1} e_m^T
-        state = ctx.arnoldi_state(lanczos_op, v)
+        state = ctx.arnoldi_state(lanczos_op, v, cfg.m_max)
         m = state.m
         assert lanczos_op.matvecs == m
         V = state.V[:, :m]
         rhs = V @ state.H[:m, :m] + state.H[m, m - 1] * np.outer(state.V[:, m], np.eye(m)[m - 1])
         assert np.linalg.norm(a @ V - rhs) <= 1e-12 * np.linalg.norm(a @ V)
+
+    def test_undeclared_symmetric_matrix_never_calls_eigh(self):
+        # the declaration alone picks the path, at every m including m = 1
+        rng = np.random.default_rng(4)
+        declared = declared_symmetric(symmetric_stable(rng, 50))
+        undeclared = SparseOperator(declared.matrix)
+        v = rng.uniform(-1, 1, size=50)
+        cfg = KrylovConfig(tol=1e-12, m_max=50)
+        ctx = EvalContext()
+        for k in (1, 2, 3):
+            got = phi_times_vector(undeclared, k, 0.4, v, cfg, ctx=ctx)
+            want = phi_times_vector(declared, k, 0.4, v, cfg)
+            assert got.converged and want.converged
+            diff = np.linalg.norm(got.approximation - want.approximation)
+            assert diff <= 1e-12 * np.linalg.norm(want.approximation), k
+        state = ctx.arnoldi_state(undeclared, v, cfg.m_max)
+        assert state.m > 1 and not state._eig
 
     def test_lucky_breakdown(self):
         # v in a 3-dimensional invariant subspace: exact at m = 3
@@ -266,7 +284,7 @@ class TestSharedFactorization:
     def test_cache_reuses_matvecs_and_matches_fresh(self):
         rng = np.random.default_rng(99)
         a = stable_dense(rng, 30)
-        op = DenseOperator(a)
+        op = SparseOperator(a)
         v = rng.uniform(-1, 1, size=30)
         cfg = KrylovConfig(tol=1e-10, m_max=40)
 
@@ -289,7 +307,7 @@ class TestSharedFactorization:
         # phi of a block-diagonal operator acts block by block
         rng = np.random.default_rng(11)
         mats = [rng.uniform(-1, 1, size=(4, 4)) for _ in range(3)]
-        op = DenseOperator(scipy.linalg.block_diag(*mats))
+        op = SparseOperator(scipy.linalg.block_diag(*mats))
         v = rng.uniform(-1, 1, size=12)
         h = 0.6
         cfg = KrylovConfig(tol=1e-13, m_max=30)

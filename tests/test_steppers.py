@@ -5,7 +5,7 @@ import pytest
 
 from pexprk.coeffexpr import eval_dense
 from pexprk.krylov import KrylovConfig
-from pexprk.operators import DenseOperator, DiagonalOperator, ZeroOperator
+from pexprk.operators import SparseOperator, ZeroOperator
 from pexprk.phi import expm_dense, phi_scalar
 from pexprk.problems import gs_default, gs_initial, gs_partition, oracle_semilinear
 from pexprk.steppers import (
@@ -67,7 +67,7 @@ class TestOriginalForm:
     def test_scalar_affine_exact(self):
         # u' = lam*u + 1 has one-step solution e^{lam h} u0 + h phi_1(lam h)
         lam, h, u0 = -2.0, 0.1, 1.0
-        L = DiagonalOperator(np.array([lam]))
+        L = SparseOperator([[lam]], symmetric=True)
         f = lambda u: lam * u + 1.0  # noqa: E731
         got = step_exprk_original(tableau(2), L, f, np.array([u0]), h, TIGHT)
         expected = math.exp(lam * h) * u0 + h * phi_scalar(1, lam * h)
@@ -80,7 +80,7 @@ class TestOriginalForm:
         a -= (np.max(np.real(np.linalg.eigvals(a))) + 1.0) * np.eye(10)
         y0 = rng.uniform(-1, 1, size=10)
         h = 0.3
-        L = DenseOperator(a)
+        L = SparseOperator(a)
         got = step_exprk_original(tableau(order), L, lambda u: a @ u, y0, h, TIGHT)
         assert np.allclose(got, expm_dense(h * a) @ y0, rtol=1e-11, atol=1e-13)
 
@@ -112,7 +112,7 @@ class TestTransformedEquivalence:
         rng = np.random.default_rng(23)
         a = rng.normal(size=(8, 8)) / 3.0 - 2.0 * np.eye(8)
         y0 = rng.uniform(-1, 1, size=8)
-        got = step_transformed(tableau(order), DenseOperator(a), lambda u: a @ u, y0, 0.4, TIGHT)
+        got = step_transformed(tableau(order), SparseOperator(a), lambda u: a @ u, y0, 0.4, TIGHT)
         assert np.allclose(got, expm_dense(0.4 * a) @ y0, rtol=1e-11, atol=1e-13)
 
     def test_zero_operator_degenerates_to_classical(self):
@@ -131,7 +131,7 @@ class TestPartitionedForm:
         prob = orc.problem()
         h = 0.04
         a = step_pexprk(tableau(order), prob, orc.u0, h, TIGHT)
-        b = dense_transformed_step(transformed(order), orc.jacobian(orc.u0).matrix, orc.f, orc.u0, h)
+        b = dense_transformed_step(transformed(order), orc.jacobian(orc.u0).to_dense(), orc.f, orc.u0, h)
         assert np.linalg.norm(a - b) <= 1e-12 * max(1.0, np.linalg.norm(b))
 
     @pytest.mark.parametrize("order", [2, 3, 4])
@@ -176,7 +176,8 @@ class TestPartitionedForm:
         prob = SplitProblem(
             2,
             (lambda u: l1 * u, lambda u: l2 * u),
-            (lambda u: DiagonalOperator(l1), lambda u: DiagonalOperator(l2)),
+            (lambda u: SparseOperator(np.diag(l1), symmetric=True),
+             lambda u: SparseOperator(np.diag(l2), symmetric=True)),
         )
         got = step_pexprk(tableau(2), prob, u0, h, TIGHT)
         phi1 = lambda z: phi_scalar(1, z)  # noqa: E731
@@ -243,7 +244,7 @@ class TestIntegrateFixed:
         rng = np.random.default_rng(31)
         a = rng.normal(size=(9, 9)) / 3.0 - 1.5 * np.eye(9)
         u0 = rng.uniform(-1, 1, size=9)
-        prob = unpartitioned_problem(9, lambda u: a @ u, lambda u: DenseOperator(a))
+        prob = unpartitioned_problem(9, lambda u: a @ u, lambda u: SparseOperator(a))
         res = integrate_fixed(make(3), prob, u0, 0.0, 1.0, 5, TIGHT)
         assert np.allclose(res.state, expm_dense(a) @ u0, rtol=1e-10, atol=1e-13)
 
@@ -276,7 +277,7 @@ class TestIntegrateFixed:
         cfg = KrylovConfig(tol=1e-13, m_max=4)
         with pytest.raises(StepFailure, match="did not converge"):
             step_transformed(
-                tableau(2), DenseOperator(a), lambda u: a @ u, rng.uniform(size=30), 0.5, cfg
+                tableau(2), SparseOperator(a), lambda u: a @ u, rng.uniform(size=30), 0.5, cfg
             )
 
 
@@ -299,6 +300,6 @@ class TestStabilityDiagnostic:
 
     def test_accepts_operators(self):
         got = stability_matrix_spectral_radius(
-            DiagonalOperator(np.array([-2.0])), ZeroOperator(1), 0.5
+            SparseOperator([[-2.0]], symmetric=True), ZeroOperator(1), 0.5
         )
         assert got == pytest.approx(math.exp(-1.0), abs=1e-12)

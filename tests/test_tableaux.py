@@ -16,7 +16,7 @@ from pexprk.coeffexpr import (
     simplify,
 )
 from pexprk.krylov import KrylovConfig
-from pexprk.operators import DiagonalOperator, ZeroOperator
+from pexprk.operators import SparseOperator, ZeroOperator
 from pexprk.phi import phi_scalar
 from pexprk.tableaux import (
     check_order_conditions,
@@ -85,7 +85,7 @@ class TestEvalCoeff:
         # the expanded transformed trees are evaluated only at scalars and dense matrices
         v = np.arange(1.0, 5.0)
         with pytest.raises(TypeError, match="not applied matrix-free"):
-            eval_coeff(expr, DiagonalOperator(-np.ones(4)), 0.1, v, KrylovConfig())
+            eval_coeff(expr, SparseOperator(-np.eye(4), symmetric=True), 0.1, v, KrylovConfig())
 
 
 class TestCatalog:
