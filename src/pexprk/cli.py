@@ -11,14 +11,18 @@ failures (reference gate violation or a study with no surviving rows).
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .harness import (
+    FORMS,
+    JACOBIANS,
     ConfigError,
     NumericalFailure,
     RunConfig,
     emit_csv,
     run_convergence_study,
 )
+from .problems import PAPER_SCALE_GRID, PARTITION_NAMES
 from .tableaux import check_order_conditions, dump_tableau, tableau, transformed
 
 _UNSET = object()
@@ -48,18 +52,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a convergence study and emit CSV")
     run.add_argument("--config", help="JSON file mirroring the flags; flags override it")
     run.add_argument("--grid", type=int, default=_UNSET)
-    run.add_argument("--partition", default=_UNSET,
-                     choices=["none", "species", "space", "physics", "imex"])
+    run.add_argument("--partition", default=_UNSET, choices=("none",) + PARTITION_NAMES)
     run.add_argument("--order", type=int, default=_UNSET, choices=[2, 3, 4])
-    run.add_argument("--form", default=_UNSET, choices=["orig", "tran", "part"])
-    run.add_argument("--jacobian", default=_UNSET, choices=["full", "block"])
+    run.add_argument("--form", default=_UNSET, choices=FORMS)
+    run.add_argument("--jacobian", default=_UNSET, choices=JACOBIANS)
     run.add_argument("--tspan", default=_UNSET, help="t0:tf")
-    run.add_argument("--steps-pow2", default=_UNSET, help="j0:j1 for h = (tf-t0) * 2^-j")
-    run.add_argument("--steps", default=_UNSET, help="explicit comma-separated step counts")
+    run.add_argument("--steps-pow2", default=_UNSET,
+                     help="j0:j1, shorthand for --steps 2^j0,...,2^j1")
+    run.add_argument("--steps", default=_UNSET, help="comma-separated step counts")
     run.add_argument("--krylov-tol", type=float, default=_UNSET)
     run.add_argument("--krylov-mmax", type=int, default=_UNSET)
     run.add_argument("--out", default=_UNSET, help="CSV output path")
-    run.add_argument("--paper-scale", action="store_const", const=True, default=_UNSET)
+    run.add_argument("--paper-scale", action="store_const", const=True, default=_UNSET,
+                     help=f"shorthand for --grid {PAPER_SCALE_GRID}")
 
     check = sub.add_parser("check-order", help="stiff order-condition residuals")
     check.add_argument("--order", type=int, required=True, choices=[2, 3, 4])
@@ -74,6 +79,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_FIELDS = {f.name for f in fields(RunConfig)}
+
+
+def _field_values(values: dict, source: str) -> dict:
+    """One source's settings as RunConfig fields.  The shorthands paper_scale
+    and steps_pow2 write grid and steps, which the same source may not set
+    to anything else."""
+    out = {}
+    for key, value in values.items():
+        if key == "tspan":
+            out["t0"], out["tf"] = _parse_pair(str(value), "tspan", float)
+        elif key == "steps":
+            out["steps"] = tuple(value) if isinstance(value, list) else _parse_steps(str(value))
+        elif key not in _FIELDS | {"paper_scale", "steps_pow2"}:
+            raise ConfigError(f"unknown configuration key {key!r}")
+        else:
+            out[key] = value
+    paper_scale = out.pop("paper_scale", False)
+    if not isinstance(paper_scale, bool):
+        raise ConfigError(f"paper-scale must be true or false, got {paper_scale!r}")
+    if paper_scale and out.setdefault("grid", PAPER_SCALE_GRID) != PAPER_SCALE_GRID:
+        raise ConfigError(f"{source} sets both paper-scale and grid {out['grid']!r}")
+    if "steps_pow2" in out:
+        if "steps" in out:
+            raise ConfigError(f"{source} sets both steps and steps-pow2")
+        j0, j1 = _parse_pair(str(out.pop("steps_pow2")), "steps-pow2", int)
+        if not 1 <= j0 <= j1:
+            raise ConfigError(f"steps-pow2 needs 1 <= j0 <= j1, got {j0}:{j1}")
+        out["steps"] = tuple(2**j for j in range(j0, j1 + 1))
+    return out
+
+
 def _config_from_args(args) -> RunConfig:
     values = {}
     if args.config:
@@ -84,36 +121,19 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        values.update({key.replace("-", "_"): value for key, value in raw.items()})
-
-    flag_names = [
-        "grid", "partition", "order", "form", "jacobian", "tspan",
-        "steps_pow2", "steps", "krylov_tol", "krylov_mmax", "out", "paper_scale",
-    ]
-    for name in flag_names:
-        value = getattr(args, name)
-        if value is not _UNSET:
-            values[name] = value
-
-    cfg = RunConfig()
-    for key, value in values.items():
-        if key == "tspan":
-            cfg.t0, cfg.tf = _parse_pair(str(value), "tspan", float)
-        elif key == "steps_pow2":
-            cfg.steps_pow2 = _parse_pair(str(value), "steps-pow2", int)
-        elif key == "steps":
-            cfg.steps = tuple(value) if isinstance(value, list) else _parse_steps(str(value))
-        elif hasattr(cfg, key):
-            setattr(cfg, key, value)
-        else:
-            raise ConfigError(f"unknown configuration key {key!r}")
+        raw = {key.replace("-", "_"): value for key, value in raw.items()}
+        values.update(_field_values(raw, "the config file"))
+    flags = {key: value for key, value in vars(args).items()
+             if value is not _UNSET and key not in ("command", "config")}
+    values.update(_field_values(flags, "the command line"))  # flags override the file
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
 
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    print(f"# {cfg.label()} on gray-scott, grid {cfg.grid_side()}, partition {cfg.partition}")
+    print(f"# {cfg.label()} on gray-scott, grid {cfg.grid}, partition {cfg.partition}")
     result = run_convergence_study(cfg)
     print(f"# reference gap {result.reference.gap:.3e} over {result.reference.n_steps} steps")
     print(f"{'h':>12} {'error_l2':>14} {'order':>7} {'matvecs':>9} {'krylov':>9} {'ms':>9}")

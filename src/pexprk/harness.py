@@ -18,7 +18,6 @@ import numpy as np
 from .krylov import KrylovConfig
 from .problems import (
     DESK_GRID,
-    PAPER_SCALE_GRID,
     PARTITION_NAMES,
     TIMESPAN,
     gs_default,
@@ -49,6 +48,10 @@ class NumericalFailure(RuntimeError):
     """Reference gate violation or a fully failed study (CLI exit code 3)."""
 
 
+FORMS = ("orig", "tran", "part")
+JACOBIANS = ("full", "block")
+
+
 @dataclass
 class RunConfig:
     grid: int = DESK_GRID
@@ -58,12 +61,10 @@ class RunConfig:
     jacobian: str = "full"
     t0: float = 0.0
     tf: float = TIMESPAN
-    steps_pow2: tuple = (1, 6)
-    steps: tuple | None = None
+    steps: tuple = (2, 4, 8, 16, 32, 64)
     krylov_tol: float = 1e-12
     krylov_mmax: int = 100
     out: str | None = None
-    paper_scale: bool = False
 
     def validate(self):
         for name in ("grid", "order", "krylov_mmax"):
@@ -78,48 +79,30 @@ class RunConfig:
             raise ConfigError(f"unknown partition {self.partition!r}")
         if self.order not in (2, 3, 4):
             raise ConfigError(f"order must be 2, 3, or 4, got {self.order}")
-        if self.form not in ("orig", "tran", "part"):
+        if self.form not in FORMS:
             raise ConfigError(f"form must be orig, tran, or part, got {self.form!r}")
-        if self.jacobian not in ("full", "block"):
+        if self.jacobian not in JACOBIANS:
             raise ConfigError(f"jacobian must be full or block, got {self.jacobian!r}")
-        if self.form == "part" and self.partition == "none":
-            raise ConfigError("the partitioned form requires a partition")
-        if self.form in ("orig", "tran") and self.jacobian == "block" and self.partition == "none":
-            raise ConfigError("the block Jacobian requires a partition to take blocks from")
-        if self.form == "orig" and self.jacobian == "block":
-            raise ConfigError("the original form uses the full Jacobian")
+        # the study matrix: orig and tran on the full Jacobian, tran on a
+        # partition's block Jacobian, part on a partition's own operators
+        if self.jacobian == "block" and self.form != "tran":
+            raise ConfigError(f"--jacobian block does nothing with --form {self.form}")
+        if self.partition == "none" and (self.form == "part" or self.jacobian == "block"):
+            raise ConfigError(f"--form {self.form} --jacobian {self.jacobian} requires a partition")
+        if self.partition != "none" and self.form != "part" and self.jacobian == "full":
+            raise ConfigError(f"--partition does nothing with --form {self.form} --jacobian full")
         if not self.tf > self.t0:
             raise ConfigError(f"empty time span [{self.t0}, {self.tf}]")
         if self.krylov_tol <= 0 or self.krylov_mmax < 1:
             raise ConfigError("Krylov tolerance must be positive and m_max >= 1")
-        if self.steps is not None:
-            if not all(isinstance(n, int) and n >= 1 for n in self.steps):
-                raise ConfigError("explicit step counts must be positive integers")
-            if list(self.steps) != sorted(set(self.steps)):
-                raise ConfigError("explicit step counts must be strictly increasing")
-        else:
-            j0, j1 = self.steps_pow2
-            if not (isinstance(j0, int) and isinstance(j1, int) and 1 <= j0 <= j1):
-                raise ConfigError(f"bad dyadic step range {self.steps_pow2}")
+        if not self.steps or not all(isinstance(n, int) and n >= 1 for n in self.steps):
+            raise ConfigError(f"steps must be one or more positive integers, got {self.steps!r}")
+        if list(self.steps) != sorted(set(self.steps)):
+            raise ConfigError("step counts must be strictly increasing")
         if self.grid < 3:
             raise ConfigError(f"grid side must be >= 3, got {self.grid}")
-        splits_space = self.partition == "space" and (self.form == "part" or self.jacobian == "block")
-        if splits_space and self.grid_side() % 2:
-            raise ConfigError(f"the space partition needs an even grid side, got {self.grid_side()}")
-
-    def grid_side(self) -> int:
-        """The model's grid side: ``--paper-scale`` replaces the default one."""
-        return PAPER_SCALE_GRID if self.paper_scale and self.grid == DESK_GRID else self.grid
-
-    def step_counts(self) -> list[int]:
-        if self.steps is not None:
-            return list(self.steps)
-        j0, j1 = self.steps_pow2
-        return [2**j for j in range(j0, j1 + 1)]
-
-    def step_sizes(self) -> list[float]:
-        span = self.tf - self.t0
-        return [span / n for n in self.step_counts()]
+        if self.partition == "space" and self.grid % 2:
+            raise ConfigError(f"the space partition needs an even grid side, got {self.grid}")
 
     def krylov(self) -> KrylovConfig:
         return KrylovConfig(tol=self.krylov_tol, m_max=self.krylov_mmax)
@@ -131,13 +114,8 @@ class RunConfig:
         return f"{prefix}_{form}_order_{self.order}{jac}"
 
     def as_metadata(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        out["label"] = self.label()
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(steps=list(self.steps), label=self.label())
         return out
 
 
@@ -183,10 +161,9 @@ def discrete_l2(v: np.ndarray) -> float:
 
 
 def study_model(cfg: RunConfig):
-    """The validated configuration's model (``--paper-scale`` replaces the
-    default grid side with the full-scale one) and its initial state."""
+    """The validated configuration's model and its initial state."""
     cfg.validate()
-    model = gs_default(n=cfg.grid_side())
+    model = gs_default(n=cfg.grid)
     return model, gs_initial(model)
 
 
@@ -197,8 +174,8 @@ def build_study(cfg: RunConfig):
         problem = gs_partition(model, cfg.partition)
         stepper = pexprk_stepper(cfg.order)
     else:
-        partition = None if cfg.partition == "none" else cfg.partition
-        problem = gs_unpartitioned(model, jacobian=cfg.jacobian, partition=partition)
+        # validate() leaves a partition here only for the block Jacobian
+        problem = gs_unpartitioned(model, jacobian=cfg.jacobian, partition=cfg.partition)
         stepper = (original_stepper if cfg.form == "orig" else pexprk_stepper)(cfg.order)
     return model, problem, stepper, u0
 
@@ -217,7 +194,7 @@ def reference_solution(cfg: RunConfig, problem: SplitProblem | None = None, u0=N
     elif u0 is None:
         raise ValueError("an injected reference problem needs an initial state")
     ref_stepper = pexprk_stepper(4)
-    n_fine = max(cfg.step_counts()) * REFERENCE_REFINEMENT
+    n_fine = max(cfg.steps) * REFERENCE_REFINEMENT
     kcfg = KrylovConfig(tol=REFERENCE_TOL, m_max=cfg.krylov_mmax)
     start = time.perf_counter()
     try:
@@ -258,12 +235,12 @@ def run_convergence_study(cfg: RunConfig, reference: ReferenceSolution | None = 
     continues; the study only aborts if every row fails or the reference
     self-consistency gate is violated.
     """
-    model, problem, stepper, u0 = build_study(cfg)
+    _, problem, stepper, u0 = build_study(cfg)
     if reference is None:
-        reference = reference_solution(cfg, problem=gs_unpartitioned(model, jacobian="full"), u0=u0)
+        reference = reference_solution(cfg)
     kcfg = cfg.krylov()
     rows = []
-    for n_steps in cfg.step_counts():
+    for n_steps in cfg.steps:
         h = (cfg.tf - cfg.t0) / n_steps
         row = ConvergenceRow(h=h)
         start = time.perf_counter()
@@ -281,7 +258,11 @@ def run_convergence_study(cfg: RunConfig, reference: ReferenceSolution | None = 
 
     if all(row.failed for row in rows):
         raise NumericalFailure("every step size failed; no convergence data produced")
-    min_error = min(r.error_l2 for r in rows if not r.failed)
+    metadata = cfg.as_metadata()
+    metadata["reference_gap"] = reference.gap
+    metadata["reference_steps"] = reference.n_steps
+    result = StudyResult(rows=rows, reference=reference, metadata=metadata)
+    min_error = result.min_error()
     # a study this accurate can undercut the float64 roundoff drift between
     # the two reference runs; the gate only bites above that floor
     gate = max(REFERENCE_GATE * min_error, reference.roundoff_floor())
@@ -290,11 +271,7 @@ def run_convergence_study(cfg: RunConfig, reference: ReferenceSolution | None = 
             f"reference self-consistency gate violated: gap {reference.gap:.3e} "
             f"vs smallest study error {min_error:.3e}"
         )
-
-    metadata = cfg.as_metadata()
-    metadata["reference_gap"] = reference.gap
-    metadata["reference_steps"] = reference.n_steps
-    return StudyResult(rows=rows, reference=reference, metadata=metadata)
+    return result
 
 
 def _format_value(value) -> str:

@@ -16,9 +16,9 @@ reorthogonalized; Lanczos approximations of matrix functions stay accurate
 when orthogonality is lost (Druskin, Greenbaum & Knizhnerman, SISC 19(1),
 1998; Hochbruck & Lubich, SINUM 34(5), 1997).
 
-The error is estimated only at pre-determined check indices, spaced so that
-each check costs roughly as much as all preceding checks combined, and only
-through the phi_1 surrogate
+The error is estimated only at pre-determined check indices, from m=2 on,
+spaced so that each check costs roughly as much as all preceding checks
+combined, and only through the phi_1 surrogate
 
     est = |tau| * h_{M+1,M} * |e_M^T phi_1(tau H_M) e_1| / ||phi_k(tau H_M) e_1||,
 
@@ -55,9 +55,12 @@ class KrylovError(RuntimeError):
 def default_check_schedule(m_max: int) -> list[int]:
     """Error-check indices with roughly cost-doubling spacing.
 
-    Starting from m=1, the next check is the smallest m whose O(m^3)
-    reduced-space evaluation costs at least as much as every earlier check
-    combined; the schedule is capped and terminated at m_max.
+    Counting from m=1, the next index is the smallest m whose O(m^3)
+    reduced-space evaluation costs at least as much as every earlier index
+    combined; the schedule is capped and terminated at m_max.  Checks start
+    at m = min(2, m_max): a check at m=1 practically never passes, and a
+    lucky breakdown at m=1 is still evaluated there, since phi_times_vector
+    caps each check at the dimension the factorization reached.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -69,7 +72,7 @@ def default_check_schedule(m_max: int) -> list[int]:
             m += 1
         schedule.append(m)
         total += m**3
-    return schedule
+    return schedule[1:] or schedule
 
 
 @lru_cache(maxsize=8)

@@ -311,13 +311,11 @@ def gs_partition_physics(m: GrayScottModel) -> SplitProblem:
     """Two-way split by physical process: diffusion and reaction."""
 
     def f_diffusion(u):
-        a, b = _split_state(m, u)
-        return np.concatenate([_laplacian_csr(m, m.d_a) @ a, _laplacian_csr(m, m.d_b) @ b])
+        return _diffusion_csr(m) @ u
 
     def f_reaction(u):
         a, b = _split_state(m, u)
-        ab2 = a * b * b
-        return np.concatenate([-ab2 + m.feed * (1.0 - a), ab2 - (m.feed + m.kill) * b])
+        return np.concatenate([_equation_a(m, 0.0, a, b), _equation_b(m, 0.0, a, b)])
 
     def build_diffusion(u):
         # a fresh operator around the cached matrix: each step's tally starts at 0

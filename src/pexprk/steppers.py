@@ -82,12 +82,6 @@ class SplitProblem:
     def partitions(self) -> int:
         return len(self.f_parts)
 
-    def f_full(self, u: np.ndarray) -> np.ndarray:
-        acc = self.f_parts[0](u)
-        for fp in self.f_parts[1:]:
-            acc = acc + fp(u)
-        return acc
-
     def build_operators(self, u: np.ndarray) -> list[LinearOperator]:
         return [build(u) for build in self.operator_builders]
 

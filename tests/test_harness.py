@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -9,7 +10,10 @@ import numpy as np
 import pytest
 
 import pexprk
+from pexprk.cli import _build_parser, _config_from_args
 from pexprk.harness import (
+    FORMS,
+    JACOBIANS,
     ConfigError,
     ConvergenceRow,
     NumericalFailure,
@@ -26,7 +30,7 @@ from pexprk.harness import (
 )
 from pexprk.operators import SparseOperator
 from pexprk.phi import expm_dense
-from pexprk.problems import DESK_GRID, PAPER_SCALE_GRID
+from pexprk.problems import PAPER_SCALE_GRID, PARTITION_NAMES
 from pexprk.steppers import integrate_fixed, unpartitioned_problem
 
 
@@ -34,16 +38,37 @@ def make_rows(errors, h0=0.5):
     return [ConvergenceRow(h=h0 * 2.0**-i, error_l2=e) for i, e in enumerate(errors)]
 
 
+def config_from(tmp_path, *flags, file=None) -> RunConfig:
+    """The RunConfig `pexprk run` builds from a config file's keys and flags."""
+    argv = ["run", *flags]
+    if file is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file))
+        argv += ["--config", str(path)]
+    return _config_from_args(_build_parser().parse_args(argv))
+
+
+# the (form, partition, jacobian) cells of the study matrix
+STUDY_CELLS = (
+    {("orig", "none", "full"), ("tran", "none", "full")}
+    | {("tran", p, "block") for p in PARTITION_NAMES}
+    | {("part", p, "full") for p in PARTITION_NAMES}
+)
+
+
 class TestRunConfig:
     def test_step_sizes_follow_dyadic_ladder(self):
         cfg = RunConfig()
-        assert cfg.step_counts() == [2, 4, 8, 16, 32, 64]
+        assert cfg.steps == (2, 4, 8, 16, 32, 64)
         expected = [0.131072, 0.065536, 0.032768, 0.016384, 0.008192, 0.004096]
-        assert np.allclose(cfg.step_sizes(), expected, rtol=1e-15)
+        assert np.allclose([(cfg.tf - cfg.t0) / n for n in cfg.steps], expected, rtol=1e-15)
 
-    def test_explicit_steps_override(self):
-        cfg = RunConfig(steps=(2, 6, 10))
-        assert cfg.step_counts() == [2, 6, 10]
+    def test_explicit_steps_override(self, tmp_path):
+        # either way round, a flag overrides the config file's step counts
+        cfg = config_from(tmp_path, "--steps", "2,6,10", file={"steps-pow2": "1:3"})
+        assert cfg.steps == (2, 6, 10)
+        cfg = config_from(tmp_path, "--steps-pow2", "1:3", file={"steps": [2, 6, 10]})
+        assert cfg.steps == (2, 4, 8)
 
     def test_label_convention(self):
         assert RunConfig(form="part", partition="species", order=3).label().startswith("pexprks_tran_order_3")
@@ -60,11 +85,11 @@ class TestRunConfig:
             dict(tf=0.0),
             dict(krylov_tol=-1.0),
             dict(steps=(4, 2)),
-            dict(steps_pow2=(0, 3)),
+            dict(steps=()),
             dict(grid=2),
             dict(grid=33, partition="space", form="part"),
             dict(grid=33, partition="space", form="tran", jacobian="block"),
-            dict(grid=299, partition="space", form="part", paper_scale=True),
+            dict(steps=(0, 2)),
             dict(grid="64"),
             dict(order=True),
             dict(krylov_tol="1e-12"),
@@ -83,18 +108,21 @@ class TestRunConfig:
             assert problem.partitions == (2 if form == "part" else 1)
 
     def test_odd_grid_without_the_space_split_accepted(self):
-        # the full Jacobian takes no blocks, so the space split is never built
-        RunConfig(grid=33, partition="space", form="tran").validate()
+        RunConfig(grid=33, form="tran").validate()
         RunConfig(grid=33, partition="species", form="part").validate()
 
-    @pytest.mark.parametrize("grid, side", [(DESK_GRID, PAPER_SCALE_GRID), (32, 32)])
-    def test_study_model_honours_paper_scale(self, grid, side):
-        # the reference integrates study_model's model; the study, build_study's
-        cfg = RunConfig(grid=grid, form="part", partition="species", paper_scale=True)
-        model, u0 = study_model(cfg)
-        study, _, _, study_u0 = build_study(cfg)
-        assert model == study and model.n == side
-        assert np.array_equal(u0, study_u0)
+    @pytest.mark.parametrize(
+        "form, partition, jacobian",
+        list(itertools.product(FORMS, ("none",) + PARTITION_NAMES, JACOBIANS)),
+    )
+    def test_validate_accepts_exactly_the_study_cells(self, form, partition, jacobian):
+        cfg = RunConfig(grid=8, form=form, partition=partition, jacobian=jacobian)
+        if (form, partition, jacobian) in STUDY_CELLS:
+            cfg.validate()
+        else:
+            # the message names the flag that would be ignored, or the missing one
+            with pytest.raises(ConfigError, match="--partition|--jacobian|requires a partition"):
+                cfg.validate()
 
 
 class TestEstimateOrder:
@@ -150,7 +178,7 @@ class TestCsv:
 
 @pytest.fixture(scope="module")
 def small_cfg():
-    return RunConfig(grid=8, partition="species", order=2, form="part", steps_pow2=(1, 3))
+    return RunConfig(grid=8, partition="species", order=2, form="part", steps=(2, 4, 8))
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +189,7 @@ def small_study(small_cfg):
 class TestStudy:
     def test_rows_and_metadata(self, small_cfg, small_study):
         rows = small_study.rows
-        assert [r.h for r in rows] == small_cfg.step_sizes()
+        assert [r.h for r in rows] == [(small_cfg.tf - small_cfg.t0) / n for n in small_cfg.steps]
         assert all(not r.failed for r in rows)
         assert all(r.matvecs > 0 and r.krylov_dims > 0 for r in rows)
         assert rows[0].observed_order is None
@@ -183,7 +211,7 @@ class TestStudy:
         a = rng.normal(size=(12, 12)) / 3.0 - 1.5 * np.eye(12)
         u0 = rng.uniform(-1, 1, size=12)
         prob = unpartitioned_problem(12, lambda u: a @ u, lambda u: SparseOperator(a))
-        cfg = RunConfig(grid=8, t0=0.0, tf=1.0, steps_pow2=(1, 3))
+        cfg = RunConfig(grid=8, t0=0.0, tf=1.0, steps=(2, 4, 8))
         ref = reference_solution(cfg, problem=prob, u0=u0)
         exact = expm_dense(a) @ u0
         assert discrete_l2(ref.state - exact) <= 1e-11
@@ -327,6 +355,44 @@ class TestCli:
             proc = self.run_cli("run", "--config", str(config))
             assert proc.returncode == 2, values
             assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--form", "part", "--partition", "species", "--jacobian", "block"),
+            ("--form", "orig", "--partition", "species"),
+            ("--form", "tran", "--jacobian", "full", "--partition", "space"),
+            ("--paper-scale", "--grid", "32"),
+            ("--steps", "1", "--steps-pow2", "1:3"),
+            ("--steps-pow2", "0:3"),
+        ],
+        ids=["part-block", "orig-species", "tran-full-space", "paper-scale-grid", "steps-twice",
+             "steps-pow2-from-0"],
+    )
+    def test_ignored_or_doubly_set_flag_exit_code(self, flags):
+        proc = self.run_cli("run", *flags)
+        assert proc.returncode == 2, flags
+        assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_paper_scale_sets_grid_300(self, tmp_path):
+        # the alias writes the grid; metadata records the grid that runs
+        cfg = config_from(tmp_path, "--paper-scale", "--form", "part", "--partition", "species")
+        assert cfg.grid == PAPER_SCALE_GRID == 300
+        assert study_model(cfg)[0].n == 300
+        out = tmp_path / "meta.csv"
+        emit_csv([], cfg.as_metadata(), out)
+        _, metadata = parse_csv(out)
+        assert metadata["grid"] == "300" and metadata["steps"] == "[2, 4, 8, 16, 32, 64]"
+        assert "paper_scale" not in metadata and "steps_pow2" not in metadata
+        # one source may not set the grid twice; across sources flags win
+        assert config_from(tmp_path, "--paper-scale", "--grid", "300").grid == 300
+        with pytest.raises(ConfigError, match="grid"):
+            config_from(tmp_path, file={"paper-scale": True, "grid": 32})
+        with pytest.raises(ConfigError, match="steps"):
+            config_from(tmp_path, file={"steps": [1], "steps_pow2": "1:3"})
+        assert config_from(tmp_path, "--grid", "32", file={"paper_scale": True}).grid == 32
+        assert config_from(tmp_path, "--paper-scale", file={"grid": 32}).grid == 300
+        assert config_from(tmp_path, file={"paper_scale": False}).grid == RunConfig().grid
 
     def test_odd_grid_space_split_exit_code(self):
         for form in (["--form", "part"], ["--form", "tran", "--jacobian", "block"]):

@@ -38,14 +38,16 @@ def dense_phi_reference(k, tau, a, v):
 
 class TestCheckSchedule:
     def test_m_max_4(self):
-        assert default_check_schedule(4) == [1, 2, 3, 4]
+        # the m=1 check is skipped: nothing short of a breakdown stops there
+        assert default_check_schedule(4) == [2, 3, 4]
+        assert default_check_schedule(2) == [2]
 
     def test_m_max_1(self):
         assert default_check_schedule(1) == [1]
 
     def test_m_max_30_shape(self):
         sched = default_check_schedule(30)
-        assert sched[0] == 1 and sched[-1] == 30
+        assert sched[0] == 2 and sched[-1] == 30
         assert all(b > a for a, b in zip(sched, sched[1:]))
         # tail spacing approaches the cost-doubling ratio 2^(1/3)
         ratios = [b / a for a, b in zip(sched[-4:-1], sched[-3:])]
@@ -53,7 +55,8 @@ class TestCheckSchedule:
             assert 1.1 <= r <= 1.45
 
     def test_rule_is_cost_doubling(self):
-        sched = default_check_schedule(50)
+        # counted from m=1, the index the schedule skips
+        sched = [1] + default_check_schedule(50)
         total = 0
         for prev, nxt in zip(sched, sched[1:]):
             total += prev**3

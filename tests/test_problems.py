@@ -212,7 +212,8 @@ class TestPartitions:
         for _ in range(100):
             u = rng.uniform(0.05, 0.95, size=m.dim)
             full = gs_rhs(m, u)
-            assert np.linalg.norm(prob.f_full(u) - full) <= 1e-13 * np.linalg.norm(full)
+            total = sum(f(u) for f in prob.f_parts)
+            assert np.linalg.norm(total - full) <= 1e-13 * np.linalg.norm(full)
 
     def test_species_operators_match_finite_differences(self, small_model, random_state):
         m = small_model
@@ -282,6 +283,20 @@ class TestPartitions:
             full = gs_rhs(m, u)
             for f, mask in zip(prob.f_parts, _subblock_masks(m, name)):
                 assert f(u).tobytes() == np.where(mask, full, 0.0).tobytes()
+
+    @pytest.mark.parametrize("n", [16, 160])
+    @pytest.mark.parametrize("spacing", ["unit", "1/n"])
+    def test_physics_parts_bytes(self, n, spacing):
+        # the two processes written out by hand, one species at a time
+        m = GrayScottModel(n=n, spacing=1.0 if spacing == "unit" else 1.0 / n)
+        f_diffusion, f_reaction = gs_partition_physics(m).f_parts
+        for u in reference_states(m):
+            a, b = u[: m.cells], u[m.cells:]
+            ab2 = a * b * b
+            diffusion = np.concatenate([_laplacian_csr(m, m.d_a) @ a, _laplacian_csr(m, m.d_b) @ b])
+            reaction = np.concatenate([-ab2 + m.feed * (1.0 - a), ab2 - (m.feed + m.kill) * b])
+            assert f_diffusion(u).tobytes() == diffusion.tobytes()
+            assert f_reaction(u).tobytes() == reaction.tobytes()
 
     @pytest.mark.parametrize("n", [16, 160])
     @pytest.mark.parametrize("spacing", ["unit", "1/n"])
