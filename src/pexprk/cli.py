@@ -83,9 +83,11 @@ _FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def _field_values(values: dict, source: str) -> dict:
-    """One source's settings as RunConfig fields.  The shorthands paper_scale
-    and steps_pow2 write grid and steps, which the same source may not set
-    to anything else."""
+    """One source's settings as RunConfig fields.  The shorthands tspan,
+    paper_scale and steps_pow2 write (t0, tf), grid and steps, which the same
+    source may not set to anything else."""
+    if "tspan" in values and values.keys() & {"t0", "tf"}:
+        raise ConfigError(f"{source} sets both tspan and t0/tf")
     out = {}
     for key, value in values.items():
         if key == "tspan":

@@ -2,7 +2,7 @@
 
 A coefficient is an expression tree over the node set
 
-    Phi(k, c)    phi_k(c z)
+    Phi(k, c)    phi_k(c z), k >= 1
     Const(r)     r * identity
     Scale(r, e)  r * e(z)
     Sum(...)     e_1(z) + e_2(z) + ...
@@ -12,11 +12,10 @@ A coefficient is an expression tree over the node set
 Trees can be evaluated three ways: at a real scalar z, at a small dense
 matrix Z, or -- the production path -- applied to a vector through the
 matrix-free Krylov engine without ever materializing phi of the operator.
-Only Butcher-form coefficients are applied that way: Phi with k >= 1, Const,
-Scale and Sum, the nodes of the a_ij/b_j and of the steppers' phi_1 terms.
-Prod, ZMul and phi_0, the nodes of the expanded transformed trees, are
-evaluated only at scalars and dense matrices (``dump-tableau`` and the
-tests' dense oracle).
+Only Butcher-form coefficients are applied that way: Phi, Const, Scale and
+Sum, the nodes of the a_ij/b_j and of the steppers' phi_1 terms.  Prod and
+ZMul, which the expanded transformed trees add, are evaluated only at
+scalars and dense matrices (``dump-tableau`` and the tests' dense oracle).
 Simplification is deliberately shallow (flattening sums, folding constant
 scales); no phi identities are rewritten, so structural comparisons of
 transformed coefficients stay deterministic.
@@ -28,21 +27,12 @@ import numpy as np
 
 from .krylov import EvalContext, KrylovConfig, phi_times_vector, require_converged
 from .operators import LinearOperator
-from .phi import expm_dense, phi_dense_matrices, phi_scalar
+from .phi import phi_dense_matrices, phi_scalar
 
 
 class CoefficientExpr:
-    """Base node; subclasses are immutable and compare structurally."""
-
-    def key(self):
-        cached = getattr(self, "_key", None)
-        if cached is None:
-            cached = self._build_key()
-            object.__setattr__(self, "_key", cached)
-        return cached
-
-    def _build_key(self):
-        raise NotImplementedError
+    """Base node; subclasses are frozen dataclasses, so they compare and hash
+    structurally and serve as their own memo keys."""
 
     def __str__(self):
         raise NotImplementedError
@@ -54,13 +44,10 @@ class Phi(CoefficientExpr):
     c: float = 1.0
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"phi index must be >= 0, got {self.k}")
+        if self.k < 1:
+            raise ValueError(f"phi index must be >= 1, got {self.k}")
         if not 0.0 < self.c <= 1.0:
             raise ValueError(f"abscissa scale must be in (0, 1], got {self.c}")
-
-    def _build_key(self):
-        return ("phi", self.k, self.c)
 
     def __str__(self):
         return f"phi({self.k}, {self.c!r})"
@@ -70,9 +57,6 @@ class Phi(CoefficientExpr):
 class Const(CoefficientExpr):
     r: float
 
-    def _build_key(self):
-        return ("const", self.r)
-
     def __str__(self):
         return f"const({self.r!r})"
 
@@ -81,9 +65,6 @@ class Const(CoefficientExpr):
 class Scale(CoefficientExpr):
     r: float
     child: CoefficientExpr
-
-    def _build_key(self):
-        return ("scale", self.r, self.child.key())
 
     def __str__(self):
         return f"scale({self.r!r}, {self.child})"
@@ -98,9 +79,6 @@ class Sum(CoefficientExpr):
             children = children[0]
         object.__setattr__(self, "children", tuple(children))
 
-    def _build_key(self):
-        return ("sum",) + tuple(ch.key() for ch in self.children)
-
     def __str__(self):
         return "sum(" + ", ".join(str(ch) for ch in self.children) + ")"
 
@@ -110,9 +88,6 @@ class Prod(CoefficientExpr):
     left: CoefficientExpr
     right: CoefficientExpr
 
-    def _build_key(self):
-        return ("prod", self.left.key(), self.right.key())
-
     def __str__(self):
         return f"prod({self.left}, {self.right})"
 
@@ -120,9 +95,6 @@ class Prod(CoefficientExpr):
 @dataclass(frozen=True)
 class ZMul(CoefficientExpr):
     child: CoefficientExpr
-
-    def _build_key(self):
-        return ("zmul", self.child.key())
 
     def __str__(self):
         return f"zmul({self.child})"
@@ -212,14 +184,11 @@ def eval_scalar(expr: CoefficientExpr, z: float) -> float:
 
 
 def phi_of_dense(k: int, z_mat: np.ndarray, memo: dict | None = None) -> np.ndarray:
-    """phi_k of a small dense matrix, memoized per argument id."""
+    """phi_k (k >= 1) of a small dense matrix, memoized per argument id."""
     key = (k, id(z_mat))
     if memo is not None and key in memo:
         return memo[key]
-    if k == 0:
-        out = expm_dense(z_mat)
-    else:
-        out = phi_dense_matrices(k, z_mat)[k - 1]
+    out = phi_dense_matrices(k, z_mat)[k - 1]
     if memo is not None:
         memo[key] = out
     return out
@@ -264,19 +233,18 @@ def eval_coeff(
     memoized (each entry holds its operator and vector, so their ids stay
     unique) and Arnoldi factorizations are reused across phi indices.
     """
-    if ctx is not None:
-        memo_key = (expr.key(), id(L), id(v))
-        cached = ctx.memo.get(memo_key)
-        if cached is not None:
-            return cached[0]
+    ctx = ctx if ctx is not None else EvalContext()
+    memo_key = (expr, id(L), id(v))
+    cached = ctx.memo.get(memo_key)
+    if cached is not None:
+        return cached[0]
     out = _eval_coeff_node(expr, L, h, v, cfg, ctx)
-    if ctx is not None:
-        ctx.memo[memo_key] = (out, L, v)
+    ctx.memo[memo_key] = (out, L, v)
     return out
 
 
 def _eval_coeff_node(expr, L, h, v, cfg, ctx):
-    if isinstance(expr, Phi) and expr.k >= 1:
+    if isinstance(expr, Phi):
         tau = expr.c * h
         return require_converged(phi_times_vector(L, expr.k, tau, v, cfg, ctx=ctx), expr.k, tau, cfg)
     if isinstance(expr, Const):
@@ -288,4 +256,4 @@ def _eval_coeff_node(expr, L, h, v, cfg, ctx):
         for ch in expr.children:
             acc = acc + eval_coeff(ch, L, h, v, cfg, ctx)
         return acc
-    raise TypeError(f"not applied matrix-free: {expr} (only Phi k >= 1, Const, Scale, Sum)")
+    raise TypeError(f"not applied matrix-free: {expr} (only Phi, Const, Scale, Sum)")

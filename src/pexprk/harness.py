@@ -95,7 +95,9 @@ class RunConfig:
             raise ConfigError(f"empty time span [{self.t0}, {self.tf}]")
         if self.krylov_tol <= 0 or self.krylov_mmax < 1:
             raise ConfigError("Krylov tolerance must be positive and m_max >= 1")
-        if not self.steps or not all(isinstance(n, int) and n >= 1 for n in self.steps):
+        if not self.steps or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in self.steps
+        ):
             raise ConfigError(f"steps must be one or more positive integers, got {self.steps!r}")
         if list(self.steps) != sorted(set(self.steps)):
             raise ConfigError("step counts must be strictly increasing")

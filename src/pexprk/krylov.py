@@ -269,6 +269,7 @@ def phi_times_vector(
     """Approximate phi_k(tau * L) v to relative tolerance cfg.tol."""
     if k < 1:
         raise ValueError(f"phi index must be >= 1 for the Krylov route, got {k}")
+    ctx = ctx if ctx is not None else EvalContext()
     v = np.asarray(v, dtype=float)
     if v.shape != (L.dim,):
         raise ValueError(f"vector of shape {v.shape} does not match operator dim {L.dim}")
@@ -279,7 +280,7 @@ def phi_times_vector(
         w = v / math.factorial(k)
         return _record(ctx, KrylovResult(w, 0, 0.0, True))
 
-    state = ctx.arnoldi_state(L, v, cfg.m_max) if ctx is not None else _ArnoldiState(L, v, cfg.m_max)
+    state = ctx.arnoldi_state(L, v, cfg.m_max)
 
     w_red = None
     est = math.inf
@@ -311,8 +312,7 @@ def require_converged(res: KrylovResult, k: int, tau: float, cfg: KrylovConfig) 
     return res.approximation
 
 
-def _record(ctx: EvalContext | None, result: KrylovResult) -> KrylovResult:
-    if ctx is not None:
-        ctx.stats.krylov_dim_total += result.dim_used
-        ctx.stats.solves += 1
+def _record(ctx: EvalContext, result: KrylovResult) -> KrylovResult:
+    ctx.stats.krylov_dim_total += result.dim_used
+    ctx.stats.solves += 1
     return result

@@ -1,38 +1,42 @@
-"""Exponential Runge-Kutta steppers in three algebraically related forms.
+"""Exponential Runge-Kutta steppers: one forward-substitution core, two
+residual rules, and the order-2 residual form.
 
-``step_exprk_original``     stages on the nonlinear remainder g = f - L y:
+The original form stages on the nonlinear remainder g = f - L y:
     Y_i     = y_n + h c_i phi_1(c_i hL) f(y_n) + h sum_{j<i} a_ij(hL) (g(Y_j) - g(y_n))
     y_{n+1} = y_n + h phi_1(hL) f(y_n)         + h sum_j    b_j(hL)  (g(Y_j) - g(y_n))
-
-``step_pexprk``             the equivalent full-rhs (transformed) form with
-coefficients (alpha, beta), applied additively to a P-way split
-f = sum_p f_p, where matrix functions of each partition operator L_p touch
-only that partition's f_p terms:
+The transformed form, with the coefficients (alpha, beta) that
+``tableaux.transform`` builds from the formal inverse E(z) = (I + z A(z))^{-1},
+stages on the full right-hand side, and the partitioned form applies it
+additively to a P-way split f = sum_p f_p, where matrix functions of each
+partition operator L_p touch only that partition's f_p terms:
     U_i     = u_n + h sum_p [alpha_i1(hL_p) f_p(u_n) + sum_{j<i} alpha_ij(hL_p) (f_p(U_j) - f_p(u_n))]
     u_{n+1} = u_n + h sum_p [beta_1(hL_p)  f_p(u_n)  + sum_j    beta_j(hL_p)   (f_p(U_j) - f_p(u_n))]
-The (alpha, beta) of ``tableaux.transform`` are built from the formal
-inverse E(z) = (I + z A(z))^{-1}.  The stepper never expands E: it takes the
-Butcher tableau and, per partition, solves (I + hL_p A(hL_p)) X^p =
-c phi_1(c hL_p) f_p(u_n) + A(hL_p) d^p row by row (forward substitution,
-exact because z A is strictly lower triangular).  With the partition
-residuals r_{p,j} = f_p(U_j) - f_p(u_n) - h L_p X_j^p:
+No stepper expands E.  Per partition, (I + hL_p A(hL_p)) X^p =
+c phi_1(c hL_p) f_p(u_n) + A(hL_p) d^p is solved row by row (forward
+substitution, exact because z A is strictly lower triangular), and E = I - z E A
+gives the update.  Both forms are thus one recursion, ``_forward_substitution``:
     X_i^p   = c_i phi_1(c_i hL_p) f_p(u_n) + sum_{j<i} a_ij(hL_p) r_{p,j}
     U_i     = u_n + h sum_p X_i^p
     u_{n+1} = u_n + h sum_p [phi_1(hL_p) f_p(u_n) + sum_j b_j(hL_p) r_{p,j}]
-the last line following from E = I - z E A.  Each partition thus costs what
-one original-form step costs: at order 4, 16 phi products on 5 Arnoldi
-factorizations (one per vector f_p(u_n), r_{p,2}, ..., r_{p,5}).  Both forms
-apply phi_1(c hL) f(u_n) as the coefficient Phi(1, c), so the step's one
-coefficient memo computes it once per distinct abscissa c.  A zero
-operator (an explicitly treated partition) skips the L_p X matvec and
-reduces to the classical Runge-Kutta method.  With P = 1 this is the
-unpartitioned transformed method.
+differing only in the stage residual r_{p,j}:
+
+``step_exprk_original``   P = 1 and r_j = g(Y_j) - g(y_n), one matvec L Y_j;
+``step_pexprk``           r_{p,j} = f_p(U_j) - f_p(u_n) - h L_p X_j^p.  A zero
+    operator (an explicitly treated partition) skips the L_p X matvec and
+    reduces to the classical Runge-Kutta method; with P = 1 this is the
+    unpartitioned transformed method.
+
+Each partition costs what one original-form step costs: at order 4, 16 phi
+products on 5 Arnoldi factorizations (one per vector f_p(u_n), r_{p,2}, ...,
+r_{p,5}).  phi_1(c hL) f(u_n) is applied as the coefficient Phi(1, c), so the
+step's one coefficient memo computes it once per distinct abscissa c.
 
 ``step_pexprk2_residual``   the order-2 partitioned method rewritten against
 partition residuals g_p(U) - g_p(u_n) = f_p(U) - f_p(u_n) - L_p (U - u_n),
 whose update couples the partition operators:
     u_{n+1} = u_n + h sum_p [prod_{p'!=p} phi_1(hL_p')] phi_1(hL_p) f_p(u_n)
                   + h sum_p phi_2(hL_p) (g_p(U_2) - g_p(u_n))
+A zero operator skips its L_p (U - u_n) matvec here too.
 
 Partition operators are frozen at u_n and rebuilt each step, never within
 stages.  All phi applications run matrix-free through the Krylov engine.
@@ -103,12 +107,44 @@ def _phi(L, k, tau, v, cfg, ctx, where):
         raise StepFailure(f"{where}: {exc}") from exc
 
 
-def _phi1_term(c, L, h, fn, cfg, ctx, where):
-    """c phi_1(c hL) f(u_n), zero at c = 0; stages that share an abscissa, and
-    the update (c = 1), get one memoized product."""
+def _combination(acc, c, coeffs, L, fn, rs, h, cfg, ctx, where, name):
+    """acc + c phi_1(c hL) fn + sum_j coeffs[j](hL) rs[j], the terms added one
+    at a time in that order; acc None starts from the phi_1 term.  That term
+    is zero at c = 0, and the coefficient memo computes it once per distinct
+    abscissa c (the update's c = 1 included)."""
     if c == 0:
-        return np.zeros_like(fn)
-    return c * _apply_coeff(Phi(1, c), L, h, fn, cfg, ctx, where)
+        term = np.zeros_like(fn)
+    else:
+        term = c * _apply_coeff(Phi(1, c), L, h, fn, cfg, ctx, f"{where}, phi_1 term")
+    acc = term if acc is None else acc + term
+    for j, r in rs.items():
+        if not is_zero(coeffs[j]):
+            acc = acc + _apply_coeff(coeffs[j], L, h, r, cfg, ctx, f"{where}, {name}[{j + 1}]")
+    return acc
+
+
+def _forward_substitution(t, ops, fns, residual, u_n, h, cfg, ctx):
+    """One step of the recursion in the module docstring on the partition
+    operators ops, with f_p(u_n) = fns[p] and r_{p,i} = residual(p, U_i, X_i^p)."""
+    if h <= 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    ctx = ctx if ctx is not None else EvalContext()
+    parts = range(len(ops))
+    r = [{} for _ in parts]  # r[p][j]: partition p's residual at stage j + 1
+    for i in range(1, t.s):
+        xs = [
+            _combination(None, t.c[i], t.a[i], ops[p], fns[p], r[p], h, cfg, ctx,
+                         f"stage {i + 1}, partition {p + 1}", f"coefficient a[{i + 1}]")
+            for p in parts
+        ]
+        u_i = u_n + h * sum(xs)
+        for p in parts:
+            r[p][i] = residual(p, u_i, xs[p])
+    acc = np.zeros_like(u_n)
+    for p in parts:
+        acc = _combination(acc, 1.0, t.b, ops[p], fns[p], r[p], h, cfg, ctx,
+                           f"update, partition {p + 1}", "weight b")
+    return u_n + h * acc
 
 
 def step_exprk_original(
@@ -120,26 +156,13 @@ def step_exprk_original(
     cfg: KrylovConfig,
     ctx: EvalContext | None = None,
 ) -> np.ndarray:
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    ctx = ctx if ctx is not None else EvalContext()
     fn = f(y_n)
     gn = fn - L.apply(y_n)
-    d: dict[int, np.ndarray] = {}
-    for i in range(1, t.s):
-        acc = _phi1_term(t.c[i], L, h, fn, cfg, ctx, f"stage {i + 1}, phi_1 term")
-        for j in range(1, i):
-            if not is_zero(t.a[i][j]):
-                acc = acc + _apply_coeff(
-                    t.a[i][j], L, h, d[j], cfg, ctx, f"stage {i + 1}, coefficient a[{i + 1}][{j + 1}]"
-                )
-        y_i = y_n + h * acc
-        d[i] = f(y_i) - L.apply(y_i) - gn
-    acc = _phi1_term(1.0, L, h, fn, cfg, ctx, "update, phi_1 term")
-    for j in range(1, t.s):
-        if not is_zero(t.b[j]):
-            acc = acc + _apply_coeff(t.b[j], L, h, d[j], cfg, ctx, f"update, weight b[{j + 1}]")
-    return y_n + h * acc
+
+    def residual(p, y_i, x):
+        return f(y_i) - L.apply(y_i) - gn  # g(Y_i) - g(y_n), g = f - L y
+
+    return _forward_substitution(t, [L], [fn], residual, y_n, h, cfg, ctx)
 
 
 def step_pexprk(
@@ -151,43 +174,16 @@ def step_pexprk(
     ctx: EvalContext | None = None,
     ops: Sequence[LinearOperator] | None = None,
 ) -> np.ndarray:
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    ctx = ctx if ctx is not None else EvalContext()
     ops = list(ops) if ops is not None else prob.build_operators(u_n)
     fns = [fp(u_n) for fp in prob.f_parts]
-    nparts = prob.partitions
-    r: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(1, t.s):
-        xs = []
-        for p in range(nparts):
-            x = _phi1_term(
-                t.c[i], ops[p], h, fns[p], cfg, ctx, f"stage {i + 1}, partition {p + 1}, phi_1 term"
-            )
-            for j in range(1, i):
-                if not is_zero(t.a[i][j]):
-                    x = x + _apply_coeff(
-                        t.a[i][j], ops[p], h, r[(p, j)], cfg, ctx,
-                        f"stage {i + 1}, partition {p + 1}, coefficient a[{i + 1}][{j + 1}]",
-                    )
-            xs.append(x)
-        u_i = u_n + h * sum(xs)
-        for p in range(nparts):
-            r[(p, i)] = prob.f_parts[p](u_i) - fns[p]
-            if ops[p].kind != "zero":
-                r[(p, i)] -= h * ops[p].apply(xs[p])
-    acc = np.zeros_like(u_n)
-    for p in range(nparts):
-        acc = acc + _phi1_term(
-            1.0, ops[p], h, fns[p], cfg, ctx, f"update, partition {p + 1}, phi_1 term"
-        )
-        for j in range(1, t.s):
-            if not is_zero(t.b[j]):
-                acc = acc + _apply_coeff(
-                    t.b[j], ops[p], h, r[(p, j)], cfg, ctx,
-                    f"update, partition {p + 1}, weight b[{j + 1}]",
-                )
-    return u_n + h * acc
+
+    def residual(p, u_i, x):
+        r = prob.f_parts[p](u_i) - fns[p]
+        if ops[p].kind != "zero":
+            r -= h * ops[p].apply(x)
+        return r
+
+    return _forward_substitution(t, ops, fns, residual, u_n, h, cfg, ctx)
 
 
 def step_pexprk2_residual(
@@ -219,58 +215,52 @@ def step_pexprk2_residual(
         crossed = _phi(
             ops[other], 1, h, stage_terms[p], cfg, ctx, f"update, cross term, partition {p + 1}"
         )
-        residual = prob.f_parts[p](u_2) - fns[p] - ops[p].apply(du)
+        residual = prob.f_parts[p](u_2) - fns[p]
+        if ops[p].kind != "zero":
+            residual -= ops[p].apply(du)
         out = out + h * crossed + h * _phi(
             ops[p], 2, h, residual, cfg, ctx, f"update, residual term, partition {p + 1}"
         )
     return out
 
 
-# stepper factories with a uniform (prob, u, h, cfg, ctx) -> u_next signature;
-# each builds the frozen partition operators at u_n and writes their tallies,
-# the step's only matvec count (Krylov plus direct applies), to ctx.stats
+# stepper factories with a uniform (prob, u, h, cfg, ctx) -> u_next signature
 
 Stepper = Callable[[SplitProblem, np.ndarray, float, KrylovConfig, EvalContext], np.ndarray]
 
 
-def _tally(ctx: EvalContext, ops: Sequence[LinearOperator]):
-    ctx.stats.matvecs = sum(op.matvecs for op in ops)
+def _stepper(run) -> Stepper:
+    """The stepper around run(prob, ops, u, h, cfg, ctx): it builds the
+    partition operators frozen at u_n and writes their tallies, the step's
+    only matvec count (Krylov plus direct applies), to ctx.stats."""
+
+    def step(prob, u, h, cfg, ctx):
+        ops = prob.build_operators(u)
+        out = run(prob, ops, u, h, cfg, ctx)
+        ctx.stats.matvecs = sum(op.matvecs for op in ops)
+        return out
+
+    return step
 
 
 def original_stepper(order: int) -> Stepper:
     t = tableau(order)
 
-    def step(prob, u, h, cfg, ctx):
+    def run(prob, ops, u, h, cfg, ctx):
         if prob.partitions != 1:
             raise ValueError("the unpartitioned forms take a single-partition problem")
-        (L,) = prob.build_operators(u)
-        out = step_exprk_original(t, L, prob.f_parts[0], u, h, cfg, ctx)
-        _tally(ctx, [L])
-        return out
+        return step_exprk_original(t, ops[0], prob.f_parts[0], u, h, cfg, ctx)
 
-    return step
+    return _stepper(run)
 
 
 def pexprk_stepper(order: int) -> Stepper:
     t = tableau(order)
-
-    def step(prob, u, h, cfg, ctx):
-        ops = prob.build_operators(u)
-        out = step_pexprk(t, prob, u, h, cfg, ctx, ops=ops)
-        _tally(ctx, ops)
-        return out
-
-    return step
+    return _stepper(lambda prob, ops, u, h, cfg, ctx: step_pexprk(t, prob, u, h, cfg, ctx, ops=ops))
 
 
 def residual2_stepper() -> Stepper:
-    def step(prob, u, h, cfg, ctx):
-        ops = prob.build_operators(u)
-        out = step_pexprk2_residual(prob, u, h, cfg, ctx, ops=ops)
-        _tally(ctx, ops)
-        return out
-
-    return step
+    return _stepper(lambda prob, ops, u, h, cfg, ctx: step_pexprk2_residual(prob, u, h, cfg, ctx, ops=ops))
 
 
 @dataclass

@@ -250,6 +250,9 @@ GOLDEN = {
     ("orig", "none", "full"): ((150, 406, 32), 0.49871571629035877),
     ("tran", "none", "full"): ((148, 406, 32), 0.49871571629035877),
     ("tran", "species", "block"): ((148, 406, 32), 0.49871572176745393),
+    ("tran", "space", "block"): ((148, 406, 32), 0.4987158221269866),
+    ("tran", "physics", "block"): ((148, 406, 32), 0.49871571629035877),
+    ("tran", "imex", "block"): ((148, 406, 32), 0.4987157171731135),
     ("part", "species", "full"): ((266, 730, 64), 0.49871572176745393),
     ("part", "space", "full"): ((296, 812, 64), 0.4987158221269866),
     ("part", "physics", "full"): ((224, 600, 64), 0.4987157166988749),
@@ -350,7 +353,8 @@ class TestCli:
 
     def test_wrongly_typed_config_value_exit_code(self, tmp_path):
         config = tmp_path / "cfg.json"
-        for values in ({"grid": "64"}, {"krylov_tol": "1e-12"}, {"steps": 2.5}):
+        for values in ({"grid": "64"}, {"krylov_tol": "1e-12"}, {"steps": 2.5},
+                       {"grid": 8, "steps": [True, 2]}):
             config.write_text(json.dumps(values))
             proc = self.run_cli("run", "--config", str(config))
             assert proc.returncode == 2, values
@@ -393,6 +397,19 @@ class TestCli:
         assert config_from(tmp_path, "--grid", "32", file={"paper_scale": True}).grid == 32
         assert config_from(tmp_path, "--paper-scale", file={"grid": 32}).grid == 300
         assert config_from(tmp_path, file={"paper_scale": False}).grid == RunConfig().grid
+
+    def test_time_span_set_twice_exit_code(self, tmp_path):
+        # tspan writes t0 and tf; one source may not also set either, in any key order
+        config = tmp_path / "cfg.json"
+        for text in ('{"tspan": "0:1", "tf": 2.0}', '{"tf": 2.0, "tspan": "0:1"}',
+                     '{"t0": 0.5, "tspan": "0:1"}'):
+            config.write_text(text)
+            proc = self.run_cli("run", "--config", str(config))
+            assert proc.returncode == 2, text
+            assert "tspan" in proc.stderr and "Traceback" not in proc.stderr
+        # across sources the flags still win
+        assert config_from(tmp_path, "--tspan", "0:1", file={"tf": 2.0}).tf == 1.0
+        assert config_from(tmp_path, file={"tf": 2.0}).tf == 2.0
 
     def test_odd_grid_space_split_exit_code(self):
         for form in (["--form", "part"], ["--form", "tran", "--jacobian", "block"]):

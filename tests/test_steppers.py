@@ -212,6 +212,16 @@ class TestPartitionedForm:
         b = step_pexprk2_residual(prob, orc.u0, h, TIGHT)
         assert np.linalg.norm(a - b) <= 1e-13
 
+    def test_residual_form_never_applies_a_zero_operator(self):
+        # an explicitly treated partition's L_p (U - u_n) is zero and takes no matvec
+        model = gs_default(n=8)
+        prob = gs_partition(model, "imex")
+        u0 = gs_initial(model)
+        ops = prob.build_operators(u0)
+        assert [op.kind for op in ops] == ["sparse", "zero"]
+        step_pexprk2_residual(prob, u0, 1e-3, TIGHT, ops=ops)
+        assert ops[1].matvecs == 0 and ops[0].matvecs > 0
+
     def test_residual_form_requires_two_partitions(self):
         orc = oracle_semilinear(5, seed=1)
         with pytest.raises(ValueError):
@@ -275,10 +285,11 @@ class TestIntegrateFixed:
         a = rng.normal(size=(30, 30)) * 50.0
         a -= (np.max(np.real(np.linalg.eigvals(a))) + 1.0) * np.eye(30)
         cfg = KrylovConfig(tol=1e-13, m_max=4)
-        with pytest.raises(StepFailure, match="did not converge"):
-            step_transformed(
-                tableau(2), SparseOperator(a), lambda u: a @ u, rng.uniform(size=30), 0.5, cfg
-            )
+        u0 = rng.uniform(size=30)
+        # both forms run one core, so their failures name stage and partition alike
+        for step in (step_transformed, step_exprk_original):
+            with pytest.raises(StepFailure, match=r"^stage 2, partition 1, phi_1 term: .*did not converge"):
+                step(tableau(2), SparseOperator(a), lambda u: a @ u, u0, 0.5, cfg)
 
 
 class TestStabilityDiagnostic:

@@ -43,10 +43,17 @@ class TestExpressions:
 
     def test_structural_equality_and_keys(self):
         assert Phi(2, 0.5) == Phi(2, 0.5)
-        assert Phi(2, 0.5).key() == Phi(2, 0.5).key()
+        assert hash(Phi(2, 0.5)) == hash(Phi(2, 0.5))
         assert Phi(2, 0.5) != Phi(2, 1.0)
+        # nodes are their own memo keys: equal trees hash alike, signed zeros too
+        tree = Sum(Scale(0.0, Phi(1, 0.5)), Prod(Phi(2), ZMul(Const(1.0))))
+        twin = Sum(Scale(-0.0, Phi(1, 0.5)), Prod(Phi(2), ZMul(Const(1.0))))
+        assert tree == twin and hash(tree) == hash(twin)
 
     def test_invalid_nodes_rejected(self):
+        # phi_0 has no node: every coefficient of the catalog and of transform is k >= 1
+        with pytest.raises(ValueError, match=">= 1"):
+            Phi(0, 1.0)
         with pytest.raises(ValueError):
             Phi(-1, 1.0)
         with pytest.raises(ValueError):
@@ -78,8 +85,8 @@ class TestEvalCoeff:
 
     @pytest.mark.parametrize(
         "expr",
-        [Prod(Phi(1), Phi(2)), ZMul(Phi(1)), Phi(0, 1.0), transformed(2).beta[0]],
-        ids=["prod", "zmul", "phi0", "beta1-tree"],
+        [Prod(Phi(1), Phi(2)), ZMul(Phi(1)), transformed(2).beta[0]],
+        ids=["prod", "zmul", "beta1-tree"],
     )
     def test_rejects_non_butcher_nodes(self, expr):
         # the expanded transformed trees are evaluated only at scalars and dense matrices
