@@ -84,15 +84,21 @@ class TestEvalCoeff:
         assert np.array_equal(out, v)
 
     @pytest.mark.parametrize(
-        "expr",
-        [Prod(Phi(1), Phi(2)), ZMul(Phi(1)), transformed(2).beta[0]],
-        ids=["prod", "zmul", "beta1-tree"],
+        "build, error, match",
+        [
+            (lambda: Prod(Phi(1), Phi(2)), TypeError, "not applied matrix-free"),
+            (lambda: ZMul(Phi(1)), TypeError, "not applied matrix-free"),
+            # phi_0 never reaches the Krylov engine: no node can hold k = 0
+            (lambda: Phi(0, 1.0), ValueError, ">= 1"),
+            (lambda: transformed(2).beta[0], TypeError, "not applied matrix-free"),
+        ],
+        ids=["prod", "zmul", "phi0", "beta1-tree"],
     )
-    def test_rejects_non_butcher_nodes(self, expr):
+    def test_rejects_non_butcher_nodes(self, build, error, match):
         # the expanded transformed trees are evaluated only at scalars and dense matrices
         v = np.arange(1.0, 5.0)
-        with pytest.raises(TypeError, match="not applied matrix-free"):
-            eval_coeff(expr, SparseOperator(-np.eye(4), symmetric=True), 0.1, v, KrylovConfig())
+        with pytest.raises(error, match=match):
+            eval_coeff(build(), SparseOperator(-np.eye(4), symmetric=True), 0.1, v, KrylovConfig())
 
 
 class TestCatalog:
