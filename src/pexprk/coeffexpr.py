@@ -108,6 +108,19 @@ def is_zero(expr) -> bool:
     return expr is None or (isinstance(expr, Const) and expr.r == 0.0)
 
 
+def max_phi_index(expr) -> int:
+    """The largest k of the Phi nodes in a coefficient (0 if it has none)."""
+    if isinstance(expr, Phi):
+        return expr.k
+    if isinstance(expr, (Scale, ZMul)):
+        return max_phi_index(expr.child)
+    if isinstance(expr, Sum):
+        return max((max_phi_index(ch) for ch in expr.children), default=0)
+    if isinstance(expr, Prod):
+        return max(max_phi_index(expr.left), max_phi_index(expr.right))
+    return 0
+
+
 def simplify(expr: CoefficientExpr) -> CoefficientExpr:
     """Flatten sums and fold constant scales; returns shared nodes unchanged."""
     if isinstance(expr, (Phi, Const)):
@@ -225,35 +238,37 @@ def eval_coeff(
     v: np.ndarray,
     cfg: KrylovConfig,
     ctx: EvalContext | None = None,
+    p: int | None = None,
 ) -> np.ndarray:
     """Apply a Butcher-form expr(h L) to v matrix-free.
 
-    Phi nodes go through the Krylov engine with tau = c * h.  With a shared
-    EvalContext, repeated subtree applications to the same vector are
-    memoized (each entry holds its operator and vector, so their ids stay
-    unique) and Arnoldi factorizations are reused across phi indices.
+    Phi nodes go through the Krylov engine with tau = c * h, which evaluates
+    phi_1 .. phi_p of each reduced matrix together (p defaults to each node's
+    k).  With a shared EvalContext, repeated subtree applications to the same
+    vector are memoized (each entry holds its operator and vector, so their
+    ids stay unique) and Arnoldi factorizations are reused across phi indices.
     """
     ctx = ctx if ctx is not None else EvalContext()
     memo_key = (expr, id(L), id(v))
     cached = ctx.memo.get(memo_key)
     if cached is not None:
         return cached[0]
-    out = _eval_coeff_node(expr, L, h, v, cfg, ctx)
+    out = _eval_coeff_node(expr, L, h, v, cfg, ctx, p)
     ctx.memo[memo_key] = (out, L, v)
     return out
 
 
-def _eval_coeff_node(expr, L, h, v, cfg, ctx):
+def _eval_coeff_node(expr, L, h, v, cfg, ctx, p):
     if isinstance(expr, Phi):
         tau = expr.c * h
-        return require_converged(phi_times_vector(L, expr.k, tau, v, cfg, ctx=ctx), expr.k, tau, cfg)
+        return require_converged(phi_times_vector(L, expr.k, tau, v, cfg, ctx=ctx, p=p), expr.k, tau, cfg)
     if isinstance(expr, Const):
         return expr.r * v
     if isinstance(expr, Scale):
-        return expr.r * eval_coeff(expr.child, L, h, v, cfg, ctx)
+        return expr.r * eval_coeff(expr.child, L, h, v, cfg, ctx, p)
     if isinstance(expr, Sum):
         acc = np.zeros_like(v)
         for ch in expr.children:
-            acc = acc + eval_coeff(ch, L, h, v, cfg, ctx)
+            acc = acc + eval_coeff(ch, L, h, v, cfg, ctx, p)
         return acc
     raise TypeError(f"not applied matrix-free: {expr} (only Phi, Const, Scale, Sum)")

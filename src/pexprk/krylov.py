@@ -6,7 +6,13 @@ cancellation, and the product is approximated in the reduced space,
 
     phi_k(tau L) v ~= ||v|| * V_M * phi_k(tau H_M) e_1,
 
-with phi_k(tau H_M) e_1 taken from one augmented exponential.
+with phi_k(tau H_M) e_1 taken from one augmented exponential.  A caller
+that will ask for several phi indices on one factorization passes the
+largest, p: each augmented exponential then yields phi_1 .. phi_p, and the
+factorization keeps them per (tau, M), so every sibling solve reads its
+column instead of evaluating again (the phi-combination idea of phipm,
+Niesen & Wright, ACM TOMS 38(3), 2012, and KIOPS, Gaudreault, Rainwater &
+Tokman, JCP 372, 2018).
 
 An operator declared ``symmetric`` gets the three-term Lanczos recurrence
 instead: O(n) work per step rather than O(n m), and a tridiagonal H_M whose
@@ -159,6 +165,7 @@ class _ArnoldiState:
         self.breakdown = False
         self.scale = 0.0
         self._eig: dict = {}  # per-dimension eigendecompositions of the Lanczos H
+        self._phi: dict = {}  # per (tau, m): p and phi_1 .. phi_p of tau H_m
 
     def _grow(self, cap: int):
         old = self.V.shape[1] - 1
@@ -232,25 +239,42 @@ class _ArnoldiState:
         self._eig[m] = entry
         return entry
 
-    def reduced_phi(self, k: int, tau: float, m: int) -> tuple[np.ndarray, float]:
+    def _phi_columns(self, p: int, tau: float, m: int, lam=None) -> np.ndarray:
+        """phi_1 .. phi_p of tau H_m, at least p of them, computed once per
+        (tau, m): the columns phi_j(tau H_m) e_1, or on the Lanczos path, given
+        H_m's eigenvalues lam, the values phi_j(tau lam)."""
+        entry = self._phi.get((tau, m))
+        if entry is None or entry[0] < p:
+            if lam is None:
+                vals = phi_cols_e1(p, tau * self.H[:m, :m])
+            else:
+                vals = phi_array(p, tau * lam)
+                if not np.all(np.isfinite(vals)):
+                    raise KrylovError(
+                        f"phi evaluation overflowed (spectral radius {np.max(np.abs(tau * lam)):.3g})"
+                    )
+            entry = (p, vals)
+            self._phi[(tau, m)] = entry
+        return entry[1]
+
+    def reduced_phi(self, k: int, tau: float, m: int, p: int | None = None) -> tuple[np.ndarray, float]:
         """phi_k(tau H_m) e_1 and the phi_1-surrogate relative error estimate.
 
         Evaluated at an explicit dimension m <= self.m so that results do not
         depend on how far a shared factorization happens to have been built.
+        phi_1 .. phi_p (p >= k, default k) are evaluated together and kept, so
+        a sibling solve of index up to p at the same (tau, m) reuses them.
         """
+        p = k if p is None else max(p, k)
         if self.symmetric:
             lam, q, q_row0 = self._eigendecomposition(m)
-            vals = phi_array(k, tau * lam)
-            if not np.all(np.isfinite(vals)):
-                raise KrylovError(
-                    f"phi evaluation overflowed (spectral radius {np.max(np.abs(tau * lam)):.3g})"
-                )
+            vals = self._phi_columns(p, tau, m, lam)
             w_red = q @ (vals[:, k - 1] * q_row0)
             phi1_last = float((q[m - 1, :] * vals[:, 0]) @ q_row0)
         else:
-            cols = phi_cols_e1(k, tau * self.H[:m, :m])
-            w_red = cols[:, k - 1]
-            phi1_last = float(cols[m - 1, 0])
+            vals = self._phi_columns(p, tau, m)
+            w_red = vals[:, k - 1]
+            phi1_last = float(vals[m - 1, 0])
         if self.breakdown and m == self.m:
             return w_red, 0.0
         h_next = self.H[m, m - 1]
@@ -265,8 +289,14 @@ def phi_times_vector(
     v: np.ndarray,
     cfg: KrylovConfig,
     ctx: EvalContext | None = None,
+    p: int | None = None,
 ) -> KrylovResult:
-    """Approximate phi_k(tau * L) v to relative tolerance cfg.tol."""
+    """Approximate phi_k(tau * L) v to relative tolerance cfg.tol.
+
+    Each reduced evaluation computes phi_1 .. phi_p (p >= k, default k) of
+    the reduced matrix and keeps them on the shared Arnoldi state, so that
+    solves of other indices up to p on (L, v) at the same tau reuse them.
+    """
     if k < 1:
         raise ValueError(f"phi index must be >= 1 for the Krylov route, got {k}")
     ctx = ctx if ctx is not None else EvalContext()
@@ -292,7 +322,7 @@ def phi_times_vector(
         if m_eval <= m_used:
             break  # the factorization cannot grow any further
         m_used = m_eval
-        w_red, est = state.reduced_phi(k, tau, m_eval)
+        w_red, est = state.reduced_phi(k, tau, m_eval, p)
         if est <= cfg.tol:
             converged = True
             break

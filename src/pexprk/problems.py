@@ -14,9 +14,12 @@ explicitly.  A small dense semilinear problem with a smooth nonlinearity
 serves as the test oracle throughout.
 
 Every Gray-Scott operator is assembled from ``_reaction_values`` and the
-full Jacobian's sparsity pattern, which is built once per model.  The species
-and space partition operators are principal sub-blocks of the full Jacobian,
-kept at their positions in the full state.  Operators that are symmetric by
+full Jacobian's sparsity pattern, which is built once per model.  Each part
+of the species and space splits owns a support, the state indices of its
+variables: its right-hand side returns only those rows, and its operator is
+the full Jacobian's principal sub-block on them, so its Krylov solves run in
+the part's own variables.  The physics and imex parts cover the whole state
+(support ``slice(None)``).  Operators that are symmetric by
 construction are declared so: the species sub-blocks (a Laplacian plus a
 diagonal), the diffusion and sums of such operators.  The space sub-blocks,
 the reaction operator and the full Jacobian carry the cross-species entries
@@ -159,8 +162,9 @@ def _diffusion_csr(m: GrayScottModel):
     return diffusion
 
 
-def _csr(m: GrayScottModel, data, indices, indptr):
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(m.dim, m.dim))
+def _csr(data, indices, indptr):
+    size = indptr.size - 1
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 @lru_cache(maxsize=16)
@@ -199,7 +203,7 @@ def _jacobian_data(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
 
 def gs_full_jacobian(m: GrayScottModel, u: np.ndarray) -> SparseOperator:
     indices, indptr, _, _ = _jacobian_structure(m)
-    return SparseOperator(_csr(m, _jacobian_data(m, u), indices, indptr))
+    return SparseOperator(_csr(_jacobian_data(m, u), indices, indptr))
 
 
 def _reaction_csr(m: GrayScottModel, u: np.ndarray):
@@ -209,33 +213,51 @@ def _reaction_csr(m: GrayScottModel, u: np.ndarray):
     indptr = np.arange(0, 2 * m.dim + 1, 2, dtype=np.int32)
     # row by row: the a-equation's d/da and d/db of each cell, then the b-equation's
     data = _reaction_values(m, u).reshape(2, 2, m.cells).transpose(0, 2, 1).ravel()
-    return _csr(m, data, indices, indptr)
+    return _csr(data, indices, indptr)
 
 
-def _subblock_masks(m: GrayScottModel, name: str) -> np.ndarray:
-    """Which variables each part of the species or space split holds: the two
-    halves of the species-major state, or of ``gs_space_permutation``."""
-    order = np.arange(m.dim) if name == "species" else gs_space_permutation(m)
-    masks = np.zeros((2, m.dim), dtype=bool)
-    for mask, variables in zip(masks, np.split(order, 2)):
-        mask[variables] = True
-    return masks
+def _subblock_supports(m: GrayScottModel, name: str) -> tuple:
+    """The state indices each part of the species or space split owns, in
+    ascending order: the two halves of the species-major state as slices, or
+    of ``gs_space_permutation`` as index arrays."""
+    if name == "species":
+        return (slice(0, m.cells), slice(m.cells, m.dim))
+    return tuple(np.split(gs_space_permutation(m), 2))
 
 
 @lru_cache(maxsize=16)
 def _subblock_entries(m: GrayScottModel, name: str) -> tuple:
     """Per part: the positions of the full Jacobian's entries whose row and
-    column both lie in the part's set, and their CSR indices and indptr."""
+    column both lie in the part's support, and the CSR indices and indptr of
+    the principal sub-block they form in the part's own numbering."""
     indices, indptr, _, _ = _jacobian_structure(m)
     rows = np.repeat(np.arange(m.dim), np.diff(indptr))
     parts = []
-    for mask in _subblock_masks(m, name):
-        take = np.flatnonzero(mask[rows] & mask[indices])
-        entries = (take, indices[take], np.searchsorted(take, indptr).astype(np.int32))
+    for support in _subblock_supports(m, name):
+        local = np.full(m.dim, -1, dtype=np.int32)  # the support's own numbering
+        local[support] = np.arange(local[support].size, dtype=np.int32)
+        inside = local >= 0
+        take = np.flatnonzero(inside[rows] & inside[indices])
+        # the support is ascending, so the rows stay in CSR order
+        starts = np.searchsorted(take, indptr[:-1][support])
+        entries = (take, local[indices[take]], np.append(starts, take.size).astype(np.int32))
         for array in entries:
             array.flags.writeable = False  # the cache hands these arrays to every caller
         parts.append(entries)
     return tuple(parts)
+
+
+@lru_cache(maxsize=16)
+def _block_entries(m: GrayScottModel, name: str) -> tuple:
+    """The block Jacobian of the species or space split on the full state: the
+    positions of the union of the parts' sub-block entries, and its CSR indices
+    and indptr."""
+    indices, indptr, _, _ = _jacobian_structure(m)
+    take = np.sort(np.concatenate([part[0] for part in _subblock_entries(m, name)]))
+    entries = (take, indices[take], np.searchsorted(take, indptr).astype(np.int32))
+    for array in entries:
+        array.flags.writeable = False  # the cache hands these arrays to every caller
+    return entries
 
 
 @lru_cache(maxsize=16)
@@ -245,10 +267,11 @@ def _subblock_rows(m: GrayScottModel, name: str) -> tuple:
     rows.  Both splits hold a contiguous range of cells of each species, so
     every gather is a view."""
     parts = []
-    for mask in _subblock_masks(m, name):
+    for support in _subblock_supports(m, name):
+        variables = np.arange(m.dim)[support]
         rows = []
         for s, d in enumerate((m.d_a, m.d_b)):
-            cells = np.flatnonzero(mask[s * m.cells: (s + 1) * m.cells])
+            cells = variables[(variables >= s * m.cells) & (variables < (s + 1) * m.cells)] - s * m.cells
             if cells.size == 0:
                 continue
             start, stop = int(cells[0]), int(cells[-1]) + 1
@@ -260,29 +283,29 @@ def _subblock_rows(m: GrayScottModel, name: str) -> tuple:
 
 
 def _subblock_split(m: GrayScottModel, name: str) -> SplitProblem:
-    """One part per set of variables: the right-hand side on the set (zero
-    elsewhere) and the full Jacobian's principal sub-block on it, kept at its
-    position in the full state.  A step only gathers the sub-block's values.
-    Each part evaluates only its own rows, with ``gs_rhs``'s arithmetic."""
+    """One part per support: the right-hand side's rows on the support and the
+    full Jacobian's principal sub-block on it, both in the support's own
+    variables.  A step only gathers the sub-block's values.  Each part
+    evaluates only its own rows, with ``gs_rhs``'s arithmetic."""
     symmetric = name == "species"  # one species' stencil plus a diagonal
 
     def part(p):
         def f(u):
             state = a, b = _split_state(m, u)
-            out = np.zeros(m.dim)
-            for s, cells, stencil in _subblock_rows(m, name)[p]:
-                species_rows = out[s * m.cells: (s + 1) * m.cells]   # a view into out
-                species_rows[cells] = _EQUATIONS[s](m, stencil @ state[s], a[cells], b[cells])
-            return out
+            rows = [
+                _EQUATIONS[s](m, stencil @ state[s], a[cells], b[cells])
+                for s, cells, stencil in _subblock_rows(m, name)[p]
+            ]
+            return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
         def build(u):
             take, indices, indptr = _subblock_entries(m, name)[p]
-            return SparseOperator(_csr(m, _jacobian_data(m, u)[take], indices, indptr), symmetric)
+            return SparseOperator(_csr(_jacobian_data(m, u)[take], indices, indptr), symmetric)
 
         return f, build
 
     f_parts, builders = zip(*(part(p) for p in range(2)))
-    return SplitProblem(m.dim, f_parts, builders, name=name)
+    return SplitProblem(m.dim, f_parts, builders, name=name, supports=_subblock_supports(m, name))
 
 
 def gs_partition_species(m: GrayScottModel) -> SplitProblem:
@@ -303,8 +326,7 @@ def gs_space_permutation(m: GrayScottModel) -> np.ndarray:
 def gs_partition_space(m: GrayScottModel) -> SplitProblem:
     """Two-way split by spatial location: both species of the lower half of the
     grid, then of the upper half."""
-    gs_space_permutation(m)  # rejects an odd grid side now, not at the first step
-    return _subblock_split(m, "space")
+    return _subblock_split(m, "space")  # its supports reject an odd grid side
 
 
 def gs_partition_physics(m: GrayScottModel) -> SplitProblem:
@@ -356,10 +378,19 @@ def gs_unpartitioned(m: GrayScottModel, jacobian: str = "full", partition: str |
 
     ``jacobian='full'`` freezes the exact Jacobian; ``jacobian='block'``
     freezes the sum of a partition's operators (the block approximation that
-    drops the couplings the partition drops).
+    drops the couplings the partition drops).  The species and space blocks
+    are gathered from the full Jacobian's values at their entries' positions;
+    the physics and imex operators, which cover the whole state, are added.
     """
     if jacobian == "full":
         builder = lambda u: gs_full_jacobian(m, u)  # noqa: E731
+    elif jacobian == "block" and partition in ("species", "space"):
+        _subblock_supports(m, partition)  # rejects an odd grid side now, not at the first step
+
+        def builder(u):
+            take, indices, indptr = _block_entries(m, partition)
+            return SparseOperator(_csr(_jacobian_data(m, u)[take], indices, indptr), partition == "species")
+
     elif jacobian == "block":
         if partition is None:
             raise ValueError("the block Jacobian needs a partition to take blocks from")

@@ -26,17 +26,29 @@ differing only in the stage residual r_{p,j}:
     reduces to the classical Runge-Kutta method; with P = 1 this is the
     unpartitioned transformed method.
 
+A partition p may own only part of the state, its support S_p
+(``SplitProblem.supports``): f_p and L_p then act on S_p's variables alone,
+so X_i^p, r_{p,i} and every Krylov vector of the partition have |S_p|
+entries, and each sum over p above adds X_i^p into the full state at S_p.
+With full supports that is plain addition.
+
 Each partition costs what one original-form step costs: at order 4, 16 phi
 products on 5 Arnoldi factorizations (one per vector f_p(u_n), r_{p,2}, ...,
 r_{p,5}).  phi_1(c hL) f(u_n) is applied as the coefficient Phi(1, c), so the
-step's one coefficient memo computes it once per distinct abscissa c.
+step's one coefficient memo computes it once per distinct abscissa c.  The
+step passes its tableau's largest phi index p (3 at order 4) to the Krylov
+engine, which evaluates phi_1 .. phi_p of a reduced matrix once per
+(factorization, tau, m) and serves every sibling solve from it.
 
 ``step_pexprk2_residual``   the order-2 partitioned method rewritten against
 partition residuals g_p(U) - g_p(u_n) = f_p(U) - f_p(u_n) - L_p (U - u_n),
 whose update couples the partition operators:
     u_{n+1} = u_n + h sum_p [prod_{p'!=p} phi_1(hL_p')] phi_1(hL_p) f_p(u_n)
                   + h sum_p phi_2(hL_p) (g_p(U_2) - g_p(u_n))
-A zero operator skips its L_p (U - u_n) matvec here too.
+A zero operator skips its L_p (U - u_n) matvec here too.  The cross factor
+phi_1(hL_p') of an operator on support S_p' solves only on the restriction
+of its vector to S_p' and passes the rest through (phi_1(0) = 1), so under
+disjoint supports it costs no matvec.
 
 Partition operators are frozen at u_n and rebuilt each step, never within
 stages.  All phi applications run matrix-free through the Krylov engine.
@@ -62,25 +74,35 @@ class IntegrationFailure(RuntimeError):
     """A step failed during a fixed-step integration; carries the step index."""
 
 
+_FULL = (slice(None),)  # the support of a partition that owns the whole state
+
+
 @dataclass
 class SplitProblem:
     """A P-way additively partitioned autonomous system u' = sum_p f_p(u).
 
-    ``operator_builders[p]`` maps a state u_n to the frozen linear operator
-    L_p of that partition (possibly a zero operator for explicitly treated
-    partitions).  The full right-hand side is the sum of the parts.
+    ``supports[p]`` holds the state indices partition p owns (default
+    ``slice(None)``, the whole state).  ``f_parts[p]`` maps the full state to
+    the rows of f_p on its support, and ``operator_builders[p]`` maps a state
+    u_n to the frozen linear operator L_p of that partition on its support
+    (possibly a zero operator for explicitly treated partitions).  f_p is zero
+    off its support, and the full right-hand side is the sum of the parts.
     """
 
     dim: int
     f_parts: tuple
     operator_builders: tuple
     name: str = ""
+    supports: tuple | None = None
 
     def __post_init__(self):
         self.f_parts = tuple(self.f_parts)
         self.operator_builders = tuple(self.operator_builders)
         if len(self.f_parts) != len(self.operator_builders) or not self.f_parts:
             raise ValueError("need one operator builder per right-hand-side part")
+        self.supports = tuple(self.supports or _FULL * len(self.f_parts))
+        if len(self.supports) != len(self.f_parts):
+            raise ValueError("need one support per right-hand-side part")
 
     @property
     def partitions(self) -> int:
@@ -93,9 +115,9 @@ class SplitProblem:
 _EVAL_ERRORS = (PhiEvaluationError, KrylovError)
 
 
-def _apply_coeff(expr, L, h, v, cfg, ctx, where):
+def _apply_coeff(expr, L, h, v, cfg, ctx, where, phi_max):
     try:
-        return eval_coeff(expr, L, h, v, cfg, ctx)
+        return eval_coeff(expr, L, h, v, cfg, ctx, p=phi_max)
     except _EVAL_ERRORS as exc:
         raise StepFailure(f"{where}: {exc}") from exc
 
@@ -107,7 +129,7 @@ def _phi(L, k, tau, v, cfg, ctx, where):
         raise StepFailure(f"{where}: {exc}") from exc
 
 
-def _combination(acc, c, coeffs, L, fn, rs, h, cfg, ctx, where, name):
+def _combination(acc, c, coeffs, L, fn, rs, h, cfg, ctx, where, name, phi_max):
     """acc + c phi_1(c hL) fn + sum_j coeffs[j](hL) rs[j], the terms added one
     at a time in that order; acc None starts from the phi_1 term.  That term
     is zero at c = 0, and the coefficient memo computes it once per distinct
@@ -115,35 +137,41 @@ def _combination(acc, c, coeffs, L, fn, rs, h, cfg, ctx, where, name):
     if c == 0:
         term = np.zeros_like(fn)
     else:
-        term = c * _apply_coeff(Phi(1, c), L, h, fn, cfg, ctx, f"{where}, phi_1 term")
+        term = c * _apply_coeff(Phi(1, c), L, h, fn, cfg, ctx, f"{where}, phi_1 term", phi_max)
     acc = term if acc is None else acc + term
     for j, r in rs.items():
         if not is_zero(coeffs[j]):
-            acc = acc + _apply_coeff(coeffs[j], L, h, r, cfg, ctx, f"{where}, {name}[{j + 1}]")
+            acc = acc + _apply_coeff(coeffs[j], L, h, r, cfg, ctx, f"{where}, {name}[{j + 1}]", phi_max)
     return acc
 
 
-def _forward_substitution(t, ops, fns, residual, u_n, h, cfg, ctx):
+def _forward_substitution(t, ops, fns, residual, supports, u_n, h, cfg, ctx):
     """One step of the recursion in the module docstring on the partition
-    operators ops, with f_p(u_n) = fns[p] and r_{p,i} = residual(p, U_i, X_i^p)."""
+    operators ops, with f_p(u_n) = fns[p] and r_{p,i} = residual(p, U_i, X_i^p),
+    all on partition p's support.  Each X_i^p and update term enters the full
+    state at its support (total[support] = total[support] + x), which is plain
+    addition for full supports.  Every Krylov solve evaluates phi_1 .. phi_p of
+    its reduced matrix together, p = phi_max the tableau's largest phi index."""
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     ctx = ctx if ctx is not None else EvalContext()
+    phi_max = t.phi_max
     parts = range(len(ops))
     r = [{} for _ in parts]  # r[p][j]: partition p's residual at stage j + 1
     for i in range(1, t.s):
-        xs = [
-            _combination(None, t.c[i], t.a[i], ops[p], fns[p], r[p], h, cfg, ctx,
-                         f"stage {i + 1}, partition {p + 1}", f"coefficient a[{i + 1}]")
-            for p in parts
-        ]
-        u_i = u_n + h * sum(xs)
+        total = np.zeros_like(u_n)
+        xs = []
+        for p in parts:
+            xs.append(_combination(None, t.c[i], t.a[i], ops[p], fns[p], r[p], h, cfg, ctx,
+                                   f"stage {i + 1}, partition {p + 1}", f"coefficient a[{i + 1}]", phi_max))
+            total[supports[p]] = total[supports[p]] + xs[p]
+        u_i = u_n + h * total
         for p in parts:
             r[p][i] = residual(p, u_i, xs[p])
     acc = np.zeros_like(u_n)
     for p in parts:
-        acc = _combination(acc, 1.0, t.b, ops[p], fns[p], r[p], h, cfg, ctx,
-                           f"update, partition {p + 1}", "weight b")
+        acc[supports[p]] = _combination(acc[supports[p]], 1.0, t.b, ops[p], fns[p], r[p], h, cfg, ctx,
+                                        f"update, partition {p + 1}", "weight b", phi_max)
     return u_n + h * acc
 
 
@@ -162,7 +190,7 @@ def step_exprk_original(
     def residual(p, y_i, x):
         return f(y_i) - L.apply(y_i) - gn  # g(Y_i) - g(y_n), g = f - L y
 
-    return _forward_substitution(t, [L], [fn], residual, y_n, h, cfg, ctx)
+    return _forward_substitution(t, [L], [fn], residual, _FULL, y_n, h, cfg, ctx)
 
 
 def step_pexprk(
@@ -183,7 +211,7 @@ def step_pexprk(
             r -= h * ops[p].apply(x)
         return r
 
-    return _forward_substitution(t, ops, fns, residual, u_n, h, cfg, ctx)
+    return _forward_substitution(t, ops, fns, residual, prob.supports, u_n, h, cfg, ctx)
 
 
 def step_pexprk2_residual(
@@ -194,7 +222,15 @@ def step_pexprk2_residual(
     ctx: EvalContext | None = None,
     ops: Sequence[LinearOperator] | None = None,
 ) -> np.ndarray:
-    """Order-2 partitioned step written against partition residuals."""
+    """Order-2 partitioned step written against partition residuals.
+
+    Each cross term phi_1(hL_p') acts on partition p's stage term, a vector
+    of the full state.  An operator on support S applies a phi function to the
+    restriction to S only: phi_k(hL_S) v = E phi_k(hL) v|_S + (v - E v|_S) / k!,
+    E the embedding of S, since phi_k(0) = 1/k!.  So the restriction takes
+    the Krylov solve, and the rest of the term passes through; under disjoint
+    supports the restriction is zero and the solve costs no matvec.
+    """
     if prob.partitions != 2:
         raise ValueError("the residual form is implemented for exactly two partitions")
     if h <= 0:
@@ -202,23 +238,28 @@ def step_pexprk2_residual(
     ctx = ctx if ctx is not None else EvalContext()
     ops = list(ops) if ops is not None else prob.build_operators(u_n)
     fns = [fp(u_n) for fp in prob.f_parts]
+    supports = prob.supports
 
-    stage_terms = [
-        _phi(ops[p], 1, h, fns[p], cfg, ctx, f"stage 2, partition {p + 1}") for p in range(2)
-    ]
+    stage_terms = []
+    for p in range(2):
+        term = np.zeros_like(u_n)
+        term[supports[p]] = _phi(ops[p], 1, h, fns[p], cfg, ctx, f"stage 2, partition {p + 1}")
+        stage_terms.append(term)
     u_2 = u_n + h * (stage_terms[0] + stage_terms[1])
     du = u_2 - u_n
 
     out = u_n.copy()
     for p in range(2):
-        other = 1 - p
-        crossed = _phi(
-            ops[other], 1, h, stage_terms[p], cfg, ctx, f"update, cross term, partition {p + 1}"
+        other = supports[1 - p]
+        crossed = stage_terms[p].copy()  # phi_1(0) = 1 off the other support
+        crossed[other] = _phi(
+            ops[1 - p], 1, h, stage_terms[p][other], cfg, ctx, f"update, cross term, partition {p + 1}"
         )
         residual = prob.f_parts[p](u_2) - fns[p]
         if ops[p].kind != "zero":
-            residual -= ops[p].apply(du)
-        out = out + h * crossed + h * _phi(
+            residual -= ops[p].apply(du[supports[p]])
+        out = out + h * crossed
+        out[supports[p]] = out[supports[p]] + h * _phi(
             ops[p], 2, h, residual, cfg, ctx, f"update, residual term, partition {p + 1}"
         )
     return out

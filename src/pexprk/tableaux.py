@@ -39,6 +39,7 @@ from .coeffexpr import (
     ZMul,
     eval_dense,
     is_zero,
+    max_phi_index,
     phi_of_dense,
     simplify,
 )
@@ -67,6 +68,12 @@ class ExprkTableau:
                     raise ValueError(f"stage grid must be strictly lower triangular (a[{i}][{j}])")
             if i >= 1 and row[0] is None:
                 raise ValueError(f"a[{i}][0] must be present for every stage past the first")
+
+    @property
+    def phi_max(self) -> int:
+        """The largest phi index a step applies: that of the coefficients, and
+        at least 1 for the phi_1 terms."""
+        return max(1, *(max_phi_index(e) for row in self.a for e in row), *map(max_phi_index, self.b))
 
 
 @dataclass(frozen=True)

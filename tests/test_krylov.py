@@ -306,6 +306,46 @@ class TestSharedFactorization:
         assert op.matvecs == after_first
         assert ctx.stats.solves == 3
 
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["arnoldi", "lanczos"])
+    def test_one_reduced_evaluation_per_tau_and_m(self, monkeypatch, symmetric):
+        # with p = 3, the solves of phi_1, phi_2 and phi_3 on one factorization
+        # evaluate each (tau, m) they visit once, and agree with p = k solves
+        from pexprk import krylov
+
+        rng = np.random.default_rng(5)
+        a = symmetric_stable(rng, 40) if symmetric else stable_dense(rng, 40)
+        op = declared_symmetric(a) if symmetric else SparseOperator(a)
+        v = rng.uniform(-1, 1, size=40)
+        cfg = KrylovConfig(tol=1e-12, m_max=40)
+        fresh = {(k, tau): phi_times_vector(op, k, tau, v, cfg).approximation
+                 for k in (1, 2, 3) for tau in (0.2, 0.4)}
+        name = "phi_array" if symmetric else "phi_cols_e1"
+        evaluations = []
+        original = getattr(krylov, name)
+        monkeypatch.setattr(krylov, name, lambda p, z: evaluations.append(p) or original(p, z))
+        ctx = EvalContext()
+        for (k, tau), want in fresh.items():
+            got = phi_times_vector(op, k, tau, v, cfg, ctx=ctx, p=3).approximation
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (k, tau)
+        assert evaluations == [3] * len(ctx.arnoldi_state(op, v, cfg.m_max)._phi)
+        # sharing the factorization alone, each index evaluates again
+        shared = len(evaluations)
+        ctx = EvalContext()
+        for k, tau in fresh:
+            phi_times_vector(op, k, tau, v, cfg, ctx=ctx)
+        assert len(evaluations) - shared > shared
+
+    def test_direct_call_evaluates_its_own_index(self, monkeypatch):
+        from pexprk import krylov
+
+        rng = np.random.default_rng(6)
+        op = SparseOperator(stable_dense(rng, 20))
+        seen = []
+        original = krylov.phi_cols_e1
+        monkeypatch.setattr(krylov, "phi_cols_e1", lambda p, z: seen.append(p) or original(p, z))
+        phi_times_vector(op, 2, 0.3, rng.uniform(-1, 1, size=20), KrylovConfig())
+        assert seen and set(seen) == {2}
+
     def test_block_diagonal_phi_identity(self):
         # phi of a block-diagonal operator acts block by block
         rng = np.random.default_rng(11)

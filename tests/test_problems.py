@@ -11,10 +11,12 @@ from pexprk.phi import expm_dense
 from pexprk.problems import (
     DESK_GRID,
     PAPER_SCALE_GRID,
+    PARTITION_NAMES,
     TIMESPAN,
     GrayScottModel,
+    _block_entries,
     _laplacian_csr,
-    _subblock_masks,
+    _subblock_entries,
     gs_default,
     gs_full_jacobian,
     gs_initial,
@@ -28,8 +30,12 @@ from pexprk.problems import (
     gs_unpartitioned,
     oracle_semilinear,
 )
+from pexprk.harness import RunConfig, build_study
+from pexprk.krylov import EvalContext, phi_times_vector
 from pexprk.steppers import SplitProblem, integrate_fixed, pexprk_stepper, step_pexprk
 from pexprk.tableaux import tableau
+
+from supports import embed, embedded_matrix, support_size
 
 
 def fd_jacobian(f, u, eps=1e-6):
@@ -82,19 +88,28 @@ def assert_byte_symmetric(matrix):
     assert mat.data.tobytes() == tr.data.tobytes()
 
 
+def support_mask(m, support):
+    return embed(m.dim, support, 1.0) == 1.0
+
+
 def assert_masked_full_jacobian(m, prob, variable_sets):
     # reference construction: assemble the whole Jacobian, keep the entries
-    # whose row and column both lie in the set
+    # whose row and column both lie in the set; each part's operator, placed
+    # at its support, must hold exactly those entries
     inside = [np.isin(np.arange(m.dim), variables) for variables in variable_sets]
+    for support, mask in zip(prob.supports, inside):
+        assert np.array_equal(support_mask(m, support), mask)
     for u in reference_states(m):
         diffusion, reaction = reference_jacobian_parts(m, u)
         jac = (diffusion + reaction).tocoo()
-        for mask, build in zip(inside, prob.operator_builders):
+        for mask, build, support in zip(inside, prob.operator_builders, prob.supports):
             keep = mask[jac.row] & mask[jac.col]
             want = scipy.sparse.csr_matrix(
                 (jac.data[keep], (jac.row[keep], jac.col[keep])), shape=jac.shape
             )
-            assert_csr_equal(build(u).matrix, want)
+            op = build(u)
+            assert op.dim == mask.sum()
+            assert_csr_equal(embedded_matrix(m.dim, support, op), want)
 
 
 @pytest.fixture(scope="module")
@@ -212,15 +227,15 @@ class TestPartitions:
         for _ in range(100):
             u = rng.uniform(0.05, 0.95, size=m.dim)
             full = gs_rhs(m, u)
-            total = sum(f(u) for f in prob.f_parts)
+            total = sum(embed(m.dim, s, f(u)) for f, s in zip(prob.f_parts, prob.supports))
             assert np.linalg.norm(total - full) <= 1e-13 * np.linalg.norm(full)
 
     def test_species_operators_match_finite_differences(self, small_model, random_state):
         m = small_model
         prob = gs_partition_species(m)
-        for p in range(2):
-            analytic = prob.operator_builders[p](random_state).to_dense()
-            numeric = fd_jacobian(prob.f_parts[p], random_state)
+        for p, support in enumerate(prob.supports):
+            analytic = embedded_matrix(m.dim, support, prob.operator_builders[p](random_state)).toarray()
+            numeric = fd_jacobian(lambda u: embed(m.dim, support, prob.f_parts[p](u)), random_state)
             # the species operator keeps only the own-species block
             mask = np.zeros((m.dim, m.dim))
             sl = slice(0, m.cells) if p == 0 else slice(m.cells, m.dim)
@@ -230,7 +245,10 @@ class TestPartitions:
     def test_species_block_sum_matches_jacobian_diagonal(self, small_model, random_state):
         m = small_model
         prob = gs_partition_species(m)
-        total = sum(prob.operator_builders[p](random_state).to_dense() for p in range(2))
+        total = sum(
+            embedded_matrix(m.dim, support, build(random_state)).toarray()
+            for build, support in zip(prob.operator_builders, prob.supports)
+        )
         full = fd_jacobian(lambda u: gs_rhs(m, u), random_state)
         blocked = np.zeros_like(full)
         blocked[: m.cells, : m.cells] = full[: m.cells, : m.cells]
@@ -242,7 +260,9 @@ class TestPartitions:
         prob = gs_partition_species(m)
         v = np.zeros(m.dim)
         v[m.cells:] = 1.0  # supported on the b-field
-        out = prob.operator_builders[0](random_state).apply(v)
+        op = prob.operator_builders[0](random_state)
+        assert op.dim == m.cells  # the a-variables alone
+        out = embedded_matrix(m.dim, prob.supports[0], op) @ v
         assert np.max(np.abs(out)) == 0.0
 
     def test_space_permutation_is_bijection(self, small_model):
@@ -257,7 +277,7 @@ class TestPartitions:
         half = m.dim // 2
         prob = gs_partition_space(m)
         for p, window in enumerate([slice(0, half), slice(half, m.dim)]):
-            dense = prob.operator_builders[p](random_state).to_dense()
+            dense = embedded_matrix(m.dim, prob.supports[p], prob.operator_builders[p](random_state)).toarray()
             idx = perm[window]
             expected = np.zeros_like(dense)
             expected[np.ix_(idx, idx)] = permuted[window, window]
@@ -281,8 +301,10 @@ class TestPartitions:
         prob = gs_partition(m, name)
         for u in reference_states(m):
             full = gs_rhs(m, u)
-            for f, mask in zip(prob.f_parts, _subblock_masks(m, name)):
-                assert f(u).tobytes() == np.where(mask, full, 0.0).tobytes()
+            for f, support in zip(prob.f_parts, prob.supports):
+                rows = f(u)
+                assert rows.size == support_size(m.dim, support)
+                assert embed(m.dim, support, rows).tobytes() == np.where(support_mask(m, support), full, 0.0).tobytes()
 
     @pytest.mark.parametrize("n", [16, 160])
     @pytest.mark.parametrize("spacing", ["unit", "1/n"])
@@ -338,7 +360,9 @@ class TestPartitions:
 
             return rebuilt
 
-        plain = SplitProblem(prob.dim, prob.f_parts, tuple(map(undeclared, prob.operator_builders)))
+        plain = SplitProblem(
+            prob.dim, prob.f_parts, tuple(map(undeclared, prob.operator_builders)), supports=prob.supports
+        )
         assert any(op.symmetric for op in prob.build_operators(gs_initial(m)))
         cfg = KrylovConfig(tol=1e-12, m_max=100)
         lanczos, arnoldi = (
@@ -346,6 +370,69 @@ class TestPartitions:
             for p in (prob, plain)
         )
         assert np.linalg.norm(lanczos - arnoldi) <= 1e-12 * np.linalg.norm(arnoldi)
+
+    @pytest.mark.parametrize("n", [16, 160])
+    def test_subblock_supports_are_disjoint_and_cover_the_state(self, n):
+        m = gs_default(n=n)
+        for name in ("species", "space"):
+            masks = [support_mask(m, support) for support in gs_partition(m, name).supports]
+            assert len(masks) == 2 and np.all(masks[0] != masks[1])
+
+    def test_other_problems_have_full_supports(self, small_model):
+        m = small_model
+        orc = oracle_semilinear(6, seed=0)
+        problems = [
+            gs_partition(m, "physics"),
+            gs_partition(m, "imex"),
+            gs_unpartitioned(m, jacobian="full"),
+            *(gs_unpartitioned(m, jacobian="block", partition=name) for name in PARTITION_NAMES),
+            orc.problem(),
+            orc.split_linear_nonlinear(),
+            orc.split_all_explicit(),
+        ]
+        for prob in problems:
+            assert prob.supports == (slice(None),) * prob.partitions, prob.name
+
+    @pytest.mark.parametrize("name", ["species", "space"])
+    def test_part_operators_and_krylov_bases_have_support_size(self, small_model, random_state, name):
+        m = small_model
+        prob = gs_partition(m, name)
+        cfg = KrylovConfig(tol=1e-12, m_max=30)
+        for f, op, support in zip(prob.f_parts, prob.build_operators(random_state), prob.supports):
+            size = support_size(m.dim, support)
+            assert size == m.dim // 2 and op.dim == size
+            ctx = EvalContext()
+            v = f(random_state)
+            res = phi_times_vector(op, 1, 0.5, v, cfg, ctx=ctx)
+            assert res.converged and res.approximation.shape == (size,)
+            assert ctx.arnoldi_state(op, v, cfg.m_max).V.shape[0] == size
+
+    @pytest.mark.parametrize("n", [16, 160])
+    @pytest.mark.parametrize("name", ["species", "space"])
+    def test_block_jacobian_equals_sum_of_embedded_parts(self, n, name):
+        # gathered at the parts' entry positions, byte-equal to scipy's sum of
+        # the parts' operators placed at their supports
+        m = gs_default(n=n)
+        split = gs_partition(m, name)
+        block = gs_unpartitioned(m, jacobian="block", partition=name).operator_builders[0]
+        for u in reference_states(m):
+            parts = [embedded_matrix(m.dim, s, op) for s, op in zip(split.supports, split.build_operators(u))]
+            want = parts[0] + parts[1]
+            got = block(u)
+            assert got.symmetric == (name == "species")
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(got.matrix, attr).tobytes() == getattr(want, attr).tobytes()
+
+    def test_build_study_leaves_subblock_entries_uncomputed(self):
+        # the supports come from the species halves and gs_space_permutation;
+        # the entry positions wait for the first operator build
+        _subblock_entries.cache_clear()
+        _block_entries.cache_clear()
+        for partition in ("species", "space"):
+            build_study(RunConfig(grid=16, partition=partition, form="part"))
+            build_study(RunConfig(grid=16, partition=partition, form="tran", jacobian="block"))
+        assert _subblock_entries.cache_info().currsize == 0
+        assert _block_entries.cache_info().currsize == 0
 
     def test_space_requires_even_grid(self):
         with pytest.raises(ValueError):

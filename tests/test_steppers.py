@@ -7,7 +7,7 @@ from pexprk.coeffexpr import eval_dense
 from pexprk.krylov import KrylovConfig
 from pexprk.operators import SparseOperator, ZeroOperator
 from pexprk.phi import expm_dense, phi_scalar
-from pexprk.problems import gs_default, gs_initial, gs_partition, oracle_semilinear
+from pexprk.problems import TIMESPAN, gs_default, gs_initial, gs_partition, oracle_semilinear
 from pexprk.steppers import (
     IntegrationFailure,
     SplitProblem,
@@ -15,6 +15,7 @@ from pexprk.steppers import (
     integrate_fixed,
     original_stepper,
     pexprk_stepper,
+    residual2_stepper,
     step_exprk_original,
     step_pexprk,
     step_pexprk2_residual,
@@ -27,6 +28,7 @@ TIGHT = KrylovConfig(tol=1e-13, m_max=60)
 
 
 from classical_rk import classical_rk_step
+from supports import embedded_problem
 
 
 def step_transformed(t, L, f, y, h, cfg):
@@ -221,6 +223,40 @@ class TestPartitionedForm:
         assert [op.kind for op in ops] == ["sparse", "zero"]
         step_pexprk2_residual(prob, u0, 1e-3, TIGHT, ops=ops)
         assert ops[1].matvecs == 0 and ops[0].matvecs > 0
+
+    @pytest.mark.parametrize("name", ["species", "space"])
+    def test_residual_form_on_disjoint_supports(self, name):
+        # each cross term's restriction to the other support is zero: its
+        # solve takes no matvec and no Krylov dimension, where the same parts
+        # embedded in the full state take one of each (an m = 1 breakdown)
+        model = gs_default(n=16)
+        u0 = gs_initial(model)
+        cfg = KrylovConfig()
+        prob = gs_partition(model, name)
+        own, embedded = (
+            integrate_fixed(residual2_stepper(), p, u0, 0.0, 0.01, 1, cfg)
+            for p in (prob, embedded_problem(prob))
+        )
+        assert np.linalg.norm(own.state - embedded.state) <= 1e-15 * np.linalg.norm(embedded.state)
+        assert own.stats.matvecs == embedded.stats.matvecs - 2
+        assert own.stats.krylov_dim_total == embedded.stats.krylov_dim_total - 2
+        assert own.stats.solves == embedded.stats.solves
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("name", ["species", "space"])
+    def test_parts_on_supports_match_embedded_parts(self, name, order):
+        # the same Krylov spaces in fewer variables: the same work, and the
+        # same state up to rounding
+        model = gs_default(n=16)
+        u0 = gs_initial(model)
+        cfg = KrylovConfig()
+        prob = gs_partition(model, name)
+        own, embedded = (
+            integrate_fixed(pexprk_stepper(order), p, u0, 0.0, TIMESPAN / 4, 2, cfg)
+            for p in (prob, embedded_problem(prob))
+        )
+        assert np.linalg.norm(own.state - embedded.state) <= 1e-14 * np.linalg.norm(embedded.state)
+        assert own.stats == embedded.stats
 
     def test_residual_form_requires_two_partitions(self):
         orc = oracle_semilinear(5, seed=1)

@@ -13,6 +13,7 @@ from pexprk.coeffexpr import (
     eval_coeff,
     eval_dense,
     eval_scalar,
+    max_phi_index,
     simplify,
 )
 from pexprk.krylov import KrylovConfig
@@ -130,6 +131,12 @@ class TestCatalog:
             assert eval_scalar(t.a[4][3], z) == pytest.approx(
                 0.25 * phi_scalar(2, 0.5 * z) - a52, rel=1e-13
             )
+
+
+    def test_largest_phi_index(self):
+        assert [tableau(order).phi_max for order in (2, 3, 4)] == [2, 2, 3]
+        assert max_phi_index(Sum(Scale(2.0, Phi(1, 0.5)), Prod(Phi(4, 1.0), ZMul(Phi(2, 1.0))))) == 4
+        assert max_phi_index(Const(1.0)) == max_phi_index(None) == 0
 
 
 class TestTransform:
