@@ -41,6 +41,8 @@ class LinearOperator:
         return self._matvecs
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        """L v as a fresh array, which the caller may overwrite: the Krylov
+        engine orthogonalizes it in place."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
             raise OperatorContractError(

@@ -285,9 +285,16 @@ def _subblock_rows(m: GrayScottModel, name: str) -> tuple:
 def _subblock_split(m: GrayScottModel, name: str) -> SplitProblem:
     """One part per support: the right-hand side's rows on the support and the
     full Jacobian's principal sub-block on it, both in the support's own
-    variables.  A step only gathers the sub-block's values.  Each part
-    evaluates only its own rows, with ``gs_rhs``'s arithmetic."""
+    variables.  A step assembles the full Jacobian's values once, for the
+    first part it builds, and both parts gather their sub-blocks from them.
+    Each part evaluates only its own rows, with ``gs_rhs``'s arithmetic."""
     symmetric = name == "species"  # one species' stencil plus a diagonal
+    assembled = {}  # the last state built for (a copy) and its Jacobian values
+
+    def jacobian_data(u):
+        if "u" not in assembled or not np.array_equal(assembled["u"], u):
+            assembled["u"], assembled["data"] = np.array(u, dtype=float), _jacobian_data(m, u)
+        return assembled["data"]
 
     def part(p):
         def f(u):
@@ -300,7 +307,7 @@ def _subblock_split(m: GrayScottModel, name: str) -> SplitProblem:
 
         def build(u):
             take, indices, indptr = _subblock_entries(m, name)[p]
-            return SparseOperator(_csr(_jacobian_data(m, u)[take], indices, indptr), symmetric)
+            return SparseOperator(_csr(jacobian_data(u)[take], indices, indptr), symmetric)
 
         return f, build
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pexprk
+from pexprk import cli
 from pexprk.cli import _build_parser, _config_from_args
 from pexprk.harness import (
     FORMS,
@@ -284,6 +285,9 @@ class TestGoldenCounts:
 
 
 class TestCli:
+    """One subprocess test per subcommand covers the console wiring; the
+    configuration and exit-code cases call ``cli.main`` in this process."""
+
     def run_cli(self, *args):
         # the subprocess imports the same pexprk as this test, installed or not
         source = str(Path(pexprk.__file__).resolve().parent.parent)
@@ -292,6 +296,22 @@ class TestCli:
             [sys.executable, "-m", "pexprk.cli", *args], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    @pytest.fixture
+    def main(self, capsys):
+        """cli.main(argv) in this process, as the subprocess result's fields:
+        returncode, stdout and stderr.  An exception other than argparse's
+        exit propagates and fails the test, as a traceback would."""
+
+        def call(*args):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            return subprocess.CompletedProcess(args, code, out, err)
+
+        return call
 
     def test_check_order_subcommand(self):
         proc = self.run_cli("check-order", "--order", "2", "--size", "6", "--seed", "3")
@@ -316,47 +336,47 @@ class TestCli:
         rows, metadata = parse_csv(out)
         assert len(rows) == 2 and metadata["partition"] == "physics"
 
-    def test_config_file_with_flag_override(self, tmp_path):
+    def test_config_file_with_flag_override(self, tmp_path, main):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             "grid": 8, "partition": "species", "order": 2, "form": "part",
             "steps-pow2": "1:2", "krylov-tol": 1e-10,
         }))
         out = tmp_path / "study.csv"
-        proc = self.run_cli("run", "--config", str(config), "--partition", "imex", "--out", str(out))
+        proc = main("run", "--config", str(config), "--partition", "imex", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         _, metadata = parse_csv(out)
         assert metadata["partition"] == "imex"  # flag overrides the file
         assert metadata["grid"] == "8"
 
-    def test_config_error_exit_code(self):
-        proc = self.run_cli("run", "--form", "part")  # partition missing
+    def test_config_error_exit_code(self, main):
+        proc = main("run", "--form", "part")  # partition missing
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr
 
-    def test_numerical_failure_exit_code(self):
+    def test_numerical_failure_exit_code(self, main):
         # a Krylov cap far below what the problem needs fails every product
-        proc = self.run_cli(
+        proc = main(
             "run", "--grid", "16", "--partition", "physics", "--order", "2",
             "--form", "part", "--steps-pow2", "1:2", "--krylov-mmax", "2",
         )
         assert proc.returncode == 3
         assert "numerical failure" in proc.stderr
 
-    def test_unknown_config_key_exit_code(self, tmp_path):
+    def test_unknown_config_key_exit_code(self, tmp_path, main):
         config = tmp_path / "cfg.json"
         # a typo, and keys the run does not take
         for key, value in (("gird", 8), ("seed", 8), ("problem", "gray-scott")):
             config.write_text(json.dumps({key: value}))
-            proc = self.run_cli("run", "--config", str(config))
+            proc = main("run", "--config", str(config))
             assert proc.returncode == 2, key
 
-    def test_wrongly_typed_config_value_exit_code(self, tmp_path):
+    def test_wrongly_typed_config_value_exit_code(self, tmp_path, main):
         config = tmp_path / "cfg.json"
         for values in ({"grid": "64"}, {"krylov_tol": "1e-12"}, {"steps": 2.5},
                        {"grid": 8, "steps": [True, 2]}):
             config.write_text(json.dumps(values))
-            proc = self.run_cli("run", "--config", str(config))
+            proc = main("run", "--config", str(config))
             assert proc.returncode == 2, values
             assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -373,8 +393,8 @@ class TestCli:
         ids=["part-block", "orig-species", "tran-full-space", "paper-scale-grid", "steps-twice",
              "steps-pow2-from-0"],
     )
-    def test_ignored_or_doubly_set_flag_exit_code(self, flags):
-        proc = self.run_cli("run", *flags)
+    def test_ignored_or_doubly_set_flag_exit_code(self, flags, main):
+        proc = main("run", *flags)
         assert proc.returncode == 2, flags
         assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -398,28 +418,28 @@ class TestCli:
         assert config_from(tmp_path, "--paper-scale", file={"grid": 32}).grid == 300
         assert config_from(tmp_path, file={"paper_scale": False}).grid == RunConfig().grid
 
-    def test_time_span_set_twice_exit_code(self, tmp_path):
+    def test_time_span_set_twice_exit_code(self, tmp_path, main):
         # tspan writes t0 and tf; one source may not also set either, in any key order
         config = tmp_path / "cfg.json"
         for text in ('{"tspan": "0:1", "tf": 2.0}', '{"tf": 2.0, "tspan": "0:1"}',
                      '{"t0": 0.5, "tspan": "0:1"}'):
             config.write_text(text)
-            proc = self.run_cli("run", "--config", str(config))
+            proc = main("run", "--config", str(config))
             assert proc.returncode == 2, text
             assert "tspan" in proc.stderr and "Traceback" not in proc.stderr
         # across sources the flags still win
         assert config_from(tmp_path, "--tspan", "0:1", file={"tf": 2.0}).tf == 1.0
         assert config_from(tmp_path, file={"tf": 2.0}).tf == 2.0
 
-    def test_odd_grid_space_split_exit_code(self):
+    def test_odd_grid_space_split_exit_code(self, main):
         for form in (["--form", "part"], ["--form", "tran", "--jacobian", "block"]):
-            proc = self.run_cli("run", "--grid", "33", "--partition", "space", *form, "--steps", "1")
+            proc = main("run", "--grid", "33", "--partition", "space", *form, "--steps", "1")
             assert proc.returncode == 2, form
             assert "even grid side" in proc.stderr and "Traceback" not in proc.stderr
 
-    def test_tspan_and_steps_parsing(self, tmp_path):
+    def test_tspan_and_steps_parsing(self, tmp_path, main):
         out = tmp_path / "study.csv"
-        proc = self.run_cli(
+        proc = main(
             "run", "--grid", "8", "--partition", "physics", "--order", "2", "--form", "part",
             "--tspan", "0:0.02", "--steps", "2,4", "--krylov-tol", "1e-10", "--out", str(out),
         )

@@ -3,7 +3,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from pexprk import krylov
 from pexprk.krylov import (
+    _ORTH_BOUND,
     EvalContext,
     KrylovConfig,
     KrylovError,
@@ -13,6 +15,7 @@ from pexprk.krylov import (
 )
 from pexprk.operators import SparseOperator, ZeroOperator
 from pexprk.phi import phi_dense_times_vector, phi_scalar
+from pexprk.problems import TIMESPAN, GrayScottModel, gs_full_jacobian, gs_initial, gs_partition, gs_rhs
 
 
 def stable_dense(rng, n, shift=2.0):
@@ -34,6 +37,19 @@ def declared_symmetric(a):
 
 def dense_phi_reference(k, tau, a, v):
     return phi_dense_times_vector(k, tau * a, v)[k - 1]
+
+
+def gray_scott_operator(kind, n, spacing, part=0):
+    """An undeclared Gray-Scott operator at the initial state and the vector
+    a step applies it to: the full Jacobian with the right-hand side, or a
+    space part's sub-block with its rows of the right-hand side.  spacing is
+    "unit" or "1/n"."""
+    model = GrayScottModel(n=n, spacing=1.0 if spacing == "unit" else 1.0 / n)
+    u = gs_initial(model)
+    if kind == "full":
+        return gs_full_jacobian(model, u), gs_rhs(model, u)
+    split = gs_partition(model, "space")
+    return split.operator_builders[part](u), split.f_parts[part](u)
 
 
 class TestCheckSchedule:
@@ -199,6 +215,68 @@ class TestSurrogateErrorEstimate:
         assert min(checked.values()) >= 10, checked
 
 
+    @pytest.mark.parametrize("spacing", ["unit", "1/n"])
+    @pytest.mark.parametrize("kind, part", [("full", 0), ("space", 0), ("space", 1)],
+                             ids=["full", "space-1", "space-2"])
+    def test_converged_solves_meet_tol_on_gray_scott(self, kind, part, spacing):
+        # dense truth at grid 16: every solve converges within m_max = 100,
+        # and its true relative error is within its tolerance
+        op, v = gray_scott_operator(kind, 16, spacing, part)
+        a = op.matrix.toarray()
+        for tau in (TIMESPAN / 2, TIMESPAN / 16, TIMESPAN / 128):
+            refs = phi_dense_times_vector(3, tau * a, v)
+            for tol in (1e-8, 1e-12):
+                ctx = EvalContext()
+                for k, ref in enumerate(refs, start=1):
+                    res = phi_times_vector(op, k, tau, v, KrylovConfig(tol=tol, m_max=100), ctx=ctx)
+                    assert res.converged, (tau, tol, k)
+                    true = np.linalg.norm(res.approximation - ref) / np.linalg.norm(ref)
+                    assert true <= tol, (tau, tol, k, true)
+
+
+class TestOrthogonality:
+    """The Arnoldi basis's loss of orthogonality ||I - V^T V|| against the
+    running bound the factorization keeps and against _ORTH_BOUND."""
+
+    @staticmethod
+    def case(name):
+        if name == "dense":
+            rng = np.random.default_rng(2)
+            return SparseOperator(stable_dense(rng, 200)), rng.uniform(-1, 1, size=200)
+        kind, n, spacing = name.split("-", 2)
+        return gray_scott_operator(kind, int(n), spacing)
+
+    @pytest.mark.parametrize("name", ["full-16-unit", "full-16-1/n", "full-32-unit", "full-32-1/n",
+                                      "space-32-unit", "space-32-1/n", "dense"])
+    def test_loss_within_bound_at_every_m(self, name):
+        op, v = self.case(name)
+        m_max = 100
+        state = _ArnoldiState(op, v, m_max)
+        bounds = [state.loss]  # bounds[m] covers the m + 1 columns after m steps
+        for m in range(1, m_max + 1):
+            state.extend(m)
+            assert state.m == m and not state.breakdown
+            bounds.append(state.loss)
+        basis = state.V[:, : m_max + 1]
+        gram = basis.T @ basis
+        for m, bound in enumerate(bounds):
+            loss = np.linalg.norm(np.eye(m + 1) - gram[: m + 1, : m + 1], 2)
+            assert loss <= bound <= _ORTH_BOUND, (m, loss, bound)
+
+    def test_second_pass_only_where_the_bound_needs_it(self, monkeypatch):
+        # stiff full Jacobian: the first steps take one pass each, and the
+        # fallback second pass runs once the bound nears _ORTH_BOUND
+        op, v = self.case("full-32-1/n")
+        passes = []
+        original = krylov._gs_pass
+        monkeypatch.setattr(krylov, "_gs_pass", lambda basis, w: passes.append(1) or original(basis, w))
+        state = _ArnoldiState(op, v, 100)
+        state.extend(5)
+        assert len(passes) == 5
+        state.extend(100)
+        assert state.m == 100 and len(passes) > 150
+
+
 class TestLanczos:
     """Declared-symmetric operators run the three-term recurrence."""
 
@@ -310,8 +388,6 @@ class TestSharedFactorization:
     def test_one_reduced_evaluation_per_tau_and_m(self, monkeypatch, symmetric):
         # with p = 3, the solves of phi_1, phi_2 and phi_3 on one factorization
         # evaluate each (tau, m) they visit once, and agree with p = k solves
-        from pexprk import krylov
-
         rng = np.random.default_rng(5)
         a = symmetric_stable(rng, 40) if symmetric else stable_dense(rng, 40)
         op = declared_symmetric(a) if symmetric else SparseOperator(a)
@@ -336,8 +412,6 @@ class TestSharedFactorization:
         assert len(evaluations) - shared > shared
 
     def test_direct_call_evaluates_its_own_index(self, monkeypatch):
-        from pexprk import krylov
-
         rng = np.random.default_rng(6)
         op = SparseOperator(stable_dense(rng, 20))
         seen = []

@@ -4,15 +4,21 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
 
+from pexprk.krylov import _ArnoldiState
 from pexprk.phi import (
     PhiEvaluationError,
+    _augmented,
+    _expm_pade13,
     expm_dense,
     phi_array,
+    phi_cols_e1,
     phi_dense_matrices,
     phi_dense_times_vector,
     phi_scalar,
 )
+from pexprk.problems import TIMESPAN, GrayScottModel, gs_full_jacobian, gs_initial, gs_partition, gs_rhs
 
 
 def phi_series_scalar(k, z, terms=30):
@@ -185,6 +191,82 @@ class TestPhiDenseTimesE1:
             mats.append(np.linalg.solve(a.T, (mats[k - 1] - np.eye(6) / math.factorial(k - 1)).T).T)
         for k in range(1, 5):
             assert np.max(np.abs(cols[k - 1] - mats[k] @ e1(6))) <= 1e-10
+
+
+def mp_expm(a):
+    """Independent oracle: the matrix exponential in 30-digit arithmetic."""
+    with mp.workdps(30):
+        return np.array(mp.expm(mp.matrix(a.tolist())).tolist(), dtype=float)
+
+
+def norm1(a):
+    return float(np.abs(a).sum(axis=0).max())
+
+
+def pade13_tolerance(a):
+    """Relative 1-norm error allowed for _expm_pade13(a): a few dozen rounding
+    errors, plus eps ||A||_1, since the exponential's relative condition
+    number is at least ||A|| (Van Loan, SINUM 14(6), 1977)."""
+    return np.finfo(float).eps * (50 + norm1(a))
+
+
+def stable_hessenberg(rng, n):
+    """Upper Hessenberg matrix with rightmost eigenvalue at 0."""
+    a = rng.normal(size=(n, n))
+    return scipy.linalg.hessenberg(a - np.max(np.linalg.eigvals(a).real) * np.eye(n))
+
+
+def stable_tridiagonal(rng, n):
+    """Symmetric tridiagonal matrix with largest eigenvalue 0."""
+    off = rng.normal(size=n - 1)
+    t = np.diag(rng.normal(size=n)) + np.diag(off, 1) + np.diag(off, -1)
+    return t - np.max(np.linalg.eigvalsh(t)) * np.eye(n)
+
+
+def gray_scott_reduced_matrices():
+    """tau H_m of the grid-16 Gray-Scott Jacobian (Arnoldi) and species block
+    (Lanczos) at m = 10, both spacings and tau = T/128, T/16, T/2."""
+    out = []
+    for spacing in (1.0, 1.0 / 16):
+        model = GrayScottModel(n=16, spacing=spacing)
+        u = gs_initial(model)
+        species = gs_partition(model, "species")
+        for op, v in ((gs_full_jacobian(model, u), gs_rhs(model, u)),
+                      (species.operator_builders[0](u), species.f_parts[0](u))):
+            state = _ArnoldiState(op, v, 10)
+            state.extend(10)
+            out += [tau * state.H[:10, :10] for tau in (TIMESPAN / 128, TIMESPAN / 16, TIMESPAN / 2)]
+    return out
+
+
+class TestReducedExponential:
+    """The lean kernel behind every undeclared reduced evaluation, against
+    mpmath, from 1-norm 1e-8 through the squaring threshold 5.37 to 1e3."""
+
+    NORMS = (1e-8, 1e-4, 0.1, 1.0, 2.1, 5.37, 5.38, 30.0, 1e2, 1e3)
+
+    def matrices(self):
+        rng = np.random.default_rng(17)
+        shapes = (stable_hessenberg(rng, 8), stable_tridiagonal(rng, 8))
+        scaled = [shape * (target / norm1(shape)) for shape in shapes for target in self.NORMS]
+        return scaled + gray_scott_reduced_matrices()
+
+    def test_covers_the_whole_norm_range(self):
+        gray_scott = [norm1(a) for a in gray_scott_reduced_matrices()]
+        assert min(gray_scott) < 0.1 and 5.38 < max(gray_scott) and max(gray_scott) > 300
+
+    def test_exponential_against_mpmath(self):
+        for a in self.matrices():
+            want = mp_expm(a)
+            err = norm1(_expm_pade13(a) - want) / norm1(want)
+            assert err <= pade13_tolerance(a), (norm1(a), err)
+
+    def test_phi_columns_against_mpmath(self):
+        for a in self.matrices():
+            n = a.shape[0]
+            want = mp_expm(_augmented(3, a, np.eye(1, n)[0]))[:n, n:]
+            err = norm1(phi_cols_e1(3, a) - want) / norm1(want)
+            assert err <= pade13_tolerance(_augmented(3, a, np.eye(1, n)[0])), (norm1(a), err)
 
 
 class TestPhiArray:
