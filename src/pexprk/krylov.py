@@ -73,13 +73,17 @@ def _gs_pass(basis, w):
     return coeffs
 
 
-def _norm(w) -> float:
-    """||w|| by numpy's own loop rather than BLAS ddot, which OpenBLAS splits
+def _dot(x, y) -> float:
+    """x^T y by numpy's own loop rather than BLAS ddot, which OpenBLAS splits
     over its threads at basis lengths.  On a shared 2-core machine, right
-    after the single-threaded CSR matvec, the 1814 such norms of a grid-160
+    after the single-threaded CSR matvec, the 1814 Arnoldi norms of a grid-160
     reference took 0.41 s at two BLAS threads in one measurement, against
     0.05 s at one; this loop takes about 0.09 s at either."""
-    return math.sqrt(float(np.einsum("i,i->", w, w)))
+    return float(np.einsum("i,i->", x, y))
+
+
+def _norm(w) -> float:
+    return math.sqrt(_dot(w, w))
 
 
 _BREAKDOWN_RTOL = 1e-14
@@ -190,7 +194,7 @@ class _ArnoldiState:
         self.symmetric = op.symmetric
         self.n = op.dim
         self.m_max = min(m_max, self.n)
-        self.vnorm = float(np.linalg.norm(v))
+        self.vnorm = _norm(v)
         cap = min(16, self.n)
         # column-major storage: every slice V[:, :j] stays BLAS-friendly
         self.V = np.empty((self.n, cap + 1), order="F")
@@ -230,19 +234,21 @@ class _ArnoldiState:
             j = self.m
             w = self.op.apply(self.V[:, j])
             if self.symmetric:
-                w_norm = math.sqrt(float(w @ w))
                 # Lanczos: w = L v_j - beta_{j-1} v_{j-1}, alpha_j = v_j^T w,
                 # w -= alpha_j v_j; H is filled symmetrically, column by column
+                beta_prev = 0.0
                 if j > 0:
-                    beta_prev = self.H[j, j - 1]
+                    beta_prev = float(self.H[j, j - 1])
                     w -= beta_prev * self.V[:, j - 1]
                     self.H[j - 1, j] = beta_prev
-                alpha = float(self.V[:, j] @ w)
+                alpha = _dot(self.V[:, j], w)
                 w -= alpha * self.V[:, j]
-                h_next = math.sqrt(float(w @ w))
+                h_next = _norm(w)
                 if not (math.isfinite(alpha) and math.isfinite(h_next)):
                     raise KrylovError("non-finite entries in the Lanczos recurrence")
                 self.H[j, j] = alpha
+                # ||L v_j|| by Pythagoras, to within the basis's loss
+                w_norm = math.sqrt(beta_prev * beta_prev + alpha * alpha + h_next * h_next)
             else:
                 # classical Gram-Schmidt, and a second pass only when
                 # loss + 2 off / h_next would pass _ORTH_BOUND (module

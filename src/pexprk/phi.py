@@ -16,7 +16,6 @@ import decimal
 import math
 
 import numpy as np
-import scipy.linalg
 
 MAX_PHI_INDEX = 8
 
@@ -86,6 +85,8 @@ def expm_dense(a: np.ndarray) -> np.ndarray:
     scaling); overflow or non-finite output is reported as an evaluation
     failure rather than returned.
     """
+    import scipy.linalg  # here, not at module level: `pexprk run` never calls it (see _expm_pade13)
+
     a = _check_square(a)
     e = scipy.linalg.expm(a)
     if not np.all(np.isfinite(e)):
@@ -127,7 +128,8 @@ def phi_dense_times_vector(p: int, a: np.ndarray, v: np.ndarray) -> list[np.ndar
 # 0.3.31 and scipy_openblas32 0.3.30), and on a 2-core Xeon with
 # OPENBLAS_NUM_THREADS=2, routing the reduced exponential through scipy took
 # the grid-160 benchmark reference from 4.4 to 22 s (at one thread, 3.5
-# against 3.2 s).
+# against 3.2 s).  scipy.linalg, and with it scipy's OpenBLAS, loads only when
+# expm_dense is first called, which `pexprk run` never does.
 def _expm_pade13(a):
     """Scaling-and-squaring exponential, lean path for the reduced-space
     evaluations inside the Krylov engine (no input validation)."""

@@ -13,13 +13,17 @@ by physical process, and the process split with the reaction treated
 explicitly.  A small dense semilinear problem with a smooth nonlinearity
 serves as the test oracle throughout.
 
-Every Gray-Scott operator is assembled from ``_reaction_values`` and the
-full Jacobian's sparsity pattern, which is built once per model.  Each part
-of the species and space splits owns a support, the state indices of its
-variables: its right-hand side returns only those rows, and its operator is
-the full Jacobian's principal sub-block on them, so its Krylov solves run in
-the part's own variables.  The physics and imex parts cover the whole state
-(support ``slice(None)``).  Operators that are symmetric by
+The full Jacobian's sparsity pattern and diffusion values are built once
+per model.  The full Jacobian, the species and space parts and their block
+Jacobian each hold some of its entries, and ``_assemble`` builds them all:
+it copies the operator's cached diffusion values and adds
+``_reaction_values`` at the reaction entries among them.  Each species or
+space part owns a support, the state indices of its variables: its
+right-hand side returns only those rows, and its operator is the full
+Jacobian's principal sub-block on them, so its Krylov solves run in the
+part's own variables.  The physics and imex parts cover the whole state
+(support ``slice(None)``); the physics reaction operator, which leaves the
+diffusion out, has a pattern of its own.  Operators that are symmetric by
 construction are declared so: the species sub-blocks (a Laplacian plus a
 diagonal), the diffusion and sums of such operators.  The space sub-blocks,
 the reaction operator and the full Jacobian carry the cross-species entries
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 
 from .operators import SparseOperator, ZeroOperator, laplacian_2d_periodic
@@ -169,10 +172,10 @@ def _csr(data, indices, indptr):
 
 @lru_cache(maxsize=16)
 def _jacobian_structure(m: GrayScottModel) -> tuple:
-    """The full Jacobian's sparsity pattern, which no state changes: its CSR
-    indices and indptr (stencil plus reaction entries), the diffusion values
-    on it (0 at reaction-only entries) and the slot of each _reaction_values
-    entry in it."""
+    """The full Jacobian's entries (see ``_assemble``), which no state
+    changes: the diffusion values on its sparsity pattern (stencil plus
+    reaction entries, 0 at reaction-only ones), its CSR indices and indptr,
+    and the slot of each _reaction_values entry."""
     dim, cells = m.dim, m.cells
     diffusion = _diffusion_csr(m).tocoo()
     a = np.arange(cells, dtype=np.int64)
@@ -187,23 +190,26 @@ def _jacobian_structure(m: GrayScottModel) -> tuple:
     values[np.searchsorted(keys, diffusion_keys)] = diffusion.data
     indptr = np.searchsorted(keys, np.arange(dim + 1, dtype=np.int64) * dim)
     slots = np.searchsorted(keys, reaction_keys)
-    structure = ((keys % dim).astype(np.int32), indptr.astype(np.int32), values, slots)
+    structure = (values, (keys % dim).astype(np.int32), indptr.astype(np.int32), slots)
     for array in structure:
         array.flags.writeable = False  # the cache hands these arrays to every caller
-    return structure
+    return (*structure, slice(None))  # every reaction value lies on the pattern
 
 
-def _jacobian_data(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
-    """The full Jacobian's values on its fixed pattern."""
-    _, _, diffusion, slots = _jacobian_structure(m)
+def _assemble(m: GrayScottModel, entries: tuple, u: np.ndarray):
+    """The CSR matrix of an operator whose entries lie on the full Jacobian's
+    pattern and carry its values there.  ``entries`` holds the diffusion
+    values at those positions, the CSR indices and indptr, and the reaction
+    entries among them: their slots in the operator's data and their indices
+    in ``_reaction_values``."""
+    diffusion, indices, indptr, slots, reaction = entries
     data = diffusion.copy()
-    data[slots] += _reaction_values(m, u)
-    return data
+    data[slots] += _reaction_values(m, u)[reaction]
+    return _csr(data, indices, indptr)
 
 
 def gs_full_jacobian(m: GrayScottModel, u: np.ndarray) -> SparseOperator:
-    indices, indptr, _, _ = _jacobian_structure(m)
-    return SparseOperator(_csr(_jacobian_data(m, u), indices, indptr))
+    return SparseOperator(_assemble(m, _jacobian_structure(m), u))
 
 
 def _reaction_csr(m: GrayScottModel, u: np.ndarray):
@@ -225,39 +231,39 @@ def _subblock_supports(m: GrayScottModel, name: str) -> tuple:
     return tuple(np.split(gs_space_permutation(m), 2))
 
 
+def _gathered_entries(m: GrayScottModel, take, indices, indptr) -> tuple:
+    """The entries (see ``_assemble``) of the operator made of the full
+    Jacobian's entries at positions ``take``, with CSR indices and indptr."""
+    diffusion, _, _, slots, _ = _jacobian_structure(m)
+    local = np.full(diffusion.size, -1)  # each position's slot in the operator's data
+    local[take] = np.arange(take.size)
+    reaction = np.flatnonzero(local[slots] >= 0)
+    entries = (diffusion[take], indices, indptr.astype(np.int32), local[slots[reaction]], reaction)
+    for array in entries:
+        array.flags.writeable = False  # the cache hands these arrays to every caller
+    return entries
+
+
 @lru_cache(maxsize=16)
 def _subblock_entries(m: GrayScottModel, name: str) -> tuple:
-    """Per part: the positions of the full Jacobian's entries whose row and
-    column both lie in the part's support, and the CSR indices and indptr of
-    the principal sub-block they form in the part's own numbering."""
-    indices, indptr, _, _ = _jacobian_structure(m)
+    """The entries (see ``_assemble``) of the species or space split's two
+    parts, the full Jacobian's principal sub-blocks on their supports in each
+    part's own numbering, and of the block Jacobian, their union on the full
+    state."""
+    _, indices, indptr, _, _ = _jacobian_structure(m)
     rows = np.repeat(np.arange(m.dim), np.diff(indptr))
-    parts = []
+    parts, takes = [], []
     for support in _subblock_supports(m, name):
         local = np.full(m.dim, -1, dtype=np.int32)  # the support's own numbering
         local[support] = np.arange(local[support].size, dtype=np.int32)
         inside = local >= 0
         take = np.flatnonzero(inside[rows] & inside[indices])
         # the support is ascending, so the rows stay in CSR order
-        starts = np.searchsorted(take, indptr[:-1][support])
-        entries = (take, local[indices[take]], np.append(starts, take.size).astype(np.int32))
-        for array in entries:
-            array.flags.writeable = False  # the cache hands these arrays to every caller
-        parts.append(entries)
-    return tuple(parts)
-
-
-@lru_cache(maxsize=16)
-def _block_entries(m: GrayScottModel, name: str) -> tuple:
-    """The block Jacobian of the species or space split on the full state: the
-    positions of the union of the parts' sub-block entries, and its CSR indices
-    and indptr."""
-    indices, indptr, _, _ = _jacobian_structure(m)
-    take = np.sort(np.concatenate([part[0] for part in _subblock_entries(m, name)]))
-    entries = (take, indices[take], np.searchsorted(take, indptr).astype(np.int32))
-    for array in entries:
-        array.flags.writeable = False  # the cache hands these arrays to every caller
-    return entries
+        starts = np.append(np.searchsorted(take, indptr[:-1][support]), take.size)
+        parts.append(_gathered_entries(m, take, local[indices[take]], starts))
+        takes.append(take)
+    take = np.sort(np.concatenate(takes))
+    return (*parts, _gathered_entries(m, take, indices[take], np.searchsorted(take, indptr)))
 
 
 @lru_cache(maxsize=16)
@@ -283,18 +289,11 @@ def _subblock_rows(m: GrayScottModel, name: str) -> tuple:
 
 
 def _subblock_split(m: GrayScottModel, name: str) -> SplitProblem:
-    """One part per support: the right-hand side's rows on the support and the
-    full Jacobian's principal sub-block on it, both in the support's own
-    variables.  A step assembles the full Jacobian's values once, for the
-    first part it builds, and both parts gather their sub-blocks from them.
-    Each part evaluates only its own rows, with ``gs_rhs``'s arithmetic."""
+    """One part per support: the right-hand side's rows on the support, with
+    ``gs_rhs``'s arithmetic, and the full Jacobian's principal sub-block on
+    it, both in the support's own variables.  Each part assembles only its
+    own sub-block's entries."""
     symmetric = name == "species"  # one species' stencil plus a diagonal
-    assembled = {}  # the last state built for (a copy) and its Jacobian values
-
-    def jacobian_data(u):
-        if "u" not in assembled or not np.array_equal(assembled["u"], u):
-            assembled["u"], assembled["data"] = np.array(u, dtype=float), _jacobian_data(m, u)
-        return assembled["data"]
 
     def part(p):
         def f(u):
@@ -306,8 +305,7 @@ def _subblock_split(m: GrayScottModel, name: str) -> SplitProblem:
             return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
         def build(u):
-            take, indices, indptr = _subblock_entries(m, name)[p]
-            return SparseOperator(_csr(jacobian_data(u)[take], indices, indptr), symmetric)
+            return SparseOperator(_assemble(m, _subblock_entries(m, name)[p], u), symmetric)
 
         return f, build
 
@@ -386,8 +384,8 @@ def gs_unpartitioned(m: GrayScottModel, jacobian: str = "full", partition: str |
     ``jacobian='full'`` freezes the exact Jacobian; ``jacobian='block'``
     freezes the sum of a partition's operators (the block approximation that
     drops the couplings the partition drops).  The species and space blocks
-    are gathered from the full Jacobian's values at their entries' positions;
-    the physics and imex operators, which cover the whole state, are added.
+    are assembled from the union of their parts' entries; the physics and
+    imex operators, which cover the whole state, are added.
     """
     if jacobian == "full":
         builder = lambda u: gs_full_jacobian(m, u)  # noqa: E731
@@ -395,8 +393,7 @@ def gs_unpartitioned(m: GrayScottModel, jacobian: str = "full", partition: str |
         _subblock_supports(m, partition)  # rejects an odd grid side now, not at the first step
 
         def builder(u):
-            take, indices, indptr = _block_entries(m, partition)
-            return SparseOperator(_csr(_jacobian_data(m, u)[take], indices, indptr), partition == "species")
+            return SparseOperator(_assemble(m, _subblock_entries(m, partition)[2], u), partition == "species")
 
     elif jacobian == "block":
         if partition is None:
@@ -460,6 +457,8 @@ class SemilinearOracle:
         return SplitProblem(self.dim, base.f_parts, (zero, zero), name="semilinear-explicit")
 
     def reference(self, t: float) -> np.ndarray:
+        import scipy.integrate  # here, not at module level: only this test oracle integrates
+
         sol = scipy.integrate.solve_ivp(
             lambda _t, u: self.f(u),
             (0.0, t),

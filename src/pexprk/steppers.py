@@ -131,13 +131,10 @@ def _phi(L, k, tau, v, cfg, ctx, where):
 
 def _combination(acc, c, coeffs, L, fn, rs, h, cfg, ctx, where, name, phi_max):
     """acc + c phi_1(c hL) fn + sum_j coeffs[j](hL) rs[j], the terms added one
-    at a time in that order; acc None starts from the phi_1 term.  That term
-    is zero at c = 0, and the coefficient memo computes it once per distinct
-    abscissa c (the update's c = 1 included)."""
-    if c == 0:
-        term = np.zeros_like(fn)
-    else:
-        term = c * _apply_coeff(Phi(1, c), L, h, fn, cfg, ctx, f"{where}, phi_1 term", phi_max)
+    at a time in that order; acc None starts from the phi_1 term.  The
+    coefficient memo computes that term once per distinct abscissa c (the
+    update's c = 1 included)."""
+    term = c * _apply_coeff(Phi(1, c), L, h, fn, cfg, ctx, f"{where}, phi_1 term", phi_max)
     acc = term if acc is None else acc + term
     for j, r in rs.items():
         if not is_zero(coeffs[j]):

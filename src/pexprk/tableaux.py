@@ -40,7 +40,6 @@ from .coeffexpr import (
     eval_dense,
     is_zero,
     max_phi_index,
-    phi_of_dense,
     simplify,
 )
 
@@ -60,6 +59,9 @@ class ExprkTableau:
             raise ValueError("tableau arrays must all have length s")
         if self.c[0] != 0.0:
             raise ValueError("the first abscissa must be 0")
+        for i, ci in enumerate(self.c[1:], start=1):
+            if not 0.0 < ci <= 1.0:  # Phi's range for the scale of phi_1(c_i z)
+                raise ValueError(f"abscissa c[{i}] must be in (0, 1], got {ci}")
         for i, row in enumerate(self.a):
             if len(row) != self.s:
                 raise ValueError("stage grid must be s x s")
@@ -227,17 +229,11 @@ def transform(t: ExprkTableau) -> TransformedTableau:
         power = _sym_matmul(power, neg_za)
         e_mat = _sym_add(e_mat, power)
 
-    first_col = [
-        Const(0.0) if t.c[i + 1] == 0.0 else Scale(t.c[i + 1], Phi(1, t.c[i + 1]))
+    first_col = [Scale(t.c[i + 1], Phi(1, t.c[i + 1])) for i in range(size)]
+    alpha_col1 = [
+        simplify(Sum(tuple(Prod(e_mat[i][j], first_col[j]) for j in range(size) if e_mat[i][j] is not None)))
         for i in range(size)
     ]
-    alpha_col1 = []
-    for i in range(size):
-        terms = [
-            Prod(e_mat[i][j], first_col[j]) for j in range(size)
-            if e_mat[i][j] is not None and not is_zero(first_col[j])
-        ]
-        alpha_col1.append(simplify(Sum(tuple(terms))) if terms else Const(0.0))
 
     alpha_block = _sym_matmul(e_mat, a_block)
 
@@ -309,13 +305,6 @@ def check_order_conditions(
     K = rng.uniform(-1, 1, size=(n, n))
     z = L  # h = 1
     memo: dict = {}
-    eye = np.eye(n)
-
-    def phi_scaled(k, c):
-        if c == 0.0:
-            return eye / math.factorial(k)
-        scaled = memo.setdefault(("arg", c, id(z)), c * z)
-        return phi_of_dense(k, scaled, memo)
 
     def ev(expr):
         return eval_dense(expr, z, memo)
@@ -327,7 +316,7 @@ def check_order_conditions(
 
     def psi(i, j):
         # stage defect psi_i for (0-based) stage j
-        acc = -(c[j] ** i) * phi_scaled(i, c[j])
+        acc = -(c[j] ** i) * ev(Phi(i, c[j]))
         for k in range(1, j):
             if a[j][k] is not None:
                 acc = acc + a[j][k] * (c[k] ** (i - 1) / math.factorial(i - 1))
@@ -335,22 +324,22 @@ def check_order_conditions(
 
     jmg = J - L
     residuals = {}
-    residuals["1"] = sum(b) - phi_scaled(1, 1.0)
-    residuals["2a"] = sum(b[j] * c[j] for j in range(1, s)) - phi_scaled(2, 1.0)
+    residuals["1"] = sum(b) - ev(Phi(1, 1.0))
+    residuals["2a"] = sum(b[j] * c[j] for j in range(1, s)) - ev(Phi(2, 1.0))
     residuals["2b"] = max(
         (
             np.max(np.abs(
                 sum(a[i][j] for j in range(i) if a[i][j] is not None)
-                - c[i] * phi_scaled(1, c[i])
+                - c[i] * ev(Phi(1, c[i]))
             ))
             for i in range(1, s)
         ),
     )
     if up_to >= 3:
-        residuals["3a"] = sum(b[j] * (c[j] ** 2 / 2.0) for j in range(1, s)) - phi_scaled(3, 1.0)
+        residuals["3a"] = sum(b[j] * (c[j] ** 2 / 2.0) for j in range(1, s)) - ev(Phi(3, 1.0))
         residuals["3b"] = sum(b[j] @ jmg @ psi(2, j) for j in range(1, s))
     if up_to >= 4:
-        residuals["4a"] = sum(b[j] * (c[j] ** 3 / 6.0) for j in range(1, s)) - phi_scaled(4, 1.0)
+        residuals["4a"] = sum(b[j] * (c[j] ** 3 / 6.0) for j in range(1, s)) - ev(Phi(4, 1.0))
         residuals["4b"] = sum(b[j] @ jmg @ psi(3, j) for j in range(1, s))
         acc = np.zeros((n, n))
         for j in range(1, s):

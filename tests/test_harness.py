@@ -244,58 +244,107 @@ class TestStudy:
 
 
 # Work counters (matvecs, krylov_dim_total, solves) and the discrete L2 norm
-# of the final state for two steps of h = T/2 on grid 16 at order 4, per
-# (form, partition, jacobian).  A refactor that claims to reproduce the study
-# rows must reproduce these.
+# of the final state for two steps of h = T/2 on grid 16, per
+# (form, partition, jacobian) and order.  A refactor that claims to reproduce
+# the study rows must reproduce these.
 GOLDEN = {
-    ("orig", "none", "full"): ((150, 406, 32), 0.49871571629035877),
-    ("tran", "none", "full"): ((148, 406, 32), 0.49871571629035877),
-    ("tran", "species", "block"): ((148, 406, 32), 0.49871572176745393),
-    ("tran", "space", "block"): ((148, 406, 32), 0.4987158221269866),
-    ("tran", "physics", "block"): ((148, 406, 32), 0.49871571629035877),
-    ("tran", "imex", "block"): ((148, 406, 32), 0.4987157171731135),
-    ("part", "species", "full"): ((266, 730, 64), 0.49871572176745393),
-    ("part", "space", "full"): ((296, 812, 64), 0.4987158221269866),
-    ("part", "physics", "full"): ((224, 600, 64), 0.4987157166988749),
-    ("part", "imex", "full"): ((148, 406, 64), 0.4987157168435433),
+    ("orig", "none", "full"): {
+        2: ((60, 56, 4), 0.49871565492501324),
+        3: ((84, 100, 8), 0.4987157212401996),
+        4: ((150, 406, 32), 0.49871571629035877),
+    },
+    ("tran", "none", "full"): {
+        2: ((58, 56, 4), 0.49871565492501324),
+        3: ((82, 100, 8), 0.4987157212401996),
+        4: ((148, 406, 32), 0.49871571629035877),
+    },
+    ("tran", "species", "block"): {
+        2: ((58, 56, 4), 0.49871221386579967),
+        3: ((82, 100, 8), 0.49871559645071606),
+        4: ((148, 406, 32), 0.49871572176745393),
+    },
+    ("tran", "space", "block"): {
+        2: ((58, 56, 4), 0.4987519531907184),
+        3: ((82, 100, 8), 0.4987178581393905),
+        4: ((148, 406, 32), 0.4987158221269866),
+    },
+    ("tran", "physics", "block"): {
+        2: ((58, 56, 4), 0.49871565492501324),
+        3: ((82, 100, 8), 0.4987157212401996),
+        4: ((148, 406, 32), 0.49871571629035877),
+    },
+    ("tran", "imex", "block"): {
+        2: ((58, 56, 4), 0.49871644877779525),
+        3: ((82, 100, 8), 0.4987157286364669),
+        4: ((148, 406, 32), 0.4987157171731135),
+    },
+    ("part", "species", "full"): {
+        2: ((104, 100, 8), 0.4987122138657996),
+        3: ((148, 180, 16), 0.49871559645071606),
+        4: ((266, 730, 64), 0.49871572176745393),
+    },
+    ("part", "space", "full"): {
+        2: ((116, 112, 8), 0.4987519531907184),
+        3: ((164, 200, 16), 0.4987178581393906),
+        4: ((296, 812, 64), 0.4987158221269866),
+    },
+    ("part", "physics", "full"): {
+        2: ((86, 82, 8), 0.49871538195465587),
+        3: ((122, 146, 16), 0.49871575213470387),
+        4: ((224, 600, 64), 0.4987157166988749),
+    },
+    ("part", "imex", "full"): {
+        2: ((58, 56, 8), 0.49871522293512066),
+        3: ((82, 100, 16), 0.49871574868089863),
+        4: ((148, 406, 64), 0.4987157168435433),
+    },
 }
+ORDERS = (2, 3, 4)
 
 
-def golden_run(form, partition, jacobian):
+def golden_run(form, partition, jacobian, order):
     """The golden integration of one case: (its problem, its result)."""
-    cfg = RunConfig(grid=16, form=form, partition=partition, jacobian=jacobian, order=4)
+    cfg = RunConfig(grid=16, form=form, partition=partition, jacobian=jacobian, order=order)
     _, problem, stepper, u0 = build_study(cfg)
     return problem, integrate_fixed(stepper, problem, u0, cfg.t0, cfg.tf, 2, cfg.krylov())
 
 
 class TestGoldenCounts:
+    """Each case checks every catalog order."""
+
     @pytest.mark.parametrize("form, partition, jacobian", list(GOLDEN), ids="-".join)
     def test_counts_and_final_norm(self, form, partition, jacobian):
-        _, res = golden_run(form, partition, jacobian)
-        counts, norm = GOLDEN[(form, partition, jacobian)]
-        assert (res.stats.matvecs, res.stats.krylov_dim_total, res.stats.solves) == counts
-        assert discrete_l2(res.state) == pytest.approx(norm, rel=1e-12, abs=0.0)
+        for order in ORDERS:
+            _, res = golden_run(form, partition, jacobian, order)
+            counts, norm = GOLDEN[(form, partition, jacobian)][order]
+            assert (res.stats.matvecs, res.stats.krylov_dim_total, res.stats.solves) == counts, order
+            assert discrete_l2(res.state) == pytest.approx(norm, rel=1e-12, abs=0.0), order
 
     def test_solves_per_partition_equal_original_form(self):
         # forward substitution costs each partition the original form's solves
-        _, orig = golden_run("orig", "none", "full")
-        for case in GOLDEN:
-            problem, res = golden_run(*case)
-            assert res.stats.solves == problem.partitions * orig.stats.solves, case
+        for order in ORDERS:
+            _, orig = golden_run("orig", "none", "full", order)
+            for case in GOLDEN:
+                problem, res = golden_run(*case, order)
+                assert res.stats.solves == problem.partitions * orig.stats.solves, (case, order)
 
 
 class TestCli:
-    """One subprocess test per subcommand covers the console wiring; the
-    configuration and exit-code cases call ``cli.main`` in this process."""
+    """One subprocess test per subcommand covers the console wiring, and one
+    more what `pexprk run` imports; the configuration and exit-code cases
+    call ``cli.main`` in this process."""
 
-    def run_cli(self, *args):
+    def run_python(self, *args):
         # the subprocess imports the same pexprk as this test, installed or not
         source = str(Path(pexprk.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "pexprk.cli", *args], capture_output=True, text=True,
+            [sys.executable, *args], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    def run_cli(self, *args):
+        return self.run_python("-m", "pexprk.cli", *args)
 
     @pytest.fixture
     def main(self, capsys):
@@ -335,6 +384,20 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         rows, metadata = parse_csv(out)
         assert len(rows) == 2 and metadata["partition"] == "physics"
+
+    def test_run_leaves_dense_reference_modules_unimported(self, tmp_path):
+        # scipy.linalg serves only expm_dense and scipy.integrate only the test
+        # oracle; neither is on the run path, and both load at first call
+        argv = ["run", "--grid", "8", "--partition", "species", "--order", "4", "--form", "part",
+                "--steps", "1,2", "--out", str(tmp_path / "study.csv")]
+        proc = self.run_python("-c", (
+            "import sys\n"
+            "from pexprk import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(code, [m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules])\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_config_file_with_flag_override(self, tmp_path, main):
         config = tmp_path / "cfg.json"

@@ -14,7 +14,6 @@ from pexprk.problems import (
     PARTITION_NAMES,
     TIMESPAN,
     GrayScottModel,
-    _block_entries,
     _laplacian_csr,
     _subblock_entries,
     gs_default,
@@ -425,14 +424,12 @@ class TestPartitions:
 
     def test_build_study_leaves_subblock_entries_uncomputed(self):
         # the supports come from the species halves and gs_space_permutation;
-        # the entry positions wait for the first operator build
+        # the parts' and the block's entries wait for the first operator build
         _subblock_entries.cache_clear()
-        _block_entries.cache_clear()
         for partition in ("species", "space"):
             build_study(RunConfig(grid=16, partition=partition, form="part"))
             build_study(RunConfig(grid=16, partition=partition, form="tran", jacobian="block"))
         assert _subblock_entries.cache_info().currsize == 0
-        assert _block_entries.cache_info().currsize == 0
 
     def test_space_requires_even_grid(self):
         with pytest.raises(ValueError):

@@ -313,7 +313,7 @@ class TestIntegrateFixed:
             (lambda u: a @ u,),
             (lambda u: ZeroOperator(2),),
         )
-        with pytest.raises(IntegrationFailure, match="step"):
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(IntegrationFailure, match="step"):
             integrate_fixed(pexprk_stepper(2), prob, np.ones(2), 0.0, 1.0, 3, TIGHT)
 
     def test_nonconvergence_surfaces_with_stage_context(self):

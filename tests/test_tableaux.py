@@ -274,6 +274,17 @@ class TestTransform:
                 design_order=2,
             )
 
+    @pytest.mark.parametrize("c", [(0.0, 0.0), (0.0, 1.5)])
+    def test_rejects_abscissa_outside_unit_interval(self, c):
+        # c_i, i >= 1, scales phi_1(c_i z), which Phi admits only in (0, 1]
+        with pytest.raises(ValueError, match=r"abscissa c\[1\]"):
+            tableau_order2().__class__(
+                s=2, c=c,
+                a=((None, None), (Phi(1), None)),
+                b=(Phi(1), Phi(2)),
+                design_order=2,
+            )
+
 
 WEAK_CONDITIONS = {3: {"3a"}, 4: {"4a", "4b"}}
 
