@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from .harness import (
     FORMS,
@@ -130,6 +131,10 @@ def _config_from_args(args) -> RunConfig:
     values.update(_field_values(flags, "the command line"))  # flags override the file
     cfg = RunConfig(**values)
     cfg.validate()
+    # checked before the study runs, not when its CSV is written at the end
+    if cfg.out and (not isinstance(cfg.out, str) or Path(cfg.out).is_dir()
+                    or not Path(cfg.out).parent.is_dir()):
+        raise ConfigError(f"out must be a file path in an existing directory, got {cfg.out!r}")
     return cfg
 
 

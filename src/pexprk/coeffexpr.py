@@ -101,7 +101,6 @@ class ZMul(CoefficientExpr):
 
 
 ZERO = Const(0.0)
-ONE = Const(1.0)
 
 
 def is_zero(expr) -> bool:

@@ -13,19 +13,24 @@ by physical process, and the process split with the reaction treated
 explicitly.  A small dense semilinear problem with a smooth nonlinearity
 serves as the test oracle throughout.
 
-The full Jacobian's sparsity pattern and diffusion values are built once
-per model.  The full Jacobian, the species and space parts and their block
-Jacobian each hold some of its entries, and ``_assemble`` builds them all:
-it copies the operator's cached diffusion values and adds
-``_reaction_values`` at the reaction entries among them.  Each species or
-space part owns a support, the state indices of its variables: its
-right-hand side returns only those rows, and its operator is the full
-Jacobian's principal sub-block on them, so its Krylov solves run in the
-part's own variables.  The physics and imex parts cover the whole state
-(support ``slice(None)``); the physics reaction operator, which leaves the
-diffusion out, has a pattern of its own.  Operators that are symmetric by
+The diffusion matrix (each species' five-point stencil, block-diagonal) and
+the full Jacobian's sparsity pattern and diffusion values are built once per
+model.  The full right-hand side and the physics diffusion part apply the
+diffusion matrix; each species or space part applies its own rows of it.
+Every state-dependent operator (the full Jacobian, the species and space
+parts and their block Jacobian, and the physics reaction operator) holds
+some of the full Jacobian's entries, and ``_assemble`` builds them all: it
+copies the operator's cached diffusion values (zeros for the reaction
+operator) and adds ``_reaction_values`` at the reaction entries among them.
+Each species or space part owns a support, the state indices of its
+variables: its right-hand side returns only those rows, and its operator is
+the full Jacobian's principal sub-block on them, so its Krylov solves run in
+the part's own variables.  The physics and imex parts cover the whole state
+(support ``slice(None)``).  The physics parts drop no coupling, so their
+block Jacobian is the full Jacobian; the imex reaction operator is zero, so
+theirs is the diffusion operator.  Operators that are symmetric by
 construction are declared so: the species sub-blocks (a Laplacian plus a
-diagonal), the diffusion and sums of such operators.  The space sub-blocks,
+diagonal), their block Jacobian and the diffusion.  The space sub-blocks,
 the reaction operator and the full Jacobian carry the cross-species entries
 -2ab and b^2 and are not.
 """
@@ -89,22 +94,6 @@ def gs_default(n: int = DESK_GRID) -> GrayScottModel:
     return GrayScottModel(n=n)
 
 
-@lru_cache(maxsize=16)
-def _unit_stencil_csr(n: int):
-    # plain periodic five-point stencil (the operator builder's unit-square
-    # scaling divided back out)
-    return laplacian_2d_periodic(n, 1.0).matrix * (1.0 / (n * n))
-
-
-@lru_cache(maxsize=64)
-def _scaled_stencil_csr(n: int, scale: float):
-    return _unit_stencil_csr(n) * scale
-
-
-def _laplacian_csr(m: GrayScottModel, d: float):
-    return _scaled_stencil_csr(m.n, m.stencil_scale(d))
-
-
 def gs_initial(m: GrayScottModel) -> np.ndarray:
     """Initial fields sampled at cell centers x = (ix + 1/2)/n, y = (iy + 1/2)/n."""
     n = m.n
@@ -138,9 +127,10 @@ _EQUATIONS = (_equation_a, _equation_b)
 
 def gs_rhs(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
     a, b = _split_state(m, u)
+    diffusion = _diffusion_csr(m) @ u
     return np.concatenate([
-        _equation_a(m, _laplacian_csr(m, m.d_a) @ a, a, b),
-        _equation_b(m, _laplacian_csr(m, m.d_b) @ b, a, b),
+        _equation_a(m, diffusion[: m.cells], a, b),
+        _equation_b(m, diffusion[m.cells:], a, b),
     ])
 
 
@@ -154,20 +144,23 @@ def _reaction_values(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
     return np.concatenate([-b2 - m.feed, -2.0 * ab, b2, 2.0 * ab - (m.feed + m.kill)])
 
 
+def _read_only(*arrays) -> tuple:
+    for array in arrays:
+        array.flags.writeable = False  # the caches hand these arrays to every caller
+    return arrays
+
+
 @lru_cache(maxsize=16)
 def _diffusion_csr(m: GrayScottModel):
-    """The block-diagonal diffusion matrix, which no state changes."""
+    """The diffusion matrix, which no state changes: block-diagonal, each
+    species' periodic five-point stencil scaled by d / spacing**2."""
+    # the operator builder's unit-square scaling divided back out
+    stencil = laplacian_2d_periodic(m.n, 1.0).matrix * (1.0 / (m.n * m.n))
     diffusion = scipy.sparse.block_diag(
-        [_laplacian_csr(m, m.d_a), _laplacian_csr(m, m.d_b)], format="csr"
+        [stencil * m.stencil_scale(m.d_a), stencil * m.stencil_scale(m.d_b)], format="csr"
     )
-    for array in (diffusion.data, diffusion.indices, diffusion.indptr):
-        array.flags.writeable = False  # the cache hands these arrays to every caller
+    _read_only(diffusion.data, diffusion.indices, diffusion.indptr)
     return diffusion
-
-
-def _csr(data, indices, indptr):
-    size = indptr.size - 1
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 @lru_cache(maxsize=16)
@@ -190,36 +183,36 @@ def _jacobian_structure(m: GrayScottModel) -> tuple:
     values[np.searchsorted(keys, diffusion_keys)] = diffusion.data
     indptr = np.searchsorted(keys, np.arange(dim + 1, dtype=np.int64) * dim)
     slots = np.searchsorted(keys, reaction_keys)
-    structure = (values, (keys % dim).astype(np.int32), indptr.astype(np.int32), slots)
-    for array in structure:
-        array.flags.writeable = False  # the cache hands these arrays to every caller
+    structure = _read_only(values, (keys % dim).astype(np.int32), indptr.astype(np.int32), slots)
     return (*structure, slice(None))  # every reaction value lies on the pattern
 
 
 def _assemble(m: GrayScottModel, entries: tuple, u: np.ndarray):
     """The CSR matrix of an operator whose entries lie on the full Jacobian's
-    pattern and carry its values there.  ``entries`` holds the diffusion
-    values at those positions, the CSR indices and indptr, and the reaction
+    pattern.  ``entries`` holds the operator's diffusion values there (the
+    full Jacobian's, or zeros), the CSR indices and indptr, and the reaction
     entries among them: their slots in the operator's data and their indices
     in ``_reaction_values``."""
     diffusion, indices, indptr, slots, reaction = entries
     data = diffusion.copy()
     data[slots] += _reaction_values(m, u)[reaction]
-    return _csr(data, indices, indptr)
+    size = indptr.size - 1
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def gs_full_jacobian(m: GrayScottModel, u: np.ndarray) -> SparseOperator:
     return SparseOperator(_assemble(m, _jacobian_structure(m), u))
 
 
-def _reaction_csr(m: GrayScottModel, u: np.ndarray):
-    """The reaction Jacobian alone: in each row, the columns of the cell's a and b."""
-    cell = np.arange(m.cells, dtype=np.int32)
-    indices = np.tile(np.column_stack([cell, cell + m.cells]).ravel(), 2)
-    indptr = np.arange(0, 2 * m.dim + 1, 2, dtype=np.int32)
-    # row by row: the a-equation's d/da and d/db of each cell, then the b-equation's
-    data = _reaction_values(m, u).reshape(2, 2, m.cells).transpose(0, 2, 1).ravel()
-    return _csr(data, indices, indptr)
+@lru_cache(maxsize=16)
+def _reaction_entries(m: GrayScottModel) -> tuple:
+    """The entries (see ``_assemble``) of the physics reaction operator: the
+    full Jacobian's reaction entries alone, with zero diffusion values."""
+    _, indices, indptr, slots, _ = _jacobian_structure(m)
+    take = np.sort(slots)
+    entries = (np.zeros(take.size), indices[take], np.searchsorted(take, indptr).astype(np.int32),
+               np.searchsorted(take, slots))
+    return (*_read_only(*entries), slice(None))
 
 
 def _subblock_supports(m: GrayScottModel, name: str) -> tuple:
@@ -238,10 +231,7 @@ def _gathered_entries(m: GrayScottModel, take, indices, indptr) -> tuple:
     local = np.full(diffusion.size, -1)  # each position's slot in the operator's data
     local[take] = np.arange(take.size)
     reaction = np.flatnonzero(local[slots] >= 0)
-    entries = (diffusion[take], indices, indptr.astype(np.int32), local[slots[reaction]], reaction)
-    for array in entries:
-        array.flags.writeable = False  # the cache hands these arrays to every caller
-    return entries
+    return _read_only(diffusion[take], indices, indptr.astype(np.int32), local[slots[reaction]], reaction)
 
 
 @lru_cache(maxsize=16)
@@ -269,21 +259,22 @@ def _subblock_entries(m: GrayScottModel, name: str) -> tuple:
 @lru_cache(maxsize=16)
 def _subblock_rows(m: GrayScottModel, name: str) -> tuple:
     """Per part and species s it holds (0 for a, 1 for b): s, the part's cells
-    of that species as a slice, and the species' diffusion stencil on those
-    rows.  Both splits hold a contiguous range of cells of each species, so
-    every gather is a view."""
+    of that species as a slice, and the diffusion matrix's rows of those
+    variables.  Both splits hold a contiguous range of cells of each species,
+    so every gather is a view."""
     parts = []
     for support in _subblock_supports(m, name):
         variables = np.arange(m.dim)[support]
         rows = []
-        for s, d in enumerate((m.d_a, m.d_b)):
-            cells = variables[(variables >= s * m.cells) & (variables < (s + 1) * m.cells)] - s * m.cells
-            if cells.size == 0:
+        for s in range(2):
+            own = variables[(variables >= s * m.cells) & (variables < (s + 1) * m.cells)]
+            if own.size == 0:
                 continue
-            start, stop = int(cells[0]), int(cells[-1]) + 1
-            if stop - start != cells.size:
+            start, stop = int(own[0]), int(own[-1]) + 1
+            if stop - start != own.size:
                 raise ValueError(f"{name} split: part cells are not contiguous")
-            rows.append((s, slice(start, stop), _laplacian_csr(m, d)[start:stop]))
+            cells = slice(start - s * m.cells, stop - s * m.cells)
+            rows.append((s, cells, _diffusion_csr(m)[start:stop]))
         parts.append(tuple(rows))
     return tuple(parts)
 
@@ -297,10 +288,10 @@ def _subblock_split(m: GrayScottModel, name: str) -> SplitProblem:
 
     def part(p):
         def f(u):
-            state = a, b = _split_state(m, u)
+            a, b = _split_state(m, u)
             rows = [
-                _EQUATIONS[s](m, stencil @ state[s], a[cells], b[cells])
-                for s, cells, stencil in _subblock_rows(m, name)[p]
+                _EQUATIONS[s](m, diffusion @ u, a[cells], b[cells])
+                for s, cells, diffusion in _subblock_rows(m, name)[p]
             ]
             return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
@@ -349,7 +340,7 @@ def gs_partition_physics(m: GrayScottModel) -> SplitProblem:
         return SparseOperator(_diffusion_csr(m), symmetric=True)
 
     def build_reaction(u):
-        return SparseOperator(_reaction_csr(m, u))
+        return SparseOperator(_assemble(m, _reaction_entries(m), u))
 
     return SplitProblem(m.dim, (f_diffusion, f_reaction), (build_diffusion, build_reaction), name="physics")
 
@@ -382,12 +373,13 @@ def gs_unpartitioned(m: GrayScottModel, jacobian: str = "full", partition: str |
     """Single-partition problem for the unpartitioned forms.
 
     ``jacobian='full'`` freezes the exact Jacobian; ``jacobian='block'``
-    freezes the sum of a partition's operators (the block approximation that
-    drops the couplings the partition drops).  The species and space blocks
-    are assembled from the union of their parts' entries; the physics and
-    imex operators, which cover the whole state, are added.
+    freezes a partition's block Jacobian, the sum of its operators (the
+    approximation that drops the couplings the partition drops).  The
+    species and space blocks are assembled from the union of their parts'
+    entries.  The physics parts drop no coupling, so their block is the full
+    Jacobian; the imex reaction operator is zero, so theirs is the diffusion.
     """
-    if jacobian == "full":
+    if jacobian == "full" or (jacobian == "block" and partition == "physics"):
         builder = lambda u: gs_full_jacobian(m, u)  # noqa: E731
     elif jacobian == "block" and partition in ("species", "space"):
         _subblock_supports(m, partition)  # rejects an odd grid side now, not at the first step
@@ -395,18 +387,12 @@ def gs_unpartitioned(m: GrayScottModel, jacobian: str = "full", partition: str |
         def builder(u):
             return SparseOperator(_assemble(m, _subblock_entries(m, partition)[2], u), partition == "species")
 
+    elif jacobian == "block" and partition == "imex":
+        builder = gs_partition_physics(m).operator_builders[0]
     elif jacobian == "block":
         if partition is None:
             raise ValueError("the block Jacobian needs a partition to take blocks from")
-        split = gs_partition(m, partition)
-
-        def builder(u):
-            ops = [op for op in (build(u) for build in split.operator_builders) if op.kind != "zero"]
-            matrices = [op.matrix for op in ops]
-            # entrywise sums of exactly symmetric matrices are exactly symmetric
-            symmetric = all(op.symmetric for op in ops)
-            return SparseOperator(sum(matrices[1:], matrices[0]), symmetric)
-
+        raise ValueError(f"unknown partition {partition!r}; expected one of {PARTITION_NAMES}")
     else:
         raise ValueError(f"unknown jacobian kind {jacobian!r}")
     return unpartitioned_problem(m.dim, lambda u: gs_rhs(m, u), builder, name=f"gray-scott-{jacobian}")

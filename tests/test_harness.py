@@ -312,7 +312,9 @@ def golden_run(form, partition, jacobian, order):
 class TestGoldenCounts:
     """Each case checks every catalog order."""
 
-    @pytest.mark.parametrize("form, partition, jacobian", list(GOLDEN), ids="-".join)
+    @pytest.mark.parametrize(
+        "form, partition, jacobian", list(GOLDEN), ids=["-".join(case) for case in GOLDEN]
+    )
     def test_counts_and_final_norm(self, form, partition, jacobian):
         for order in ORDERS:
             _, res = golden_run(form, partition, jacobian, order)
@@ -411,6 +413,16 @@ class TestCli:
         _, metadata = parse_csv(out)
         assert metadata["partition"] == "imex"  # flag overrides the file
         assert metadata["grid"] == "8"
+
+    def test_run_out_into_missing_directory_fails_before_the_reference(self, tmp_path, main):
+        missing = str(tmp_path / "missing" / "study.csv")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"out": missing}))
+        for where in (["--out", missing], ["--out", str(tmp_path)], ["--config", str(config)]):
+            proc = main("run", "--grid", "8", "--steps", "1,2", *where)
+            assert proc.returncode == 2, where
+            assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
+            assert "reference gap" not in proc.stdout
 
     def test_config_error_exit_code(self, main):
         proc = main("run", "--form", "part")  # partition missing
