@@ -160,6 +160,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check_order(args) -> int:
+    if args.size < 1:
+        raise ConfigError(f"size must be >= 1, got {args.size}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     t = tableau(args.order)
     up_to = args.up_to if args.up_to is not None else t.design_order
     residuals = check_order_conditions(t, up_to=up_to, n=args.size, seed=args.seed)

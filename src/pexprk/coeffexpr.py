@@ -16,9 +16,11 @@ Only Butcher-form coefficients are applied that way: Phi, Const, Scale and
 Sum, the nodes of the a_ij/b_j and of the steppers' phi_1 terms.  Prod and
 ZMul, which the expanded transformed trees add, are evaluated only at
 scalars and dense matrices (``dump-tableau`` and the tests' dense oracle).
-Simplification is deliberately shallow (flattening sums, folding constant
-scales); no phi identities are rewritten, so structural comparisons of
-transformed coefficients stay deterministic.
+Derived trees are built by the constructors ``scale``, ``add``, ``mul`` and
+``zmul``, which fold as they build: zero terms and factors vanish, constant
+factors and nested scales multiply out, unit scales and one-term sums drop,
+and sums flatten.  No phi identities are rewritten, so structural
+comparisons of transformed coefficients stay deterministic.
 """
 
 from dataclasses import dataclass
@@ -75,9 +77,7 @@ class Sum(CoefficientExpr):
     children: tuple
 
     def __init__(self, *children):
-        if len(children) == 1 and isinstance(children[0], tuple):
-            children = children[0]
-        object.__setattr__(self, "children", tuple(children))
+        object.__setattr__(self, "children", children)
 
     def __str__(self):
         return "sum(" + ", ".join(str(ch) for ch in self.children) + ")"
@@ -120,62 +120,46 @@ def max_phi_index(expr) -> int:
     return 0
 
 
-def simplify(expr: CoefficientExpr) -> CoefficientExpr:
-    """Flatten sums and fold constant scales; returns shared nodes unchanged."""
-    if isinstance(expr, (Phi, Const)):
-        return expr
-    if isinstance(expr, Scale):
-        child = simplify(expr.child)
-        if expr.r == 0.0 or is_zero(child):
-            return ZERO
-        if isinstance(child, Const):
-            return Const(expr.r * child.r)
-        if isinstance(child, Scale):
-            return simplify(Scale(expr.r * child.r, child.child))
-        if expr.r == 1.0:
-            return child
-        if child is expr.child:
-            return expr
-        return Scale(expr.r, child)
-    if isinstance(expr, Sum):
-        flat = []
-        changed = False
-        for ch in expr.children:
-            s = simplify(ch)
-            changed = changed or s is not ch
-            if is_zero(s):
-                changed = True
-                continue
-            if isinstance(s, Sum):
-                flat.extend(s.children)
-                changed = True
-            else:
-                flat.append(s)
-        if not flat:
-            return ZERO
-        if len(flat) == 1:
-            return flat[0]
-        return expr if not changed else Sum(tuple(flat))
-    if isinstance(expr, Prod):
-        left = simplify(expr.left)
-        right = simplify(expr.right)
-        if is_zero(left) or is_zero(right):
-            return ZERO
-        if isinstance(left, Const):
-            return simplify(Scale(left.r, right))
-        if isinstance(right, Const):
-            return simplify(Scale(right.r, left))
-        if left is expr.left and right is expr.right:
-            return expr
-        return Prod(left, right)
-    if isinstance(expr, ZMul):
-        child = simplify(expr.child)
-        if is_zero(child):
-            return ZERO
-        if child is expr.child:
-            return expr
-        return ZMul(child)
-    raise TypeError(f"not a coefficient expression: {expr!r}")
+def scale(r: float, e) -> CoefficientExpr:
+    """r * e, folded: a zero factor gives ZERO, a constant multiplies out,
+    nested scales merge and r = 1 returns e."""
+    if r == 0.0 or is_zero(e):
+        return ZERO
+    if isinstance(e, Const):
+        return Const(r * e.r)
+    if isinstance(e, Scale):
+        return scale(r * e.r, e.child)
+    return e if r == 1.0 else Scale(r, e)
+
+
+def add(*terms) -> CoefficientExpr:
+    """The sum of the terms, folded: zero (or None) terms drop, sums flatten
+    one level, and no term or one term gives ZERO or that term."""
+    flat = [
+        child
+        for term in terms
+        for child in (term.children if isinstance(term, Sum) else (term,))
+        if not is_zero(child)
+    ]
+    if len(flat) < 2:
+        return flat[0] if flat else ZERO
+    return Sum(*flat)
+
+
+def mul(left, right) -> CoefficientExpr:
+    """left * right, folded: a zero factor gives ZERO, a constant factor a scale."""
+    if is_zero(left) or is_zero(right):
+        return ZERO
+    if isinstance(left, Const):
+        return scale(left.r, right)
+    if isinstance(right, Const):
+        return scale(right.r, left)
+    return Prod(left, right)
+
+
+def zmul(e) -> CoefficientExpr:
+    """z * e (ZERO for a zero e)."""
+    return ZERO if is_zero(e) else ZMul(e)
 
 
 def eval_scalar(expr: CoefficientExpr, z: float) -> float:
@@ -195,25 +179,16 @@ def eval_scalar(expr: CoefficientExpr, z: float) -> float:
     raise TypeError(f"not a coefficient expression: {expr!r}")
 
 
-def phi_of_dense(k: int, z_mat: np.ndarray, memo: dict | None = None) -> np.ndarray:
-    """phi_k (k >= 1) of a small dense matrix, memoized per argument id."""
-    key = (k, id(z_mat))
-    if memo is not None and key in memo:
-        return memo[key]
-    out = phi_dense_matrices(k, z_mat)[k - 1]
-    if memo is not None:
-        memo[key] = out
-    return out
-
-
 def eval_dense(expr: CoefficientExpr, z_mat: np.ndarray, memo: dict | None = None) -> np.ndarray:
-    """Evaluate the coefficient at a small dense matrix argument Z = h L."""
+    """Evaluate the coefficient at a small dense matrix argument Z = h L.
+
+    A memo serves one Z: it holds phi_k(c Z) under its Phi node."""
     n = z_mat.shape[0]
     if isinstance(expr, Phi):
-        if memo is None:
-            memo = {}
-        scaled = memo.setdefault(("arg", expr.c, id(z_mat)), expr.c * z_mat)
-        return phi_of_dense(expr.k, scaled, memo)
+        memo = {} if memo is None else memo
+        if expr not in memo:
+            memo[expr] = phi_dense_matrices(expr.k, expr.c * z_mat)[expr.k - 1]
+        return memo[expr]
     if isinstance(expr, Const):
         return expr.r * np.eye(n)
     if isinstance(expr, Scale):

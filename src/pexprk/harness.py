@@ -75,6 +75,8 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.partition not in ("none",) + PARTITION_NAMES:
             raise ConfigError(f"unknown partition {self.partition!r}")
         if self.order not in (2, 3, 4):
@@ -259,7 +261,10 @@ def run_convergence_study(cfg: RunConfig, reference: ReferenceSolution | None = 
     estimate_order(rows)
 
     if all(row.failed for row in rows):
-        raise NumericalFailure("every step size failed; no convergence data produced")
+        last = rows[-1]
+        raise NumericalFailure(
+            f"every step size failed; no convergence data produced (h = {last.h:.6g}: {last.message})"
+        )
     metadata = cfg.as_metadata()
     metadata["reference_gap"] = reference.gap
     metadata["reference_steps"] = reference.n_steps

@@ -132,10 +132,14 @@ def phi_dense_times_vector(p: int, a: np.ndarray, v: np.ndarray) -> list[np.ndar
 # expm_dense is first called, which `pexprk run` never does.
 def _expm_pade13(a):
     """Scaling-and-squaring exponential, lean path for the reduced-space
-    evaluations inside the Krylov engine (no input validation)."""
+    evaluations inside the Krylov engine.  Its one validation: an argument
+    whose 1-norm is not finite (overflowed or NaN) raises, since no scaling
+    can bring it into range."""
     n = a.shape[0]
     # column sums accumulate row by row, in the order of a plain double loop
     norm1 = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm1):
+        raise PhiEvaluationError(f"phi evaluation overflowed (argument norm {norm1:.3g})")
     squarings = 0
     if norm1 > 5.371920351148152:
         squarings = int(math.ceil(math.log2(norm1 / 5.371920351148152)))
@@ -162,8 +166,8 @@ def _expm_pade13(a):
 
 def phi_cols_e1(p: int, a: np.ndarray) -> np.ndarray:
     """Lean variant of phi_dense_times_vector for v = e_1: an (n, p) array of
-    columns phi_k(A) e_1, k = 1..p; raises on overflow but performs no other
-    validation."""
+    columns phi_k(A) e_1, k = 1..p; raises PhiEvaluationError on an argument
+    of non-finite 1-norm or on overflow, and performs no other validation."""
     n = a.shape[0]
     cols = _expm_pade13(_augmented(p, a, np.eye(1, n)[0]))[:n, n:]
     if not np.all(np.isfinite(cols)):

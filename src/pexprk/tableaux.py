@@ -12,11 +12,12 @@ is expanded symbolically (exact, since z A is nilpotent), giving
     alpha_{2:s,1} = E [c_i phi_1(c_i z)],   alpha_{2:s,2:s} = E A,
     beta_1 = phi_1 - z sum_j b_j alpha_{j,1},   beta_{2:s}^T = b_{2:s}^T E.
 
-Products are recorded as Prod/ZMul nodes and never evaluated here.  The
-expanded trees serve ``dump-tableau`` and the dense oracles of the tests;
-the steppers take the Butcher form and apply E by forward substitution
-(see ``steppers``), at the Krylov cost of the original form rather than one
-solve per node of the much larger expanded trees.
+Products are built with the folding constructors ``mul`` and ``zmul``
+(sums with ``add``), so they are recorded as Prod/ZMul nodes and never
+evaluated here.  The expanded trees serve ``dump-tableau`` and the dense
+oracles of the tests; the steppers take the Butcher form and apply E by
+forward substitution (see ``steppers``), at the Krylov cost of the original
+form rather than one solve per node of the much larger expanded trees.
 
 ``check_order_conditions`` evaluates the stiff order conditions up to order
 four as dense-matrix residuals on random instances; the conditions must hold
@@ -33,14 +34,15 @@ import numpy as np
 from .coeffexpr import (
     Const,
     Phi,
-    Prod,
     Scale,
     Sum,
-    ZMul,
+    add,
     eval_dense,
     is_zero,
     max_phi_index,
-    simplify,
+    mul,
+    scale,
+    zmul,
 )
 
 
@@ -176,98 +178,38 @@ def tableau(order: int) -> ExprkTableau:
 
 
 def _sym_matmul(m1, m2):
-    """Product of two symbolic matrices (None entries are zero)."""
-    size = len(m1)
-    out = []
-    for i in range(size):
-        row = []
-        for k in range(size):
-            terms = [
-                Prod(m1[i][j], m2[j][k])
-                for j in range(size)
-                if m1[i][j] is not None and m2[j][k] is not None
-            ]
-            entry = simplify(Sum(tuple(terms))) if terms else None
-            row.append(None if entry is None or is_zero(entry) else entry)
-        out.append(row)
-    return out
-
-
-def _sym_add(m1, m2):
-    size = len(m1)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            terms = [e for e in (m1[i][j], m2[i][j]) if e is not None]
-            if not terms:
-                row.append(None)
-            elif len(terms) == 1:
-                row.append(terms[0])
-            else:
-                row.append(simplify(Sum(tuple(terms))))
-        out.append(row)
-    return out
+    """Product of two symbolic matrices, lists of rows (absent entries are zero)."""
+    return [[add(*map(mul, row, col)) for col in zip(*m2)] for row in m1]
 
 
 def transform(t: ExprkTableau) -> TransformedTableau:
     """Rewrite a Butcher-form method into the full-rhs (alpha, beta) form."""
     s = t.s
-    size = s - 1  # the strict 2:s stage block
-
-    a_block = [[t.a[i + 1][j + 1] for j in range(size)] for i in range(size)]
-    neg_za = [
-        [None if a_block[i][j] is None else Scale(-1.0, ZMul(a_block[i][j])) for j in range(size)]
-        for i in range(size)
-    ]
+    a_block = [row[1:] for row in t.a[1:]]  # the strict 2:s stage block
+    neg_za = [[scale(-1.0, zmul(e)) for e in row] for row in a_block]
 
     # E = sum_{j=0}^{s-2} (-z A)^j, exact because z A is nilpotent
-    identity = [[Const(1.0) if i == j else None for j in range(size)] for i in range(size)]
-    e_mat = identity
-    power = identity
-    for _ in range(size - 1):
+    e_mat = power = [[Const(1.0) if i == j else None for j in range(s - 1)] for i in range(s - 1)]
+    for _ in range(s - 2):
         power = _sym_matmul(power, neg_za)
-        e_mat = _sym_add(e_mat, power)
+        e_mat = [list(map(add, e_row, p_row)) for e_row, p_row in zip(e_mat, power)]
 
-    first_col = [Scale(t.c[i + 1], Phi(1, t.c[i + 1])) for i in range(size)]
-    alpha_col1 = [
-        simplify(Sum(tuple(Prod(e_mat[i][j], first_col[j]) for j in range(size) if e_mat[i][j] is not None)))
-        for i in range(size)
-    ]
-
+    alpha_col1 = _sym_matmul(e_mat, [[scale(ci, Phi(1, ci))] for ci in t.c[1:]])
     alpha_block = _sym_matmul(e_mat, a_block)
 
-    # beta_1 = phi_1 - z * sum_{j>=2} b_j alpha_{j,1}
-    weighted = [
-        Prod(t.b[i + 1], alpha_col1[i])
-        for i in range(size)
-        if not is_zero(t.b[i + 1]) and not is_zero(alpha_col1[i])
+    # beta_1 = phi_1 - z sum_{j>=2} b_j alpha_{j,1},  beta_{2:s}^T = b_{2:s}^T E
+    b_row = [t.b[1:]]
+    weighted = _sym_matmul(b_row, alpha_col1)[0][0]
+    beta1 = add(Phi(1, 1.0), scale(-1.0, zmul(weighted)))
+    beta_rest = _sym_matmul(b_row, e_mat)[0]
+
+    alpha = [(None,) * s] + [
+        (col[0], *(None if is_zero(e) else e for e in row)) for col, row in zip(alpha_col1, alpha_block)
     ]
-    if weighted:
-        beta1 = simplify(Sum(Phi(1, 1.0), Scale(-1.0, ZMul(simplify(Sum(tuple(weighted)))))))
-    else:
-        beta1 = Phi(1, 1.0)
-
-    # beta_{2:s}^T = b_{2:s}^T E
-    beta_rest = []
-    for j in range(size):
-        terms = [
-            Prod(t.b[i + 1], e_mat[i][j])
-            for i in range(size)
-            if not is_zero(t.b[i + 1]) and e_mat[i][j] is not None
-        ]
-        beta_rest.append(simplify(Sum(tuple(terms))) if terms else Const(0.0))
-
-    alpha = {}
-    for i in range(size):
-        alpha[(i + 1, 0)] = alpha_col1[i]
-        for j in range(size):
-            if alpha_block[i][j] is not None:
-                alpha[(i + 1, j + 1)] = alpha_block[i][j]
     return TransformedTableau(
         s=s,
         c=t.c,
-        alpha=_grid(s, alpha),
+        alpha=tuple(alpha),
         beta=(beta1, *beta_rest),
         design_order=t.design_order,
     )
@@ -299,6 +241,8 @@ def check_order_conditions(
     """
     if up_to > 4:
         raise ValueError("conditions are tabulated up to order four")
+    if n < 1:
+        raise ValueError(f"matrix size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     L = rng.uniform(-1, 1, size=(n, n))
     J = rng.uniform(-1, 1, size=(n, n))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pexprk
-from pexprk import cli
+from pexprk import cli, harness
 from pexprk.cli import _build_parser, _config_from_args
 from pexprk.harness import (
     FORMS,
@@ -423,6 +423,36 @@ class TestCli:
             assert proc.returncode == 2, where
             assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
             assert "reference gap" not in proc.stdout
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--krylov-tol", "inf"), ("--krylov-tol", "nan"), ("--tspan", "0:inf"), ("--tspan", "nan:1")],
+        ids=["tol-inf", "tol-nan", "tf-inf", "t0-nan"],
+    )
+    def test_non_finite_setting_fails_before_the_reference(self, flags, main, monkeypatch):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference was computed")
+
+        monkeypatch.setattr(harness, "reference_solution", no_reference)
+        proc = main("run", "--grid", "8", "--steps", "1,2", *flags)
+        assert proc.returncode == 2, flags
+        assert "must be finite" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_overflowing_reduced_argument_names_the_failed_step(self, main):
+        # tau H overflows at h = 1e308: a phi failure (exit 3), not a crash
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            proc = main("run", "--grid", "8", "--steps", "1", "--tspan", "0:1e308", "--form", "orig")
+        assert proc.returncode == 3
+        assert "numerical failure" in proc.stderr
+        assert "step 1/1: stage 2, partition 1" in proc.stderr and "overflowed" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "flags", [("--size", "0"), ("--size", "-1"), ("--seed", "-1")], ids=["size-0", "size-neg", "seed-neg"]
+    )
+    def test_check_order_bad_input_exit_code(self, flags, main):
+        proc = main("check-order", "--order", "2", *flags)
+        assert proc.returncode == 2, flags
+        assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_config_error_exit_code(self, main):
         proc = main("run", "--form", "part")  # partition missing

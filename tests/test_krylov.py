@@ -85,6 +85,14 @@ class TestCheckSchedule:
             default_check_schedule(0)
 
 
+class TestKrylovConfig:
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, np.inf, np.nan])
+    def test_rejects_tolerance_not_positive_and_finite(self, tol):
+        # an infinite tol would pass every product at its first check
+        with pytest.raises(ValueError, match="tol"):
+            KrylovConfig(tol=tol)
+
+
 class TestPhiTimesVector:
     def test_scaled_identity_converges_at_m1(self):
         cfg = KrylovConfig(tol=1e-12, m_max=20)

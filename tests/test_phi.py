@@ -269,6 +269,15 @@ class TestReducedExponential:
             err = norm1(phi_cols_e1(3, a) - want) / norm1(want)
             assert err <= pade13_tolerance(_augmented(3, a, np.eye(1, n)[0])), (norm1(a), err)
 
+    def test_non_finite_norm_raises(self):
+        # an overflowed tau H: no number of squarings brings it into range
+        for a in (np.array([[np.inf, 0.0], [1.0, 1.0]]), np.array([[np.nan]])):
+            with pytest.raises(PhiEvaluationError, match="overflowed"):
+                phi_cols_e1(2, a)
+        # finite entries whose column sum overflows
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(PhiEvaluationError):
+            phi_cols_e1(2, np.full((3, 3), 1e308))
+
 
 class TestPhiArray:
     def test_against_exact_oracle(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,11 +11,13 @@ from pexprk.coeffexpr import (
     Scale,
     Sum,
     ZMul,
+    add,
     eval_coeff,
     eval_dense,
     eval_scalar,
     max_phi_index,
-    simplify,
+    mul,
+    scale,
 )
 from pexprk.krylov import KrylovConfig
 from pexprk.operators import SparseOperator, ZeroOperator
@@ -34,13 +37,12 @@ C23 = 2.0 / 3.0
 
 
 class TestExpressions:
-    def test_simplify_flattens_and_folds(self):
-        e = Sum(Sum(Phi(1), Const(0.0)), Scale(2.0, Scale(3.0, Phi(2))))
-        s = simplify(e)
-        assert s == Sum(Phi(1), Scale(6.0, Phi(2)))
-        assert simplify(Prod(Const(1.0), Phi(1))) is Phi(1) or simplify(Prod(Const(1.0), Phi(1))) == Phi(1)
-        assert simplify(Prod(Const(0.0), Phi(1))) == Const(0.0)
-        assert simplify(Scale(1.0, Phi(3))) == Phi(3)
+    def test_constructors_flatten_and_fold(self):
+        e = add(Sum(Phi(1), Const(0.0)), scale(2.0, scale(3.0, Phi(2))))
+        assert e == Sum(Phi(1), Scale(6.0, Phi(2)))
+        assert mul(Const(1.0), Phi(1)) == Phi(1)
+        assert mul(Const(0.0), Phi(1)) == Const(0.0)
+        assert scale(1.0, Phi(3)) == Phi(3)
 
     def test_structural_equality_and_keys(self):
         assert Phi(2, 0.5) == Phi(2, 0.5)
@@ -76,6 +78,15 @@ class TestExpressions:
         got = eval_dense(expr, z)
         for i, lam in enumerate([0.3, -1.2, 2.0]):
             assert got[i, i] == pytest.approx(eval_scalar(expr, lam), rel=1e-13)
+
+    def test_eval_dense_memo_keyed_by_phi_node(self):
+        # a memo serves one Z: each distinct phi_k(c Z) is computed once
+        z = np.diag([0.3, -1.2, 2.0])
+        memo = {}
+        expr = Sum(Phi(1, 0.5), Scale(2.0, Phi(1, 0.5)), Prod(Phi(2), Phi(1, 0.5)))
+        got = eval_dense(expr, z, memo)
+        assert set(memo) == {Phi(1, 0.5), Phi(2)}
+        np.testing.assert_array_equal(got, eval_dense(expr, z))
 
 
 class TestEvalCoeff:
@@ -337,6 +348,11 @@ class TestOrderConditions:
         b = check_order_conditions(tableau_order3(), up_to=3, n=6, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_empty_matrices(self, n):
+        with pytest.raises(ValueError, match="matrix size"):
+            check_order_conditions(tableau_order2(), up_to=2, n=n)
+
 
 class TestDump:
     def test_dump_is_stable_and_covers_entries(self):
@@ -349,3 +365,19 @@ class TestDump:
         text = dump_tableau(transformed(2))
         assert "alpha[2][1] = phi(1, 1.0)" in text
         assert "beta[2] = phi(2, 1.0)" in text
+
+    # sha256 of each dump: a change in how the trees are built or printed
+    # must keep these bytes, or say why they moved
+    DIGESTS = {
+        ("plain", 2): "433f6f9e256da422d0d82bf81573e63ef86892e4dee29837bc755b8015aaa07f",
+        ("plain", 3): "adb44efb2884c30c01a85417df64feb1c71c9047c8fc89caa966aadc37c140cf",
+        ("plain", 4): "cc3b5307b9d6bf346f3f9652316fbd30782b351e78f2cb6b6124e7ea9958e82f",
+        ("transformed", 2): "a7a9358cf4fb0336339ea39ba2e10a6652d30064d73b9d8ddaa96e080a306e6d",
+        ("transformed", 3): "d5e4f49c11341a8cd1cfc7c331d289a0afc945288ab44da7dcd57b5872f7a49b",
+        ("transformed", 4): "bff3a4c0f66e88d4074cce3679d3978318fc70da82a13053f1bbd434d5c8008c",
+    }
+
+    @pytest.mark.parametrize("form, order", sorted(DIGESTS), ids=lambda v: str(v))
+    def test_dump_digest_pinned(self, form, order):
+        t = transformed(order) if form == "transformed" else tableau(order)
+        assert hashlib.sha256(dump_tableau(t).encode()).hexdigest() == self.DIGESTS[(form, order)]
