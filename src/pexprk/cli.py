@@ -10,6 +10,7 @@ failures (reference gate violation or a study with no surviving rows).
 
 import argparse
 import json
+import resource
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -142,7 +143,8 @@ def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
     print(f"# {cfg.label()} on gray-scott, grid {cfg.grid}, partition {cfg.partition}")
     result = run_convergence_study(cfg)
-    print(f"# reference gap {result.reference.gap:.3e} over {result.reference.n_steps} steps")
+    ref = result.reference
+    print(f"# reference gap {ref.gap:.3e} over {ref.n_steps} steps in {ref.wall_ms:.1f} ms")
     print(f"{'h':>12} {'error_l2':>14} {'order':>7} {'matvecs':>9} {'krylov':>9} {'ms':>9}")
     for row in result.rows:
         order = f"{row.observed_order:7.3f}" if row.observed_order is not None else "      -"
@@ -153,6 +155,9 @@ def _cmd_run(args) -> int:
                 f"{row.h:12.6f} {row.error_l2:14.6e} {order} "
                 f"{row.matvecs:9d} {row.krylov_dims:9d} {row.wall_ms:9.1f}"
             )
+    # ru_maxrss is in KiB on Linux, bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+    print(f"# peak rss {peak:.1f} MiB")
     if cfg.out:
         emit_csv(result.rows, result.metadata, cfg.out)
         print(f"# wrote {cfg.out}")

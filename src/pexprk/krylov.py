@@ -184,6 +184,11 @@ class EvalContext:
             self._arnoldi[key] = entry
         return entry[0]
 
+    def clear(self):
+        """Drop every factorization and memo entry; the stats stay."""
+        self._arnoldi.clear()
+        self.memo.clear()
+
 
 class _ArnoldiState:
     """Incrementally extensible Arnoldi factorization of (L, v); Lanczos
@@ -299,14 +304,11 @@ class _ArnoldiState:
         H_m's eigenvalues lam, the values phi_j(tau lam)."""
         entry = self._phi.get((tau, m))
         if entry is None or entry[0] < p:
-            if lam is None:
-                vals = phi_cols_e1(p, tau * self.H[:m, :m])
-            else:
-                vals = phi_array(p, tau * lam)
-                if not np.all(np.isfinite(vals)):
-                    raise KrylovError(
-                        f"phi evaluation overflowed (spectral radius {np.max(np.abs(tau * lam)):.3g})"
-                    )
+            with np.errstate(over="ignore"):  # an overflow fails the finiteness checks instead
+                arg = tau * (self.H[:m, :m] if lam is None else lam)
+            vals = phi_cols_e1(p, arg) if lam is None else phi_array(p, arg)
+            if lam is not None and not np.all(np.isfinite(vals)):
+                raise KrylovError(f"phi evaluation overflowed (spectral radius {np.max(np.abs(arg)):.3g})")
             entry = (p, vals)
             self._phi[(tau, m)] = entry
         return entry[1]

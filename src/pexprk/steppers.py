@@ -32,12 +32,18 @@ so X_i^p, r_{p,i} and every Krylov vector of the partition have |S_p|
 entries, and each sum over p above adds X_i^p into the full state at S_p.
 With full supports that is plain addition.
 
-Each partition costs what one original-form step costs: at order 4, 16 phi
-products on 5 Arnoldi factorizations (one per vector f_p(u_n), r_{p,2}, ...,
-r_{p,5}).  phi_1(c hL) f(u_n) is applied as the coefficient Phi(1, c), so the
-step's one coefficient memo computes it once per distinct abscissa c.  The
-step passes its tableau's largest phi index p (3 at order 4) to the Krylov
-engine, which evaluates phi_1 .. phi_p of a reduced matrix once per
+The recursion runs by vector, not by row (phipm's order, Niesen & Wright,
+ACM TOMS 38(3), 2012): once f_p(u_n) or r_{p,j} is formed, every product on
+it, in each later stage and in the update, is added into that row's sum, and
+the vector's factorization and coefficient memo are dropped
+(``EvalContext.clear``).  Each sum still adds its terms in row order (the
+phi_1 term, then j ascending), and a step keeps one Krylov basis alive
+instead of one per vector.  Each partition costs what one original-form step
+costs: at order 4, 16 phi products on 5 Arnoldi factorizations, one per
+vector f_p(u_n), r_{p,2}, ..., r_{p,5}.  phi_1(c hL) f(u_n) is applied as the
+coefficient Phi(1, c), so the memo computes it once per distinct abscissa c.
+The step passes its tableau's largest phi index p (3 at order 4) to the
+Krylov engine, which evaluates phi_1 .. phi_p of a reduced matrix once per
 (factorization, tau, m) and serves every sibling solve from it.
 
 ``step_pexprk2_residual``   the order-2 partitioned method rewritten against
@@ -129,46 +135,40 @@ def _phi(L, k, tau, v, cfg, ctx, where):
         raise StepFailure(f"{where}: {exc}") from exc
 
 
-def _combination(acc, c, coeffs, L, fn, rs, h, cfg, ctx, where, name, phi_max):
-    """acc + c phi_1(c hL) fn + sum_j coeffs[j](hL) rs[j], the terms added one
-    at a time in that order; acc None starts from the phi_1 term.  The
-    coefficient memo computes that term once per distinct abscissa c (the
-    update's c = 1 included)."""
-    term = c * _apply_coeff(Phi(1, c), L, h, fn, cfg, ctx, f"{where}, phi_1 term", phi_max)
-    acc = term if acc is None else acc + term
-    for j, r in rs.items():
-        if not is_zero(coeffs[j]):
-            acc = acc + _apply_coeff(coeffs[j], L, h, r, cfg, ctx, f"{where}, {name}[{j + 1}]", phi_max)
-    return acc
-
-
 def _forward_substitution(t, ops, fns, residual, supports, u_n, h, cfg, ctx):
-    """One step of the recursion in the module docstring on the partition
-    operators ops, with f_p(u_n) = fns[p] and r_{p,i} = residual(p, U_i, X_i^p),
-    all on partition p's support.  Each X_i^p and update term enters the full
-    state at its support (total[support] = total[support] + x), which is plain
-    addition for full supports.  Every Krylov solve evaluates phi_1 .. phi_p of
-    its reduced matrix together, p = phi_max the tableau's largest phi index."""
+    """One step of the recursion in the module docstring, by vector, on the
+    partition operators ops, with f_p(u_n) = fns[p] and r_{p,i} =
+    residual(p, U_i, X_i^p), all on partition p's support.  A row's sum (a
+    stage's X^p or the update's) enters the full state at its support
+    (total[support] = total[support] + x), plain addition for full supports."""
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     ctx = ctx if ctx is not None else EvalContext()
-    phi_max = t.phi_max
+    rows = [(t.c[i], t.a[i], f"stage {i + 1}", f"coefficient a[{i + 1}]") for i in range(1, t.s)]
+    rows.append((1.0, t.b, "update", "weight b"))
     parts = range(len(ops))
-    r = [{} for _ in parts]  # r[p][j]: partition p's residual at stage j + 1
-    for i in range(1, t.s):
-        total = np.zeros_like(u_n)
-        xs = []
+    x = [[None] * len(rows) for _ in parts]  # x[p][k]: row k's sum on partition p so far
+    vs = fns  # column j's vectors: f_p(u_n) for j = 0, then r_{p,j+1}, which rows k >= j consume
+    for j in range(len(rows)):
+        if j:
+            total = np.zeros_like(u_n)
+            for p in parts:
+                total[supports[p]] = total[supports[p]] + x[p][j - 1]
+            u_j = u_n + h * total
+            vs = [residual(p, u_j, x[p][j - 1]) for p in parts]
         for p in parts:
-            xs.append(_combination(None, t.c[i], t.a[i], ops[p], fns[p], r[p], h, cfg, ctx,
-                                   f"stage {i + 1}, partition {p + 1}", f"coefficient a[{i + 1}]", phi_max))
-            total[supports[p]] = total[supports[p]] + xs[p]
-        u_i = u_n + h * total
-        for p in parts:
-            r[p][i] = residual(p, u_i, xs[p])
+            for k, (c, coeffs, row, name) in enumerate(rows[j:], j):
+                where = f"{row}, partition {p + 1}"
+                if not j:
+                    x[p][k] = c * _apply_coeff(Phi(1, c), ops[p], h, vs[p], cfg, ctx, f"{where}, phi_1 term",
+                                               t.phi_max)
+                elif not is_zero(coeffs[j]):
+                    x[p][k] = x[p][k] + _apply_coeff(coeffs[j], ops[p], h, vs[p], cfg, ctx,
+                                                     f"{where}, {name}[{j + 1}]", t.phi_max)
+            ctx.clear()  # this vector's factorization and memo entries
     acc = np.zeros_like(u_n)
     for p in parts:
-        acc[supports[p]] = _combination(acc[supports[p]], 1.0, t.b, ops[p], fns[p], r[p], h, cfg, ctx,
-                                        f"update, partition {p + 1}", "weight b", phi_max)
+        acc[supports[p]] = acc[supports[p]] + x[p][-1]
     return u_n + h * acc
 
 

@@ -3,7 +3,9 @@ import json
 import math
 import os
 import subprocess
+import re
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from pexprk.harness import (
     run_convergence_study,
     study_model,
 )
+from pexprk.krylov import EvalContext
 from pexprk.operators import SparseOperator
 from pexprk.phi import expm_dense
 from pexprk.problems import PAPER_SCALE_GRID, PARTITION_NAMES
@@ -330,6 +333,25 @@ class TestGoldenCounts:
                 problem, res = golden_run(*case, order)
                 assert res.stats.solves == problem.partitions * orig.stats.solves, (case, order)
 
+    def test_one_live_factorization_per_step(self, monkeypatch):
+        # each vector's products are all applied, and its factorization
+        # dropped, before the next vector's factorization starts
+        states, live = weakref.WeakSet(), []
+        arnoldi_state = EvalContext.arnoldi_state
+
+        def counted(ctx, *args):
+            state = arnoldi_state(ctx, *args)
+            states.add(state)
+            live.append(len(states))
+            return state
+
+        monkeypatch.setattr(EvalContext, "arnoldi_state", counted)
+        for case in GOLDEN:
+            for order in ORDERS:
+                live.clear()
+                golden_run(*case, order)
+                assert max(live) == 1, (case, order)
+
 
 class TestCli:
     """One subprocess test per subcommand covers the console wiring, and one
@@ -439,9 +461,9 @@ class TestCli:
         assert "must be finite" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_overflowing_reduced_argument_names_the_failed_step(self, main):
-        # tau H overflows at h = 1e308: a phi failure (exit 3), not a crash
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            proc = main("run", "--grid", "8", "--steps", "1", "--tspan", "0:1e308", "--form", "orig")
+        # tau H overflows at h = 1e308: a phi failure (exit 3), not a crash,
+        # and no RuntimeWarning (filterwarnings = error turns one into a failure)
+        proc = main("run", "--grid", "8", "--steps", "1", "--tspan", "0:1e308", "--form", "orig")
         assert proc.returncode == 3
         assert "numerical failure" in proc.stderr
         assert "step 1/1: stage 2, partition 1" in proc.stderr and "overflowed" in proc.stderr
@@ -551,3 +573,12 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         rows, _ = parse_csv(out)
         assert [r.h for r in rows] == [0.01, 0.005]
+
+    def test_run_reports_reference_time_and_peak_rss(self, main):
+        proc = main("run", "--grid", "8", "--steps", "1,2")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert re.fullmatch(r"# reference gap \S+ over 64 steps in \d+\.\d ms", lines[1]), lines[1]
+        # after the study's rows
+        assert re.fullmatch(r"# peak rss \d+\.\d MiB", lines[-1]), lines[-1]
+        assert len(lines) == 6

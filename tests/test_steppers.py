@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from pexprk import steppers
 from pexprk.coeffexpr import eval_dense
-from pexprk.krylov import KrylovConfig
+from pexprk.krylov import KrylovConfig, KrylovError
 from pexprk.operators import SparseOperator, ZeroOperator
 from pexprk.phi import expm_dense, phi_scalar
 from pexprk.problems import TIMESPAN, gs_default, gs_initial, gs_partition, oracle_semilinear
@@ -326,6 +327,33 @@ class TestIntegrateFixed:
         for step in (step_transformed, step_exprk_original):
             with pytest.raises(StepFailure, match=r"^stage 2, partition 1, phi_1 term: .*did not converge"):
                 step(tableau(2), SparseOperator(a), lambda u: a @ u, u0, 0.5, cfg)
+
+    @pytest.mark.parametrize(
+        "coefficient, p, label",
+        [(lambda t: t.a[2][1], 1, "stage 3, partition 2, coefficient a[3][2]"),
+         (lambda t: t.b[3], 0, "update, partition 1, weight b[4]")],
+        ids=["a32-on-r2", "b4"],
+    )
+    def test_failure_names_the_consuming_coefficient(self, coefficient, p, label, monkeypatch):
+        # a product applied as soon as its vector is formed still fails under
+        # the label of the stage or update that consumes it
+        t = tableau(4)
+        target = coefficient(t)
+        model = gs_default(n=8)
+        prob = gs_partition(model, "species")
+        u0 = gs_initial(model)
+        ops = prob.build_operators(u0)
+        apply = steppers.eval_coeff
+
+        def failing(expr, L, *args, **kwargs):
+            if expr is target and L is ops[p]:
+                raise KrylovError("forced")
+            return apply(expr, L, *args, **kwargs)
+
+        monkeypatch.setattr(steppers, "eval_coeff", failing)
+        with pytest.raises(StepFailure) as failure:
+            step_pexprk(t, prob, u0, 1e-3, TIGHT, ops=ops)
+        assert str(failure.value) == f"{label}: forced"
 
 
 class TestStabilityDiagnostic:
