@@ -145,6 +145,8 @@ def _cmd_run(args) -> int:
     result = run_convergence_study(cfg)
     ref = result.reference
     print(f"# reference gap {ref.gap:.3e} over {ref.n_steps} steps in {ref.wall_ms:.1f} ms")
+    print(f"# reference work {ref.stats.matvecs} matvecs, {ref.stats.solves} solves, "
+          f"{ref.stats.krylov_dim_total} krylov dims over {ref.n_steps} + {ref.n_steps // 2} steps")
     print(f"{'h':>12} {'error_l2':>14} {'order':>7} {'matvecs':>9} {'krylov':>9} {'ms':>9}")
     for row in result.rows:
         order = f"{row.observed_order:7.3f}" if row.observed_order is not None else "      -"
@@ -155,9 +157,12 @@ def _cmd_run(args) -> int:
                 f"{row.h:12.6f} {row.error_l2:14.6e} {order} "
                 f"{row.matvecs:9d} {row.krylov_dims:9d} {row.wall_ms:9.1f}"
             )
-    # ru_maxrss is in KiB on Linux, bytes on macOS
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
-    print(f"# peak rss {peak:.1f} MiB")
+    # ru_maxrss is in KiB on Linux, bytes on macOS; the children's is the
+    # largest of the joined child processes', the coarse reference run's
+    unit = 2**20 if sys.platform == "darwin" else 2**10
+    peak, child = (resource.getrusage(who).ru_maxrss / unit
+                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    print(f"# peak rss {peak:.1f} MiB, reference child {child:.1f} MiB")
     if cfg.out:
         emit_csv(result.rows, result.metadata, cfg.out)
         print(f"# wrote {cfg.out}")

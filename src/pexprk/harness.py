@@ -6,16 +6,35 @@ writes the results as a commented CSV.  The reference is the order-4
 transformed method at a step 32 times smaller than the smallest study step,
 guarded by a self-consistency gate: the reference computed at h_ref and at
 2 h_ref must differ by far less than the smallest study error.
+
+The two reference integrations run at the same time: the coarse one in a
+forked child process, the fine one in this process, each with numpy's
+OpenBLAS pinned to one thread (two processes at two threads each would
+fight over two cores).  Pinned, the reference state does not depend on
+OPENBLAS_NUM_THREADS.  The child is forked after the problem and its cached
+Jacobian structure are built, so it shares them with this process and adds
+only the memory its own integration allocates.  Fork, unlike spawn, pickles
+nothing on the way in, so injected problems may hold lambdas; the child
+sends back its IntegrationResult, or the exception it raised, through a
+pipe.  No other thread of this program is running at the fork, and
+OpenBLAS registers a fork handler for its own thread pool.
 """
 
+import ctypes
 import math
+import multiprocessing
 import numbers
+import pickle
 import time
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
-from .krylov import KrylovConfig
+from .krylov import KrylovConfig, KrylovStats
 from .problems import (
     DESK_GRID,
     PARTITION_NAMES,
@@ -142,6 +161,7 @@ class ReferenceSolution:
     h_ref: float
     n_steps: int
     wall_ms: float
+    stats: KrylovStats  # both runs' work, summed
 
     def roundoff_floor(self) -> float:
         """Smallest gap two fixed-step float64 runs can be expected to have:
@@ -184,36 +204,129 @@ def build_study(cfg: RunConfig):
     return model, problem, stepper, u0
 
 
+# (getter, setter) symbols of the thread count, by OpenBLAS build
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy's wheel
+    bundles (in numpy.libs), or None where there is none."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
+        handle = ctypes.CDLL(str(lib))
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS at one thread inside the block, in this process and
+    in a process forked inside it; the old count comes back on exit."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _coarse_run(conn, *args):
+    """The forked child: integrate_fixed(*args), and send back its result or
+    (the exception it raised, that exception's traceback)."""
+    try:
+        out = integrate_fixed(*args)
+    except Exception as exc:  # raised again in the parent
+        tb = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # an exception the parent could not rebuild
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        out = (exc, tb)
+    conn.send(out)
+    conn.close()
+
+
+def _fine_and_coarse(stepper, problem, u0, t0, tf, n_fine, kcfg):
+    """Integrations of n_fine steps, in this process, and n_fine / 2 steps, in
+    a forked child, at the same time.  A failure of the fine run is raised in
+    preference to one of the coarse run; the child is always joined."""
+    fork = multiprocessing.get_context("fork")
+    receiver, sender = fork.Pipe(duplex=False)
+    child = fork.Process(target=_coarse_run, args=(sender, stepper, problem, u0, t0, tf, n_fine // 2, kcfg),
+                         name="pexprk-coarse-reference", daemon=True)
+    unread = object()
+    coarse = unread
+    with _one_blas_thread():
+        child.start()
+        sender.close()
+        try:
+            fine = integrate_fixed(stepper, problem, u0, t0, tf, n_fine, kcfg)
+            try:
+                coarse = receiver.recv()
+            except EOFError:
+                coarse = None
+        finally:
+            receiver.close()
+            if coarse is unread:  # nothing will read what the child sends
+                child.terminate()
+            child.join()
+    if coarse is None:
+        raise RuntimeError(f"the coarse reference run ended with exit code {child.exitcode} and sent no result")
+    if isinstance(coarse, tuple):
+        exc, tb = coarse
+        raise exc from RuntimeError(f"raised in the coarse reference run:\n{tb}")
+    return fine, coarse
+
+
 def reference_solution(cfg: RunConfig, problem: SplitProblem | None = None, u0=None) -> ReferenceSolution:
     """Fine-step reference at h_ref = (smallest study step) / 32.
 
     Computed with the order-4 transformed method (full Jacobian) at
-    tolerance 1e-13 and validated against the run at 2 h_ref; the study
-    applies the gate once its errors are known.  A single-partition problem
-    and initial state may be injected (used by tests with known solutions).
+    tolerance 1e-13 and validated against the run at 2 h_ref, which runs at
+    the same time in a forked child (module docstring); the study applies
+    the gate once its errors are known.  A single-partition problem and
+    initial state may be injected (used by tests with known solutions).
     """
     if problem is None:
         model, u0 = study_model(cfg)
         problem = gs_unpartitioned(model, jacobian="full")
     elif u0 is None:
         raise ValueError("an injected reference problem needs an initial state")
+    problem.build_operators(u0)  # fills the problem's caches, which the child then shares
     ref_stepper = pexprk_stepper(4)
     n_fine = max(cfg.steps) * REFERENCE_REFINEMENT
     kcfg = KrylovConfig(tol=REFERENCE_TOL, m_max=cfg.krylov_mmax)
     start = time.perf_counter()
     try:
-        fine = integrate_fixed(ref_stepper, problem, u0, cfg.t0, cfg.tf, n_fine, kcfg)
-        coarse = integrate_fixed(ref_stepper, problem, u0, cfg.t0, cfg.tf, n_fine // 2, kcfg)
+        fine, coarse = _fine_and_coarse(ref_stepper, problem, u0, cfg.t0, cfg.tf, n_fine, kcfg)
     except IntegrationFailure as exc:
         raise NumericalFailure(f"reference integration failed: {exc}") from exc
     wall_ms = (time.perf_counter() - start) * 1e3
-    gap = discrete_l2(fine.state - coarse.state)
+    stats = KrylovStats()
+    stats.merge(fine.stats)
+    stats.merge(coarse.stats)
     return ReferenceSolution(
         state=fine.state,
-        gap=gap,
+        gap=discrete_l2(fine.state - coarse.state),
         h_ref=(cfg.tf - cfg.t0) / n_fine,
         n_steps=n_fine,
         wall_ms=wall_ms,
+        stats=stats,
     )
 
 

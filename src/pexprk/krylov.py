@@ -51,8 +51,11 @@ combined, and only through the phi_1 surrogate
 the leading term of the error integral for the phi_1 product, which is
 conservative for the faster-converging higher phi indices.  There is no
 sub-stepping in tau: a product that does not converge by m_max is returned
-with ``converged=False``.  Matvecs are counted only by the operator's own
-tally (``op.matvecs``); the engine records solves and Krylov dimensions.
+with ``converged=False``.  A non-finite vector, basis or approximation
+raises KrylovError; the estimate's norm is taken with scaling, so a finite
+result whose squared norm overflows still gets a finite estimate.  Matvecs
+are counted only by the operator's own tally (``op.matvecs``); the engine
+records solves and Krylov dimensions.
 """
 
 import math
@@ -200,6 +203,8 @@ class _ArnoldiState:
         self.n = op.dim
         self.m_max = min(m_max, self.n)
         self.vnorm = _norm(v)
+        if not math.isfinite(self.vnorm):
+            raise KrylovError(f"non-finite Krylov vector (norm {self.vnorm:.3g})")
         cap = min(16, self.n)
         # column-major storage: every slice V[:, :j] stays BLAS-friendly
         self.V = np.empty((self.n, cap + 1), order="F")
@@ -334,7 +339,9 @@ class _ArnoldiState:
         if self.breakdown and m == self.m:
             return w_red, 0.0
         h_next = self.H[m, m - 1]
-        denom = max(math.sqrt(float(w_red @ w_red)), 1e-300)
+        # hypot scales: the squared norm of a finite w_red can overflow, and
+        # an infinite denominator would pass any tolerance
+        denom = max(math.hypot(*w_red), 1e-300)
         return w_red, abs(tau * h_next * phi1_last) / denom
 
 
@@ -382,7 +389,10 @@ def phi_times_vector(
             converged = True
             break
 
-    w = state.V[:, :m_used] @ (state.vnorm * w_red)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        w = state.V[:, :m_used] @ (state.vnorm * w_red)
+    if not np.all(np.isfinite(w)):
+        raise KrylovError(f"phi_{k}({tau:g} L) v overflowed (||v|| = {state.vnorm:.3g}, m = {m_used})")
     return _record(ctx, KrylovResult(w, m_used, est, converged))
 
 

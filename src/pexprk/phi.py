@@ -159,8 +159,10 @@ def _expm_pade13(a):
         + 7771770303897600.0 * a2 + 64764752532480000.0 * eye
     )
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
+    if squarings:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails phi_cols_e1's check instead
+            for _ in range(squarings):
+                r = r @ r
     return r
 
 

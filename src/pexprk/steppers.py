@@ -140,7 +140,9 @@ def _forward_substitution(t, ops, fns, residual, supports, u_n, h, cfg, ctx):
     partition operators ops, with f_p(u_n) = fns[p] and r_{p,i} =
     residual(p, U_i, X_i^p), all on partition p's support.  A row's sum (a
     stage's X^p or the update's) enters the full state at its support
-    (total[support] = total[support] + x), plain addition for full supports."""
+    (total[support] = total[support] + x), plain addition for full supports.
+    A stage residual that overflows fails the step, naming its stage and
+    partition, without a floating-point warning."""
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     ctx = ctx if ctx is not None else EvalContext()
@@ -154,8 +156,12 @@ def _forward_substitution(t, ops, fns, residual, supports, u_n, h, cfg, ctx):
             total = np.zeros_like(u_n)
             for p in parts:
                 total[supports[p]] = total[supports[p]] + x[p][j - 1]
-            u_j = u_n + h * total
-            vs = [residual(p, u_j, x[p][j - 1]) for p in parts]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                u_j = u_n + h * total
+                vs = [residual(p, u_j, x[p][j - 1]) for p in parts]
+            for p in parts:
+                if not np.all(np.isfinite(vs[p])):
+                    raise StepFailure(f"stage {j + 1}, partition {p + 1}: non-finite stage residual")
         for p in parts:
             for k, (c, coeffs, row, name) in enumerate(rows[j:], j):
                 where = f"{row}, partition {p + 1}"

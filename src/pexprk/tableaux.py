@@ -27,7 +27,7 @@ overwhelming probability.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,10 +73,11 @@ class ExprkTableau:
             if i >= 1 and row[0] is None:
                 raise ValueError(f"a[{i}][0] must be present for every stage past the first")
 
-    @property
+    @cached_property
     def phi_max(self) -> int:
         """The largest phi index a step applies: that of the coefficients, and
-        at least 1 for the phi_1 terms."""
+        at least 1 for the phi_1 terms.  Computed once per tableau: a step
+        passes it to every coefficient application."""
         return max(1, *(max_phi_index(e) for row in self.a for e in row), *map(max_phi_index, self.b))
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import re
@@ -31,11 +32,11 @@ from pexprk.harness import (
     run_convergence_study,
     study_model,
 )
-from pexprk.krylov import EvalContext
+from pexprk.krylov import EvalContext, KrylovConfig
 from pexprk.operators import SparseOperator
 from pexprk.phi import expm_dense
-from pexprk.problems import PAPER_SCALE_GRID, PARTITION_NAMES
-from pexprk.steppers import integrate_fixed, unpartitioned_problem
+from pexprk.problems import PAPER_SCALE_GRID, PARTITION_NAMES, gs_unpartitioned
+from pexprk.steppers import integrate_fixed, pexprk_stepper, unpartitioned_problem
 
 
 def make_rows(errors, h0=0.5):
@@ -312,6 +313,150 @@ def golden_run(form, partition, jacobian, order):
     return problem, integrate_fixed(stepper, problem, u0, cfg.t0, cfg.tf, 2, cfg.krylov())
 
 
+def probe_problem(nan_operator_in=(), f_fault=None):
+    """u' = a u on 12 variables, for the reference's two runs: "fine" in this
+    process and "coarse" in its forked child.  The runs named in
+    nan_operator_in get a NaN operator, so their first phi product fails;
+    f_fault(run), if given, is called at every right-hand-side evaluation."""
+    rng = np.random.default_rng(14)
+    a = rng.normal(size=(12, 12)) / 3.0 - 1.5 * np.eye(12)
+    parent = os.getpid()
+
+    def run():
+        return "fine" if os.getpid() == parent else "coarse"
+
+    def f(u):
+        if f_fault is not None:
+            f_fault(run())
+        return a @ u
+
+    def build(u):
+        return SparseOperator(a * np.nan if run() in nan_operator_in else a)
+
+    return unpartitioned_problem(12, f, build), rng.uniform(-1, 1, size=12)
+
+
+PROBE_CFG = RunConfig(grid=8, t0=0.0, tf=1.0, steps=(1,))  # 32 fine and 16 coarse steps
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but cannot be rebuilt from its args."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+class TestConcurrentReference:
+    """The coarse reference run goes to a forked child while this process
+    runs the fine one."""
+
+    def test_matches_the_runs_one_after_the_other(self):
+        cfg = RunConfig(grid=12, steps=(1,))
+        ref = reference_solution(cfg)
+        model, u0 = study_model(cfg)
+        problem = gs_unpartitioned(model)
+        kcfg = KrylovConfig(tol=harness.REFERENCE_TOL, m_max=cfg.krylov_mmax)
+        with harness._one_blas_thread():
+            fine, coarse = (integrate_fixed(pexprk_stepper(4), problem, u0, cfg.t0, cfg.tf, n, kcfg)
+                            for n in (32, 16))
+        assert ref.state.tobytes() == fine.state.tobytes()
+        assert repr(ref.gap) == repr(discrete_l2(fine.state - coarse.state))
+        assert (ref.stats.matvecs, ref.stats.solves, ref.stats.krylov_dim_total) == (
+            fine.stats.matvecs + coarse.stats.matvecs,
+            fine.stats.solves + coarse.stats.solves,
+            fine.stats.krylov_dim_total + coarse.stats.krylov_dim_total,
+        )
+
+    def test_both_runs_at_one_blas_thread(self):
+        threads = harness._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's OpenBLAS has no thread-count setter here")
+        get, set_ = threads
+        before = get()
+
+        def one_thread(run):
+            if get() != 1:
+                raise AssertionError(f"the {run} run has {get()} BLAS threads")
+
+        set_(2)
+        try:
+            two = get()
+            reference_solution(PROBE_CFG, *probe_problem(f_fault=one_thread))
+            assert get() == two
+        finally:
+            set_(before)
+
+    @pytest.mark.parametrize(
+        "failing, step", [({"fine"}, "1/32"), ({"coarse"}, "1/16"), ({"fine", "coarse"}, "1/32")],
+        ids=["fine", "coarse", "both"],
+    )
+    def test_failure_names_its_run_step(self, failing, step):
+        with pytest.raises(NumericalFailure) as info:
+            reference_solution(PROBE_CFG, *probe_problem(nan_operator_in=failing))
+        assert str(info.value) == (f"reference integration failed: step {step}: stage 2, partition 1, "
+                                   "phi_1 term: non-finite entries in the Arnoldi basis")
+
+    def test_child_exception_reaches_the_parent(self):
+        def fault(run):
+            if run == "coarse":
+                raise LookupError("no such entry")
+
+        with pytest.raises(LookupError, match="^no such entry$") as info:
+            reference_solution(PROBE_CFG, *probe_problem(f_fault=fault))
+        # the child's traceback rides along as the cause
+        assert "raised in the coarse reference run" in str(info.value.__cause__)
+        assert "LookupError: no such entry" in str(info.value.__cause__)
+
+    def test_child_warning_turned_error_reaches_the_parent(self):
+        def fault(run):
+            if run == "coarse":
+                np.float64(1e308) * np.float64(10.0)  # filterwarnings = error raises it
+
+        with pytest.raises(RuntimeWarning, match="overflow encountered in scalar multiply"):
+            reference_solution(PROBE_CFG, *probe_problem(f_fault=fault))
+
+    def test_child_exception_that_cannot_be_rebuilt(self):
+        def fault(run):
+            if run == "coarse":
+                raise TwoArgumentError("bad entry", "row 3")
+
+        with pytest.raises(RuntimeError, match="^TwoArgumentError: bad entry at row 3$"):
+            reference_solution(PROBE_CFG, *probe_problem(f_fault=fault))
+
+    def test_child_that_dies_without_a_result(self):
+        def fault(run):
+            if run == "coarse":
+                os._exit(7)
+
+        with pytest.raises(RuntimeError, match="^the coarse reference run ended with exit code 7 and sent no result$"):
+            reference_solution(PROBE_CFG, *probe_problem(f_fault=fault))
+
+    @pytest.mark.parametrize("case", ["success", "coarse-failure", "parent-exception"])
+    def test_child_is_joined(self, case, monkeypatch):
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def record(process):
+            start(process)
+            started.append(process)
+
+        def fault(run):
+            if run == "fine" and case == "parent-exception":
+                raise KeyError("in the parent")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record)
+        problem, u0 = probe_problem({"coarse"} if case == "coarse-failure" else (), fault)
+        try:
+            reference_solution(PROBE_CFG, problem, u0)
+        except (NumericalFailure, KeyError):
+            assert case != "success"
+        [child] = started
+        assert child.exitcode is not None and not child.is_alive()
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # reaped: no zombie left
+            os.waitpid(child.pid, os.WNOHANG)
+
+
 class TestGoldenCounts:
     """Each case checks every catalog order."""
 
@@ -468,6 +613,19 @@ class TestCli:
         assert "numerical failure" in proc.stderr
         assert "step 1/1: stage 2, partition 1" in proc.stderr and "overflowed" in proc.stderr
 
+    @pytest.mark.parametrize("tf, failure", [
+        # reduced phi results whose squared norms overflow, then a stage's
+        # right-hand side that overflows
+        ("1e5", "stage 3, partition 1: non-finite stage residual"),
+        # a reduced exponential that overflows in its squaring phase
+        ("1e6", "stage 2, partition 1, phi_1 term: phi evaluation overflowed (argument norm 3.23e+05)"),
+    ])
+    def test_overflow_names_the_fine_run_step(self, tf, failure, main):
+        # a named failure of the fine run, and no warning (filterwarnings = error)
+        proc = main("run", "--grid", "8", "--steps", "1", "--tspan", f"0:{tf}", "--form", "orig")
+        assert proc.returncode == 3
+        assert proc.stderr == f"numerical failure: reference integration failed: step 1/32: {failure}\n"
+
     @pytest.mark.parametrize(
         "flags", [("--size", "0"), ("--size", "-1"), ("--seed", "-1")], ids=["size-0", "size-neg", "seed-neg"]
     )
@@ -579,6 +737,8 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert re.fullmatch(r"# reference gap \S+ over 64 steps in \d+\.\d ms", lines[1]), lines[1]
+        assert re.fullmatch(r"# reference work \d+ matvecs, \d+ solves, \d+ krylov dims over 64 \+ 32 steps",
+                            lines[2]), lines[2]
         # after the study's rows
-        assert re.fullmatch(r"# peak rss \d+\.\d MiB", lines[-1]), lines[-1]
-        assert len(lines) == 6
+        assert re.fullmatch(r"# peak rss \d+\.\d MiB, reference child \d+\.\d MiB", lines[-1]), lines[-1]
+        assert len(lines) == 7

@@ -369,6 +369,52 @@ class TestLanczos:
             phi_times_vector(op, 1, 1.0, np.ones(2), KrylovConfig())
 
 
+class TestOverflowingNorm:
+    """phi_k(460 L) v with L's eigenvalues spread over [-1, 1]: the reduced
+    result's entries reach about e^460 = 1e200, so their squared norm
+    overflows though they are finite.  No warning may escape
+    (filterwarnings = error)."""
+
+    def operator_and_vector(self, symmetric):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+        lam = np.linspace(-1.0, 1.0, 30)
+        a = (q * lam) @ q.T
+        v = q @ np.ones(30) / np.sqrt(30)
+        op = declared_symmetric(a) if symmetric else SparseOperator(a)
+        return op, v, q, lam
+
+    @pytest.mark.parametrize("m_max", [10, 30])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["arnoldi", "lanczos"])
+    def test_estimate_stays_finite(self, symmetric, k, m_max):
+        # an infinite norm in the estimate's denominator gave est = 0, so the
+        # product "converged" at the first check with a wrong result
+        op, v, q, lam = self.operator_and_vector(symmetric)
+        res = phi_times_vector(op, k, 460.0, v, KrylovConfig(tol=1e-12, m_max=m_max))
+        want = q @ (np.array([phi_scalar(k, 460.0 * x) for x in lam]) * (q.T @ v))
+        if m_max < 30:
+            assert not res.converged and res.dim_used == m_max and res.est_error > 1e-12
+        else:
+            assert res.dim_used == 30
+        if res.converged:
+            assert np.max(np.abs(res.approximation - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["arnoldi", "lanczos"])
+    def test_non_finite_approximation_raises(self, symmetric):
+        # ||v|| e^460 overflows: a failure, not a converged inf
+        op, v, _, _ = self.operator_and_vector(symmetric)
+        with pytest.raises(KrylovError, match=r"phi_1\(460 L\) v overflowed"):
+            phi_times_vector(op, 1, 460.0, 1e120 * v, KrylovConfig(tol=1e-12, m_max=30))
+
+    def test_non_finite_vector_raises(self):
+        op, v, _, _ = self.operator_and_vector(False)
+        for bad in (np.inf, np.nan):
+            v[3] = bad
+            with pytest.raises(KrylovError, match="non-finite Krylov vector"):
+                phi_times_vector(op, 1, 1.0, v, KrylovConfig())
+
+
 class TestSharedFactorization:
     def test_cache_reuses_matvecs_and_matches_fresh(self):
         rng = np.random.default_rng(99)

@@ -279,6 +279,13 @@ class TestReducedExponential:
             phi_cols_e1(2, np.full((3, 3), 1e308))
 
 
+    @pytest.mark.parametrize("z", [720.0, 800.0, 1e5], ids=["e720", "e800", "e1e5"])
+    def test_overflowing_exponential_raises_without_warning(self, z):
+        # a finite argument whose phi values overflow in the squaring phase:
+        # the finiteness check names it, and no warning escapes
+        with pytest.raises(PhiEvaluationError, match="overflowed"):
+            phi_cols_e1(2, np.array([[z, 1.0], [0.0, -1.0]]))
+
 class TestPhiArray:
     def test_against_exact_oracle(self):
         zs = np.array([-5e4, -8600.0, -300.0, -35.0, -5.0, -1.0, -0.51, -0.49,
