@@ -137,7 +137,8 @@ def _expm_pade13(a):
     can bring it into range."""
     n = a.shape[0]
     # column sums accumulate row by row, in the order of a plain double loop
-    norm1 = float(np.abs(a).sum(axis=0).max())
+    with np.errstate(over="ignore"):  # an overflowing sum fails the check below
+        norm1 = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(norm1):
         raise PhiEvaluationError(f"phi evaluation overflowed (argument norm {norm1:.3g})")
     squarings = 0

@@ -7,36 +7,28 @@ periodic unit square,
     b_t = d_b lap(b) + a b^2 - (f + k) b
 
 discretized with the five-point stencil; the state is species-major (all of
-a-bar, then all of b-bar, each row-major over the grid).  Four splittings of
-the right-hand side are provided: by chemical species, by spatial subdomain,
-by physical process, and the process split with the reaction treated
-explicitly.  A small dense semilinear problem with a smooth nonlinearity
-serves as the test oracle throughout.
+a-bar, then all of b-bar, each row-major over the grid).  A small dense
+semilinear problem with a smooth nonlinearity serves as the test oracle.
 
-The diffusion matrix (each species' five-point stencil, block-diagonal) and
-the full Jacobian's sparsity pattern and diffusion values are built once per
-model.  The full right-hand side and the physics diffusion part apply the
-diffusion matrix; each species or space part applies its own rows of it.
-Every state-dependent operator (the full Jacobian, the species and space
-parts and their block Jacobian, and the physics reaction operator) holds
-some of the full Jacobian's entries, and ``_assemble`` builds them all: it
-copies the operator's cached diffusion values (zeros for the reaction
-operator) and adds ``_reaction_values`` at the reaction entries among them.
-Each species or space part owns a support, the state indices of its
-variables: its right-hand side returns only those rows, and its operator is
-the full Jacobian's principal sub-block on them, so its Krylov solves run in
-the part's own variables.  The physics and imex parts cover the whole state
-(support ``slice(None)``).  The physics parts drop no coupling, so their
-block Jacobian is the full Jacobian; the imex reaction operator is zero, so
-theirs is the diffusion operator.  Operators that are symmetric by
-construction are declared so: the species sub-blocks (a Laplacian plus a
-diagonal), their block Jacobian and the diffusion.  The space sub-blocks,
-the reaction operator and the full Jacobian carry the cross-species entries
--2ab and b^2 and are not.
+Every split of the right-hand side is a row of ``_SPLITS``: per part, its
+support (the state indices it owns), the terms it carries (diffusion,
+reaction or both) and whether its operator is implicit.  The splits are by
+species, by space (both species of the lower, then the upper half of the
+grid), by physical process, and imex, the process split with its reaction
+part explicit; the unsplit system is the one-part case.  One routine builds
+each object from the table.  ``_part_rhs`` gives a part's right-hand side
+on its support, through row blocks that are views of the one diffusion
+matrix.  ``_gathered`` gives the operator of any set of parts, numbered over
+the union of their supports, from the full Jacobian's cached structure;
+``_assemble`` fills in its reaction values per state.  So each part's Krylov
+solves run in its own variables, ``gs_rhs`` and ``gs_full_jacobian`` are
+the unsplit case, and a block Jacobian is the union of a split's implicit
+parts.  An operator is declared symmetric, and so runs Lanczos, unless it
+holds a cross-species reaction entry (-2ab or b^2).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse
@@ -126,12 +118,7 @@ _EQUATIONS = (_equation_a, _equation_b)
 
 
 def gs_rhs(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
-    a, b = _split_state(m, u)
-    diffusion = _diffusion_csr(m) @ u
-    return np.concatenate([
-        _equation_a(m, diffusion[: m.cells], a, b),
-        _equation_b(m, diffusion[m.cells:], a, b),
-    ])
+    return _part_rhs(m, None, 0, u)
 
 
 def _reaction_values(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
@@ -201,112 +188,20 @@ def _assemble(m: GrayScottModel, entries: tuple, u: np.ndarray):
 
 
 def gs_full_jacobian(m: GrayScottModel, u: np.ndarray) -> SparseOperator:
-    return SparseOperator(_assemble(m, _jacobian_structure(m), u))
+    return _gathered(m, None, (0,))(u)
 
 
-@lru_cache(maxsize=16)
-def _reaction_entries(m: GrayScottModel) -> tuple:
-    """The entries (see ``_assemble``) of the physics reaction operator: the
-    full Jacobian's reaction entries alone, with zero diffusion values."""
-    _, indices, indptr, slots, _ = _jacobian_structure(m)
-    take = np.sort(slots)
-    entries = (np.zeros(take.size), indices[take], np.searchsorted(take, indptr).astype(np.int32),
-               np.searchsorted(take, slots))
-    return (*_read_only(*entries), slice(None))
-
-
-def _subblock_supports(m: GrayScottModel, name: str) -> tuple:
-    """The state indices each part of the species or space split owns, in
-    ascending order: the two halves of the species-major state as slices, or
-    of ``gs_space_permutation`` as index arrays."""
-    if name == "species":
-        return (slice(0, m.cells), slice(m.cells, m.dim))
-    return tuple(np.split(gs_space_permutation(m), 2))
-
-
-def _gathered_entries(m: GrayScottModel, take, indices, indptr) -> tuple:
-    """The entries (see ``_assemble``) of the operator made of the full
-    Jacobian's entries at positions ``take``, with CSR indices and indptr."""
-    diffusion, _, _, slots, _ = _jacobian_structure(m)
-    local = np.full(diffusion.size, -1)  # each position's slot in the operator's data
-    local[take] = np.arange(take.size)
-    reaction = np.flatnonzero(local[slots] >= 0)
-    return _read_only(diffusion[take], indices, indptr.astype(np.int32), local[slots[reaction]], reaction)
-
-
-@lru_cache(maxsize=16)
-def _subblock_entries(m: GrayScottModel, name: str) -> tuple:
-    """The entries (see ``_assemble``) of the species or space split's two
-    parts, the full Jacobian's principal sub-blocks on their supports in each
-    part's own numbering, and of the block Jacobian, their union on the full
-    state."""
-    _, indices, indptr, _, _ = _jacobian_structure(m)
-    rows = np.repeat(np.arange(m.dim), np.diff(indptr))
-    parts, takes = [], []
-    for support in _subblock_supports(m, name):
-        local = np.full(m.dim, -1, dtype=np.int32)  # the support's own numbering
-        local[support] = np.arange(local[support].size, dtype=np.int32)
-        inside = local >= 0
-        take = np.flatnonzero(inside[rows] & inside[indices])
-        # the support is ascending, so the rows stay in CSR order
-        starts = np.append(np.searchsorted(take, indptr[:-1][support]), take.size)
-        parts.append(_gathered_entries(m, take, local[indices[take]], starts))
-        takes.append(take)
-    take = np.sort(np.concatenate(takes))
-    return (*parts, _gathered_entries(m, take, indices[take], np.searchsorted(take, indptr)))
-
-
-@lru_cache(maxsize=16)
-def _subblock_rows(m: GrayScottModel, name: str) -> tuple:
-    """Per part and species s it holds (0 for a, 1 for b): s, the part's cells
-    of that species as a slice, and the diffusion matrix's rows of those
-    variables.  Both splits hold a contiguous range of cells of each species,
-    so every gather is a view."""
-    parts = []
-    for support in _subblock_supports(m, name):
-        variables = np.arange(m.dim)[support]
-        rows = []
-        for s in range(2):
-            own = variables[(variables >= s * m.cells) & (variables < (s + 1) * m.cells)]
-            if own.size == 0:
-                continue
-            start, stop = int(own[0]), int(own[-1]) + 1
-            if stop - start != own.size:
-                raise ValueError(f"{name} split: part cells are not contiguous")
-            cells = slice(start - s * m.cells, stop - s * m.cells)
-            rows.append((s, cells, _diffusion_csr(m)[start:stop]))
-        parts.append(tuple(rows))
-    return tuple(parts)
-
-
-def _subblock_split(m: GrayScottModel, name: str) -> SplitProblem:
-    """One part per support: the right-hand side's rows on the support, with
-    ``gs_rhs``'s arithmetic, and the full Jacobian's principal sub-block on
-    it, both in the support's own variables.  Each part assembles only its
-    own sub-block's entries."""
-    symmetric = name == "species"  # one species' stencil plus a diagonal
-
-    def part(p):
-        def f(u):
-            a, b = _split_state(m, u)
-            rows = [
-                _EQUATIONS[s](m, diffusion @ u, a[cells], b[cells])
-                for s, cells, diffusion in _subblock_rows(m, name)[p]
-            ]
-            return rows[0] if len(rows) == 1 else np.concatenate(rows)
-
-        def build(u):
-            return SparseOperator(_assemble(m, _subblock_entries(m, name)[p], u), symmetric)
-
-        return f, build
-
-    f_parts, builders = zip(*(part(p) for p in range(2)))
-    return SplitProblem(m.dim, f_parts, builders, name=name, supports=_subblock_supports(m, name))
-
-
-def gs_partition_species(m: GrayScottModel) -> SplitProblem:
-    """Two-way split by chemical species: the a-variables, then the b-variables."""
-    return _subblock_split(m, "species")
+# Every split as data, per part: its support, the state indices it owns ("all",
+# species "a" or "b", or the "lower" or "upper" half of the grid); the terms it
+# carries; whether its operator is implicit (else zero).  None is the unsplit system.
+_BOTH = ("diffusion", "reaction")
+_SPLITS = {
+    None: (("all", _BOTH, True),),
+    "species": (("a", _BOTH, True), ("b", _BOTH, True)),
+    "space": (("lower", _BOTH, True), ("upper", _BOTH, True)),
+    "physics": (("all", ("diffusion",), True), ("all", ("reaction",), True)),
+    "imex": (("all", ("diffusion",), True), ("all", ("reaction",), False)),
+}
 
 
 def gs_space_permutation(m: GrayScottModel) -> np.ndarray:
@@ -319,83 +214,156 @@ def gs_space_permutation(m: GrayScottModel) -> np.ndarray:
     return np.concatenate([lower, cells + lower, upper, cells + upper])
 
 
-def gs_partition_space(m: GrayScottModel) -> SplitProblem:
-    """Two-way split by spatial location: both species of the lower half of the
-    grid, then of the upper half."""
-    return _subblock_split(m, "space")  # its supports reject an odd grid side
+@lru_cache(maxsize=16)
+def _parts(m: GrayScottModel, name) -> tuple:
+    """Split ``name``'s parts as (support, terms, implicit), each support a
+    slice or an ascending index array."""
+    supports = {"all": slice(None), "a": slice(0, m.cells), "b": slice(m.cells, m.dim)}
+    if any(key == "lower" for key, _, _ in _SPLITS[name]):  # rejects an odd grid side
+        supports["lower"], supports["upper"] = _read_only(*np.split(gs_space_permutation(m), 2))
+    return tuple((supports[key], terms, implicit) for key, terms, implicit in _SPLITS[name])
 
 
-def gs_partition_physics(m: GrayScottModel) -> SplitProblem:
-    """Two-way split by physical process: diffusion and reaction."""
+@lru_cache(maxsize=64)
+def _row_blocks(m: GrayScottModel, name, p: int) -> tuple:
+    """Part p's variables in runs of consecutive state indices.  Per run: the
+    diffusion matrix's rows of it, as a view of that matrix's arrays, and per
+    species s it holds (0 for a, 1 for b), s's equation, the run's positions
+    of s and their cells, as slices."""
+    support, _, _ = _parts(m, name)[p]
+    variables = np.arange(m.dim)[support]
+    matrix, blocks = _diffusion_csr(m), []
+    for run in np.split(variables, np.flatnonzero(np.diff(variables) != 1) + 1):
+        start, stop = int(run[0]), int(run[-1]) + 1
+        first, last = matrix.indptr[start], matrix.indptr[stop]
+        data, indices, indptr = matrix.data[first:last], matrix.indices[first:last], matrix.indptr[start:stop + 1]
+        indptr = indptr - first if first else indptr
+        rows = scipy.sparse.csr_matrix((data, indices, indptr), shape=(stop - start, m.dim))
+        rows.data, rows.indices = data, indices  # scipy copies a view of less than half its base
+        species = []
+        for s, equation in enumerate(_EQUATIONS):
+            lo, hi = max(start, s * m.cells), min(stop, (s + 1) * m.cells)
+            if lo < hi:
+                species.append((equation, slice(lo - start, hi - start), slice(lo - s * m.cells, hi - s * m.cells)))
+        blocks.append((rows, tuple(species)))
+    return tuple(blocks)
 
-    def f_diffusion(u):
-        return _diffusion_csr(m) @ u
 
-    def f_reaction(u):
-        a, b = _split_state(m, u)
-        return np.concatenate([_equation_a(m, 0.0, a, b), _equation_b(m, 0.0, a, b)])
+def _part_rhs(m: GrayScottModel, name, p: int, u: np.ndarray) -> np.ndarray:
+    """Part p of split ``name``: the terms it carries, on its support."""
+    _, terms, _ = _parts(m, name)[p]
+    a, b = _split_state(m, u)
+    out = []
+    for rows, species in _row_blocks(m, name, p):
+        diffusion = rows @ u if "diffusion" in terms else None
+        if "reaction" in terms:
+            out += [equation(m, 0.0 if diffusion is None else diffusion[run], a[cells], b[cells])
+                    for equation, run, cells in species]
+        else:
+            out.append(diffusion)
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
-    def build_diffusion(u):
-        # a fresh operator around the cached matrix: each step's tally starts at 0
-        return SparseOperator(_diffusion_csr(m), symmetric=True)
 
-    def build_reaction(u):
-        return SparseOperator(_assemble(m, _reaction_entries(m), u))
+def _gather(m: GrayScottModel, chosen) -> tuple:
+    """The entries (see ``_assemble``) of the operator made of the parts
+    ``chosen``: the full Jacobian's entries whose row and column lie in a
+    part's support and whose term that part carries, numbered over the union
+    of their supports."""
+    values, indices, indptr, slots, _ = _jacobian_structure(m)
+    rows = np.repeat(np.arange(m.dim, dtype=np.int32), np.diff(indptr))
+    on_reaction = np.zeros(values.size, dtype=bool)
+    on_reaction[slots] = True
+    diffusion, reaction = np.zeros((2, values.size), dtype=bool)
+    union = np.zeros(m.dim, dtype=bool)
+    for support, terms, _ in chosen:
+        inside = np.zeros(m.dim, dtype=bool)
+        inside[support] = True
+        union |= inside
+        own = inside[rows] & inside[indices]
+        diffusion |= own & (values != 0) & ("diffusion" in terms)  # reaction-only entries hold 0
+        reaction |= own & on_reaction & ("reaction" in terms)
+    take = np.flatnonzero(diffusion | reaction)
+    local = np.full(m.dim, -1, dtype=np.int32)  # the union's own numbering
+    local[union] = np.arange(np.count_nonzero(union), dtype=np.int32)
+    position = np.full(values.size, -1)  # each taken entry's slot in the operator's data
+    position[take] = np.arange(take.size)
+    held = np.flatnonzero(reaction[slots])
+    held = slice(None) if held.size == slots.size else held  # all of them: _assemble takes a view
+    # the union is ascending, so its rows stay in CSR order
+    starts = np.append(np.searchsorted(take, indptr[:-1][union]), take.size).astype(np.int32)
+    data = np.where(diffusion[take], values[take], 0.0)
+    return (*_read_only(data, local[indices[take]], starts, position[slots[held]]), held)
 
-    return SplitProblem(m.dim, (f_diffusion, f_reaction), (build_diffusion, build_reaction), name="physics")
+
+@lru_cache(maxsize=64)
+def _gathered(m: GrayScottModel, name, parts: tuple):
+    """The builder of the operator made of split ``name``'s parts ``parts``:
+    a function of the state.  The operator is declared symmetric unless it
+    holds a cross-species reaction entry (-2ab or b^2).  On the whole state,
+    both terms read the full Jacobian's structure and the diffusion alone
+    the diffusion matrix, not copies of them."""
+    chosen = [_parts(m, name)[p] for p in parts]
+    terms = {term for _, carried, _ in chosen for term in carried}
+    whole = all(isinstance(support, slice) and support == slice(None) for support, _, _ in chosen)
+    if whole and terms == set(_BOTH):
+        entries = _jacobian_structure(m)
+    elif whole and terms == {"diffusion"}:
+        matrix, none = _diffusion_csr(m), np.zeros(0, dtype=np.int64)
+        entries = (matrix.data, matrix.indices, matrix.indptr, none, none)
+    else:
+        entries = _gather(m, chosen)
+    held = np.zeros(4 * m.cells, dtype=bool)
+    held[entries[4]] = True
+    symmetric = not held[m.cells: 3 * m.cells].any()
+    if entries[3].size == 0:  # no reaction entry: one matrix, which no state changes
+        matrix = scipy.sparse.csr_matrix(entries[:3], shape=(entries[2].size - 1,) * 2)
+        return lambda u: SparseOperator(matrix, symmetric)
+    return lambda u: SparseOperator(_assemble(m, entries, u), symmetric)
 
 
-def gs_partition_imex(m: GrayScottModel) -> SplitProblem:
-    """Process split with the reaction partition treated explicitly (L2 = 0)."""
-    physics = gs_partition_physics(m)
-
-    def build_zero(u):
-        return ZeroOperator(m.dim)
-
-    return SplitProblem(
-        m.dim, physics.f_parts, (physics.operator_builders[0], build_zero), name="imex"
-    )
+def _known(name: str) -> str:
+    if name not in PARTITION_NAMES:
+        raise ValueError(f"unknown partition {name!r}; expected one of {PARTITION_NAMES}")
+    return name
 
 
 def gs_partition(m: GrayScottModel, name: str) -> SplitProblem:
-    builders = {
-        "species": gs_partition_species,
-        "space": gs_partition_space,
-        "physics": gs_partition_physics,
-        "imex": gs_partition_imex,
-    }
-    if name not in builders:
-        raise ValueError(f"unknown partition {name!r}; expected one of {PARTITION_NAMES}")
-    return builders[name](m)
+    """The two-way split ``name`` of ``_SPLITS``: each part's right-hand side
+    and operator on its support, in the support's own variables."""
+    parts = _parts(m, _known(name))
+
+    def builder(p, support, implicit):
+        size = np.arange(m.dim)[support].size
+        return (lambda u: _gathered(m, name, (p,))(u)) if implicit else lambda u: ZeroOperator(size)
+
+    return SplitProblem(
+        m.dim,
+        [partial(_part_rhs, m, name, p) for p in range(len(parts))],
+        [builder(p, support, implicit) for p, (support, _, implicit) in enumerate(parts)],
+        name=name,
+        supports=[support for support, _, _ in parts],
+    )
 
 
 def gs_unpartitioned(m: GrayScottModel, jacobian: str = "full", partition: str | None = None) -> SplitProblem:
     """Single-partition problem for the unpartitioned forms.
 
-    ``jacobian='full'`` freezes the exact Jacobian; ``jacobian='block'``
-    freezes a partition's block Jacobian, the sum of its operators (the
-    approximation that drops the couplings the partition drops).  The
-    species and space blocks are assembled from the union of their parts'
-    entries.  The physics parts drop no coupling, so their block is the full
-    Jacobian; the imex reaction operator is zero, so theirs is the diffusion.
+    ``jacobian='full'`` freezes the exact Jacobian, the unsplit system's
+    operator; ``jacobian='block'`` freezes a partition's block Jacobian, made
+    of its implicit parts (dropping the couplings the partition drops).
     """
-    if jacobian == "full" or (jacobian == "block" and partition == "physics"):
-        builder = lambda u: gs_full_jacobian(m, u)  # noqa: E731
-    elif jacobian == "block" and partition in ("species", "space"):
-        _subblock_supports(m, partition)  # rejects an odd grid side now, not at the first step
-
-        def builder(u):
-            return SparseOperator(_assemble(m, _subblock_entries(m, partition)[2], u), partition == "species")
-
-    elif jacobian == "block" and partition == "imex":
-        builder = gs_partition_physics(m).operator_builders[0]
+    if jacobian == "full":
+        name, parts = None, (0,)
     elif jacobian == "block":
         if partition is None:
             raise ValueError("the block Jacobian needs a partition to take blocks from")
-        raise ValueError(f"unknown partition {partition!r}; expected one of {PARTITION_NAMES}")
+        name = partition
+        parts = tuple(p for p, (_, _, implicit) in enumerate(_parts(m, _known(name))) if implicit)
     else:
         raise ValueError(f"unknown jacobian kind {jacobian!r}")
-    return unpartitioned_problem(m.dim, lambda u: gs_rhs(m, u), builder, name=f"gray-scott-{jacobian}")
+    return unpartitioned_problem(
+        m.dim, partial(gs_rhs, m), lambda u: _gathered(m, name, parts)(u), name=f"gray-scott-{jacobian}"
+    )
 
 
 @dataclass

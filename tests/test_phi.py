@@ -274,8 +274,8 @@ class TestReducedExponential:
         for a in (np.array([[np.inf, 0.0], [1.0, 1.0]]), np.array([[np.nan]])):
             with pytest.raises(PhiEvaluationError, match="overflowed"):
                 phi_cols_e1(2, a)
-        # finite entries whose column sum overflows
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(PhiEvaluationError):
+        # finite entries whose column sum overflows: the same error, no warning
+        with pytest.raises(PhiEvaluationError, match="overflowed"):
             phi_cols_e1(2, np.full((3, 3), 1e308))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,15 +15,14 @@ from pexprk.problems import (
     PARTITION_NAMES,
     TIMESPAN,
     GrayScottModel,
-    _subblock_entries,
+    _diffusion_csr,
+    _gathered,
+    _parts,
+    _row_blocks,
     gs_default,
     gs_full_jacobian,
     gs_initial,
     gs_partition,
-    gs_partition_imex,
-    gs_partition_physics,
-    gs_partition_space,
-    gs_partition_species,
     gs_rhs,
     gs_space_permutation,
     gs_unpartitioned,
@@ -83,13 +83,12 @@ def assert_csr_equal(got, want):
     assert np.array_equal(got.data, want.data)
 
 
-def assert_byte_symmetric(matrix):
+def byte_symmetric(matrix):
     # CSR arrays of the matrix and of its transpose, both with sorted indices
     mat, tr = matrix.tocsr().copy(), matrix.T.tocsr()
     mat.sort_indices()
     tr.sort_indices()
-    assert_csr_equal(mat, tr)
-    assert mat.data.tobytes() == tr.data.tobytes()
+    return all(getattr(mat, attr).tobytes() == getattr(tr, attr).tobytes() for attr in ("data", "indices", "indptr"))
 
 
 def support_mask(m, support):
@@ -198,7 +197,7 @@ class TestRhs:
     def test_full_jacobian_and_reaction_operator_equal_reference_assembly(self, n):
         # grid 160 puts the flat entry keys row * dim + col past int32
         m = gs_default(n=n)
-        reaction_op = gs_partition_physics(m).operator_builders[1]
+        reaction_op = gs_partition(m, "physics").operator_builders[1]
         for u in reference_states(m):
             diffusion, reaction = reference_jacobian_parts(m, u)
             assert_csr_equal(gs_full_jacobian(m, u).matrix, diffusion + reaction)
@@ -213,7 +212,7 @@ class TestPartitions:
     @pytest.mark.parametrize("n", [16, 160])
     def test_physics_diffusion_is_fresh_operator_on_block_diagonal(self, n):
         m = gs_default(n=n)
-        build = gs_partition_physics(m).operator_builders[0]
+        build = gs_partition(m, "physics").operator_builders[0]
         u0, u1 = reference_states(m)
         first, second = build(u0), build(u1)
         want, _ = reference_jacobian_parts(m, u0)
@@ -236,7 +235,7 @@ class TestPartitions:
 
     def test_species_operators_match_finite_differences(self, small_model, random_state):
         m = small_model
-        prob = gs_partition_species(m)
+        prob = gs_partition(m, "species")
         for p, support in enumerate(prob.supports):
             analytic = embedded_matrix(m.dim, support, prob.operator_builders[p](random_state)).toarray()
             numeric = fd_jacobian(lambda u: embed(m.dim, support, prob.f_parts[p](u)), random_state)
@@ -248,7 +247,7 @@ class TestPartitions:
 
     def test_species_block_sum_matches_jacobian_diagonal(self, small_model, random_state):
         m = small_model
-        prob = gs_partition_species(m)
+        prob = gs_partition(m, "species")
         total = sum(
             embedded_matrix(m.dim, support, build(random_state)).toarray()
             for build, support in zip(prob.operator_builders, prob.supports)
@@ -261,7 +260,7 @@ class TestPartitions:
 
     def test_species_operator_annihilates_other_block(self, small_model, random_state):
         m = small_model
-        prob = gs_partition_species(m)
+        prob = gs_partition(m, "species")
         v = np.zeros(m.dim)
         v[m.cells:] = 1.0  # supported on the b-field
         op = prob.operator_builders[0](random_state)
@@ -279,7 +278,7 @@ class TestPartitions:
         jac = gs_full_jacobian(m, random_state).to_dense()
         permuted = jac[np.ix_(perm, perm)]
         half = m.dim // 2
-        prob = gs_partition_space(m)
+        prob = gs_partition(m, "space")
         for p, window in enumerate([slice(0, half), slice(half, m.dim)]):
             dense = embedded_matrix(m.dim, prob.supports[p], prob.operator_builders[p](random_state)).toarray()
             idx = perm[window]
@@ -290,12 +289,12 @@ class TestPartitions:
     @pytest.mark.parametrize("n", [16, 160])
     def test_space_operators_equal_masked_full_jacobian(self, n):
         m = gs_default(n=n)
-        assert_masked_full_jacobian(m, gs_partition_space(m), np.split(gs_space_permutation(m), 2))
+        assert_masked_full_jacobian(m, gs_partition(m, "space"), np.split(gs_space_permutation(m), 2))
 
     @pytest.mark.parametrize("n", [16, 160])
     def test_species_operators_equal_masked_full_jacobian(self, n):
         m = gs_default(n=n)
-        assert_masked_full_jacobian(m, gs_partition_species(m), np.split(np.arange(m.dim), 2))
+        assert_masked_full_jacobian(m, gs_partition(m, "species"), np.split(np.arange(m.dim), 2))
 
     @pytest.mark.parametrize("n", [16, 160])
     @pytest.mark.parametrize("name", ["species", "space"])
@@ -315,7 +314,7 @@ class TestPartitions:
     def test_physics_parts_bytes(self, n, spacing):
         # the two processes written out by hand, one species at a time
         m = GrayScottModel(n=n, spacing=1.0 if spacing == "unit" else 1.0 / n)
-        f_diffusion, f_reaction = gs_partition_physics(m).f_parts
+        f_diffusion, f_reaction = gs_partition(m, "physics").f_parts
         for u in reference_states(m):
             a, b = u[: m.cells], u[m.cells:]
             ab2 = a * b * b
@@ -327,28 +326,18 @@ class TestPartitions:
     @pytest.mark.parametrize("n", [16, 160])
     @pytest.mark.parametrize("spacing", ["unit", "1/n"])
     def test_symmetry_declarations(self, n, spacing):
+        # every part's and block's declaration is its matrix's byte symmetry
         m = GrayScottModel(n=n, spacing=1.0 if spacing == "unit" else 1.0 / n)
         for u in reference_states(m):
-            flagged = [
-                *gs_partition_species(m).build_operators(u),
-                gs_partition_physics(m).build_operators(u)[0],
-                gs_partition_imex(m).build_operators(u)[0],
-                gs_unpartitioned(m, jacobian="block", partition="species").build_operators(u)[0],
-                gs_unpartitioned(m, jacobian="block", partition="imex").build_operators(u)[0],
-                laplacian_2d_periodic(n, m.d_a),
-            ]
-            for op in flagged:
-                assert op.symmetric
-                assert_byte_symmetric(op.matrix)
-            unflagged = [
-                *gs_partition_space(m).build_operators(u),
-                gs_partition_physics(m).build_operators(u)[1],
-                gs_full_jacobian(m, u),
-                gs_unpartitioned(m, jacobian="full").build_operators(u)[0],
-                gs_unpartitioned(m, jacobian="block", partition="space").build_operators(u)[0],
-                gs_unpartitioned(m, jacobian="block", partition="physics").build_operators(u)[0],
-            ]
-            assert not any(op.symmetric for op in unflagged)
+            ops = [gs_full_jacobian(m, u), laplacian_2d_periodic(n, m.d_a)]
+            for name in PARTITION_NAMES:
+                ops += [op for op in gs_partition(m, name).build_operators(u) if op.kind != "zero"]
+                ops += gs_unpartitioned(m, jacobian="block", partition=name).build_operators(u)
+            declared = [op.symmetric for op in ops]
+            assert declared == [byte_symmetric(op.matrix) for op in ops]
+            # the Laplacian, the species parts and block, the physics and imex
+            # diffusion and the imex block
+            assert sum(declared) == 7
 
     @pytest.mark.parametrize("name", ["species", "physics", "imex"])
     def test_stiff_lanczos_matches_arnoldi(self, name):
@@ -434,34 +423,94 @@ class TestPartitions:
     def test_build_study_leaves_subblock_entries_uncomputed(self):
         # the supports come from the species halves and gs_space_permutation;
         # the parts' and the block's entries wait for the first operator build
-        _subblock_entries.cache_clear()
+        _gathered.cache_clear()
         for partition in ("species", "space"):
             build_study(RunConfig(grid=16, partition=partition, form="part"))
             build_study(RunConfig(grid=16, partition=partition, form="tran", jacobian="block"))
-        assert _subblock_entries.cache_info().currsize == 0
+        assert _gathered.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n", [16, 160])
+    def test_part_rhs_rows_are_views_of_the_diffusion_matrix(self, n):
+        m = gs_default(n=n)
+        matrix = _diffusion_csr(m)
+        for name in (None, *PARTITION_NAMES):
+            for p in range(len(_parts(m, name))):
+                for rows, _ in _row_blocks(m, name, p):
+                    assert np.shares_memory(rows.data, matrix.data)
+                    assert np.shares_memory(rows.indices, matrix.indices)
+
+    # sha256 of each part's right-hand side and operator CSR (data, indices,
+    # indptr), each block Jacobian's, gs_rhs's and gs_full_jacobian's at grid
+    # 8 and gs_initial: a change in how they are built must keep these bytes,
+    # or say why they moved
+    ASSEMBLY_DIGESTS = {
+        "gs_rhs": "f4add2bb2c9df4968b212732a1ad71399f6ecb6d3e49081572bab626ddfe60ae",
+        "gs_full_jacobian": "84f10ef6e0a57a7cfe5ed57006956976ca26c84277a6c7240a081138d8efbd1c",
+        "species[0].rhs": "b19d8ddf63ece3b549b2c25b8d67d2aa3340b761e6f73331053675c9aabf5f83",
+        "species[0].operator": "a9946ef3ed6bec806b60fdda788faeda0729990ba12ee1e0390acdd29e78a430",
+        "species[1].rhs": "ab7ec871bab6a0f593aeb138a5caf956ad7dc7f67da8dc8c8d2b746fe3504ab4",
+        "species[1].operator": "ca55452194841548f5c492e0ad1f40312e19f0f8aea954e1d0c2c1d47b60cfa0",
+        "species.block": "1145d329f16c24da574ee31f6e057165de73dd2db9aa096b8478185e97f372e8",
+        "space[0].rhs": "250c9529d1a01bcf79c45799f1790ddaf8248691d4c9f065966918e4a78a0242",
+        "space[0].operator": "de5c5308f44b57931bdb96191b446610c7142cf2da2dfb74d206fffe3c68f365",
+        "space[1].rhs": "36e35e48831a92f9a423a77e7a7292b723170fd50e3ab867a3ae1a646b52dba8",
+        "space[1].operator": "971f66a64aae37d473cab05273f0cbdd60a7682402dbbb134824f9fd70a99060",
+        "space.block": "b4235b033d1dd2d9ef5bd1c651a67450db97ed2141807e679dba88e882702997",
+        "physics[0].rhs": "8acb69642c3971241c446c9fb6018f43389c877f2722dce41c834efb5a3aadef",
+        "physics[0].operator": "fcaaf42fd451dd09fc49467c38ae829c974e7e51ccee32b9590c07382dcf2633",
+        "physics[1].rhs": "064467dcb88b3700ab177e0e724b4796109680e3abc2018e7db21205ed7a89ec",
+        "physics[1].operator": "08b2ad41dfb44565a08c030f606e63d06d5221fc5e9ee16bf664defdda9153a0",
+        "physics.block": "84f10ef6e0a57a7cfe5ed57006956976ca26c84277a6c7240a081138d8efbd1c",
+        "imex[0].rhs": "8acb69642c3971241c446c9fb6018f43389c877f2722dce41c834efb5a3aadef",
+        "imex[0].operator": "fcaaf42fd451dd09fc49467c38ae829c974e7e51ccee32b9590c07382dcf2633",
+        "imex[1].rhs": "064467dcb88b3700ab177e0e724b4796109680e3abc2018e7db21205ed7a89ec",
+        "imex.block": "fcaaf42fd451dd09fc49467c38ae829c974e7e51ccee32b9590c07382dcf2633",
+    }
+
+    def test_assembly_digests_pinned(self):
+        def digest(*arrays):
+            h = hashlib.sha256()
+            for array in arrays:
+                h.update(array.tobytes())
+            return h.hexdigest()
+
+        def csr(op):
+            return digest(op.matrix.data, op.matrix.indices, op.matrix.indptr)
+
+        m = gs_default(n=8)
+        u = gs_initial(m)
+        got = {"gs_rhs": digest(gs_rhs(m, u)), "gs_full_jacobian": csr(gs_full_jacobian(m, u))}
+        for name in PARTITION_NAMES:
+            split = gs_partition(m, name)
+            for p, (f, op) in enumerate(zip(split.f_parts, split.build_operators(u))):
+                got[f"{name}[{p}].rhs"] = digest(f(u))
+                if op.kind != "zero":
+                    got[f"{name}[{p}].operator"] = csr(op)
+            got[f"{name}.block"] = csr(gs_unpartitioned(m, jacobian="block", partition=name).build_operators(u)[0])
+        assert got == self.ASSEMBLY_DIGESTS
 
     def test_space_requires_even_grid(self):
         with pytest.raises(ValueError):
-            gs_partition_space(gs_default(n=7))
+            gs_partition(gs_default(n=7), "space")
 
     def test_physics_diffusion_state_independent(self, small_model, random_state):
         m = small_model
-        prob = gs_partition_physics(m)
+        prob = gs_partition(m, "physics")
         d1 = prob.operator_builders[0](random_state).to_dense()
         d2 = prob.operator_builders[0](np.roll(random_state, 3)).to_dense()
         assert np.array_equal(d1, d2)
 
     def test_physics_reaction_matches_finite_differences(self, small_model, random_state):
         m = small_model
-        prob = gs_partition_physics(m)
+        prob = gs_partition(m, "physics")
         analytic = prob.operator_builders[1](random_state).to_dense()
         numeric = fd_jacobian(prob.f_parts[1], random_state)
         assert np.max(np.abs(analytic - numeric)) <= 1e-6
 
     def test_imex_zero_operator_and_shared_parts(self, small_model, random_state):
         m = small_model
-        imex = gs_partition_imex(m)
-        physics = gs_partition_physics(m)
+        imex = gs_partition(m, "imex")
+        physics = gs_partition(m, "physics")
         assert isinstance(imex.operator_builders[1](random_state), ZeroOperator)
         for p in range(2):
             assert np.array_equal(imex.f_parts[p](random_state), physics.f_parts[p](random_state))
@@ -470,7 +519,7 @@ class TestPartitions:
         m = small_model
         u0 = gs_initial(m)
         h = 1e-7
-        got = step_pexprk(tableau(2), gs_partition_imex(m), u0, h, KrylovConfig(tol=1e-13, m_max=60))
+        got = step_pexprk(tableau(2), gs_partition(m, "imex"), u0, h, KrylovConfig(tol=1e-13, m_max=60))
         taylor = u0 + h * gs_rhs(m, u0)
         assert np.linalg.norm(got - taylor) <= 10 * h**2 * np.linalg.norm(gs_rhs(m, u0)) * 100
 
