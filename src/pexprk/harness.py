@@ -158,7 +158,6 @@ class ConvergenceRow:
 class ReferenceSolution:
     state: np.ndarray
     gap: float          # discrete-L2 distance between the h_ref and 2 h_ref runs
-    h_ref: float
     n_steps: int
     wall_ms: float
     stats: KrylovStats  # both runs' work, summed
@@ -323,7 +322,6 @@ def reference_solution(cfg: RunConfig, problem: SplitProblem | None = None, u0=N
     return ReferenceSolution(
         state=fine.state,
         gap=discrete_l2(fine.state - coarse.state),
-        h_ref=(cfg.tf - cfg.t0) / n_fine,
         n_steps=n_fine,
         wall_ms=wall_ms,
         stats=stats,

@@ -6,7 +6,9 @@ space,
 
     phi_k(tau L) v ~= ||v|| * V_M * phi_k(tau H_M) e_1,
 
-with phi_k(tau H_M) e_1 taken from one augmented exponential.
+with phi_k(tau H_M) e_1 read from the block phi_j(tau H_M) e_1, j = 1 .. p,
+kept per (tau, M): from one augmented exponential (Sidje, Expokit, ACM TOMS
+24(1), 1998), or from H_M's eigendecomposition on the Lanczos path below.
 
 The factorization carries a running upper bound, ``loss``, on
 ||I - V^T V|| of its basis, and takes a second Gram-Schmidt pass only when
@@ -27,20 +29,20 @@ projection of L onto an orthonormal basis of the same Krylov space.  The
 bound is pessimistic: on the Gray-Scott Jacobians the measured loss stays
 at or below 1.2e-13 up to m = 100, where the bound is near 1e-8.
 
-A caller that will ask for several phi indices on one factorization passes the
-largest, p: each augmented exponential then yields phi_1 .. phi_p, and the
-factorization keeps them per (tau, M), so every sibling solve reads its
-column instead of evaluating again (the phi-combination idea of phipm,
-Niesen & Wright, ACM TOMS 38(3), 2012, and KIOPS, Gaudreault, Rainwater &
-Tokman, JCP 372, 2018).
+A caller that will ask for several phi indices on one factorization passes
+the largest, p: each block then holds phi_1 .. phi_p, so every sibling solve
+reads its column instead of evaluating again (the phi-combination idea of
+phipm, Niesen & Wright, ACM TOMS 38(3), 2012, and KIOPS, Gaudreault,
+Rainwater & Tokman, JCP 372, 2018).
 
 An operator declared ``symmetric`` gets the three-term Lanczos recurrence
-instead: O(n) work per step rather than O(n m), and a tridiagonal H_M whose
-phi comes from its eigendecomposition.  The declaration alone picks the
-path; H_M is never inspected for symmetry.  The basis is not
-reorthogonalized; Lanczos approximations of matrix functions stay accurate
-when orthogonality is lost (Druskin, Greenbaum & Knizhnerman, SISC 19(1),
-1998; Hochbruck & Lubich, SINUM 34(5), 1997).
+instead: O(n) work per step rather than O(n m), and a tridiagonal
+H_M = Q diag(lam) Q^T whose block of columns is Q (phi_j(tau lam) * Q^T e_1):
+one O(M^3) eigendecomposition per M, then O(M^2 p) per (tau, M).  The
+declaration alone picks the path; H_M is never inspected for symmetry.  The
+basis is not reorthogonalized; Lanczos approximations of matrix functions
+stay accurate when orthogonality is lost (Druskin, Greenbaum & Knizhnerman,
+SISC 19(1), 1998; Hochbruck & Lubich, SINUM 34(5), 1997).
 
 The error is estimated only at pre-determined check indices, from m=2 on,
 spaced so that each check costs roughly as much as all preceding checks
@@ -223,8 +225,6 @@ class _ArnoldiState:
 
     def _grow(self, cap: int):
         old = self.V.shape[1] - 1
-        if cap <= old:
-            return
         # aggressive growth, capped at the configured maximum dimension:
         # repeated large copies of the basis cost more than spare columns
         new_cap = min(max(cap, 8 * old), max(self.m_max, cap), self.n)
@@ -290,31 +290,36 @@ class _ArnoldiState:
                     self.loss += 2.0 * off / h_next
 
     def _eigendecomposition(self, m: int):
-        """Eigendecomposition of the symmetric tridiagonal H_m that Lanczos
-        fills for a declared-symmetric L.  Lets every phi evaluation cost
-        O(m^2) after one O(m^3) factorization instead of one scaled
-        exponential per check.  numpy's eigh, not scipy's tridiagonal
-        solver: the two wheels load separate OpenBLAS builds (see
-        phi._expm_pade13)."""
-        if m in self._eig:
-            return self._eig[m]
-        lam, q = np.linalg.eigh(self.H[:m, :m])
-        entry = (lam, q, np.ascontiguousarray(q[0, :]))
-        self._eig[m] = entry
-        return entry
+        """Eigendecomposition (lam, Q) of the symmetric tridiagonal H_m that
+        Lanczos fills for a declared-symmetric L.  One O(m^3) factorization
+        per m serves every tau: each (tau, m) then costs O(m^2 p) in
+        _phi_columns instead of one augmented exponential.  numpy's eigh,
+        not scipy's tridiagonal solver: the two wheels load separate
+        OpenBLAS builds (see phi._expm_pade13)."""
+        if m not in self._eig:
+            self._eig[m] = np.linalg.eigh(self.H[:m, :m])
+        return self._eig[m]
 
-    def _phi_columns(self, p: int, tau: float, m: int, lam=None) -> np.ndarray:
-        """phi_1 .. phi_p of tau H_m, at least p of them, computed once per
-        (tau, m): the columns phi_j(tau H_m) e_1, or on the Lanczos path, given
-        H_m's eigenvalues lam, the values phi_j(tau lam)."""
+    def _phi_columns(self, p: int, tau: float, m: int) -> np.ndarray:
+        """The m x p block of columns phi_j(tau H_m) e_1, j = 1 .. p (at least
+        p of them), computed once per (tau, m): from one augmented exponential
+        on the Arnoldi path, as Q (phi_j(tau lam) * Q^T e_1) from H_m's
+        eigendecomposition on the Lanczos path."""
         entry = self._phi.get((tau, m))
         if entry is None or entry[0] < p:
-            with np.errstate(over="ignore"):  # an overflow fails the finiteness checks instead
-                arg = tau * (self.H[:m, :m] if lam is None else lam)
-            vals = phi_cols_e1(p, arg) if lam is None else phi_array(p, arg)
-            if lam is not None and not np.all(np.isfinite(vals)):
-                raise KrylovError(f"phi evaluation overflowed (spectral radius {np.max(np.abs(arg)):.3g})")
-            entry = (p, vals)
+            if self.symmetric:
+                lam, q = self._eigendecomposition(m)
+                with np.errstate(over="ignore"):  # an overflow fails the finiteness check instead
+                    arg = tau * lam
+                vals = phi_array(p, arg)
+                if not np.all(np.isfinite(vals)):
+                    raise KrylovError(f"phi evaluation overflowed (spectral radius {np.max(np.abs(arg)):.3g})")
+                cols = q @ (vals * q[0, :, None])
+            else:
+                with np.errstate(over="ignore"):  # an overflow fails phi_cols_e1's check instead
+                    arg = tau * self.H[:m, :m]
+                cols = phi_cols_e1(p, arg)
+            entry = (p, cols)
             self._phi[(tau, m)] = entry
         return entry[1]
 
@@ -326,23 +331,15 @@ class _ArnoldiState:
         phi_1 .. phi_p (p >= k, default k) are evaluated together and kept, so
         a sibling solve of index up to p at the same (tau, m) reuses them.
         """
-        p = k if p is None else max(p, k)
-        if self.symmetric:
-            lam, q, q_row0 = self._eigendecomposition(m)
-            vals = self._phi_columns(p, tau, m, lam)
-            w_red = q @ (vals[:, k - 1] * q_row0)
-            phi1_last = float((q[m - 1, :] * vals[:, 0]) @ q_row0)
-        else:
-            vals = self._phi_columns(p, tau, m)
-            w_red = vals[:, k - 1]
-            phi1_last = float(vals[m - 1, 0])
+        cols = self._phi_columns(k if p is None else max(p, k), tau, m)
+        w_red = cols[:, k - 1]
         if self.breakdown and m == self.m:
             return w_red, 0.0
         h_next = self.H[m, m - 1]
         # hypot scales: the squared norm of a finite w_red can overflow, and
         # an infinite denominator would pass any tolerance
         denom = max(math.hypot(*w_red), 1e-300)
-        return w_red, abs(tau * h_next * phi1_last) / denom
+        return w_red, abs(tau * h_next * cols[m - 1, 0]) / denom
 
 
 def phi_times_vector(

@@ -130,9 +130,11 @@ def _apply_coeff(expr, L, h, v, cfg, ctx, where, phi_max):
 
 def _phi(L, k, tau, v, cfg, ctx, where):
     try:
-        return require_converged(phi_times_vector(L, k, tau, v, cfg, ctx=ctx), k, tau, cfg)
+        w = require_converged(phi_times_vector(L, k, tau, v, cfg, ctx=ctx), k, tau, cfg)
     except _EVAL_ERRORS as exc:
         raise StepFailure(f"{where}: {exc}") from exc
+    ctx.clear()  # each residual-form product is on a fresh vector: drop its factorization
+    return w
 
 
 def _forward_substitution(t, ops, fns, residual, supports, u_n, h, cfg, ctx):

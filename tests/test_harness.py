@@ -36,7 +36,7 @@ from pexprk.krylov import EvalContext, KrylovConfig
 from pexprk.operators import SparseOperator
 from pexprk.phi import expm_dense
 from pexprk.problems import PAPER_SCALE_GRID, PARTITION_NAMES, gs_unpartitioned
-from pexprk.steppers import integrate_fixed, pexprk_stepper, unpartitioned_problem
+from pexprk.steppers import integrate_fixed, pexprk_stepper, residual2_stepper, unpartitioned_problem
 
 
 def make_rows(errors, h0=0.5):
@@ -304,13 +304,21 @@ GOLDEN = {
     },
 }
 ORDERS = (2, 3, 4)
+# the same for the order-2 residual form (step_pexprk2_residual) on each split
+GOLDEN_RESIDUAL = {
+    "species": ((104, 100, 12), 0.4987122138657996),
+    "space": ((116, 112, 12), 0.4987519531907184),
+    "physics": ((125, 121, 12), 0.49871538195465587),
+    "imex": ((83, 81, 12), 0.49871522293512066),
+}
 
 
-def golden_run(form, partition, jacobian, order):
-    """The golden integration of one case: (its problem, its result)."""
+def golden_run(form, partition, jacobian, order, stepper=None):
+    """The golden integration of one case: (its problem, its result).  A
+    stepper, if given, replaces the case's own on the case's problem."""
     cfg = RunConfig(grid=16, form=form, partition=partition, jacobian=jacobian, order=order)
-    _, problem, stepper, u0 = build_study(cfg)
-    return problem, integrate_fixed(stepper, problem, u0, cfg.t0, cfg.tf, 2, cfg.krylov())
+    _, problem, study_stepper, u0 = build_study(cfg)
+    return problem, integrate_fixed(stepper or study_stepper, problem, u0, cfg.t0, cfg.tf, 2, cfg.krylov())
 
 
 def probe_problem(nan_operator_in=(), f_fault=None):
@@ -470,6 +478,13 @@ class TestGoldenCounts:
             assert (res.stats.matvecs, res.stats.krylov_dim_total, res.stats.solves) == counts, order
             assert discrete_l2(res.state) == pytest.approx(norm, rel=1e-12, abs=0.0), order
 
+    @pytest.mark.parametrize("partition", list(GOLDEN_RESIDUAL))
+    def test_residual_form_counts_and_final_norm(self, partition):
+        _, res = golden_run("part", partition, "full", 2, residual2_stepper())
+        counts, norm = GOLDEN_RESIDUAL[partition]
+        assert (res.stats.matvecs, res.stats.krylov_dim_total, res.stats.solves) == counts
+        assert discrete_l2(res.state) == pytest.approx(norm, rel=1e-12, abs=0.0)
+
     def test_solves_per_partition_equal_original_form(self):
         # forward substitution costs each partition the original form's solves
         for order in ORDERS:
@@ -491,11 +506,12 @@ class TestGoldenCounts:
             return state
 
         monkeypatch.setattr(EvalContext, "arnoldi_state", counted)
-        for case in GOLDEN:
-            for order in ORDERS:
-                live.clear()
-                golden_run(*case, order)
-                assert max(live) == 1, (case, order)
+        runs = [(*case, order, None) for case in GOLDEN for order in ORDERS]
+        runs += [("part", partition, "full", 2, residual2_stepper()) for partition in GOLDEN_RESIDUAL]
+        for run in runs:
+            live.clear()
+            golden_run(*run)
+            assert max(live) == 1, run[:4]
 
 
 class TestCli:

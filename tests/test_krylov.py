@@ -369,6 +369,52 @@ class TestLanczos:
             phi_times_vector(op, 1, 1.0, np.ones(2), KrylovConfig())
 
 
+class TestReducedPhiColumns:
+    """Both recurrences read phi_k(tau H_m) e_1 and the estimate's phi_1 entry
+    from one kept block of columns per (tau, m).  On a declared-symmetric
+    Gray-Scott operator at the study's (tau, k), the Lanczos block matches the
+    dense evaluation on its T_m and the Arnoldi path on an undeclared copy."""
+
+    @pytest.mark.parametrize("split, part", [("species", 0), ("species", 1), ("physics", 0)],
+                             ids=["species-a", "species-b", "diffusion"])
+    def test_lanczos_matches_dense_and_arnoldi(self, split, part):
+        model = GrayScottModel(n=16)
+        u = gs_initial(model)
+        problem = gs_partition(model, split)
+        op, v = problem.operator_builders[part](u), problem.f_parts[part](u)
+        assert op.symmetric
+        # on a species block (n = 256) the undeclared copy breaks down at m = n
+        m_max = op.dim if split == "species" else 64
+        lanczos = _ArnoldiState(op, v, m_max)
+        arnoldi = _ArnoldiState(SparseOperator(op.matrix), v, m_max)
+        lanczos.extend(m_max)
+        arnoldi.extend(m_max)
+        assert arnoldi.m == m_max and arnoldi.breakdown == (split == "species")
+        h = TIMESPAN / 2  # two study steps
+        dims = {2, 3, 5, 8, 13, 64, m_max}
+        for m in dims:
+            t = lanczos.H[:m, :m]
+            for tau in (h / 2, h):
+                dense = phi_dense_times_vector(3, tau * t, np.eye(m)[0])
+                for k in (1, 2, 3):
+                    got, est = lanczos.reduced_phi(k, tau, m, p=3)
+                    want, arnoldi_est = arnoldi.reduced_phi(k, tau, m, p=3)
+                    scale = np.linalg.norm(dense[k - 1])
+                    assert np.linalg.norm(got - dense[k - 1]) <= 1e-13 * scale, (m, tau, k)
+                    assert np.linalg.norm(got - want) <= 1e-13 * scale, (m, tau, k)
+                    dense_est = abs(tau * lanczos.H[m, m - 1] * dense[0][m - 1]) / scale
+                    assert est == pytest.approx(dense_est, rel=1e-8, abs=1e-15), (m, tau, k)
+                    assert (arnoldi_est == 0.0) == (arnoldi.breakdown and m == arnoldi.m), (m, tau, k)
+        # one eigendecomposition per m, one block of columns per (tau, m)
+        assert len(lanczos._eig) == len(dims) and len(lanczos._phi) == 2 * len(dims)
+
+    def test_overflowing_phi_raises(self):
+        state = _ArnoldiState(SparseOperator(np.diag([800.0, -1.0]), symmetric=True), np.ones(2), 2)
+        state.extend(2)
+        with pytest.raises(KrylovError, match=r"phi evaluation overflowed \(spectral radius 800\)"):
+            state.reduced_phi(1, 1.0, 2)
+
+
 class TestOverflowingNorm:
     """phi_k(460 L) v with L's eigenvalues spread over [-1, 1]: the reduced
     result's entries reach about e^460 = 1e200, so their squared norm
