@@ -30,7 +30,6 @@ from .steppers import (
     integrate_fixed,
     original_stepper,
     pexprk_stepper,
-    residual2_stepper,
     stability_matrix_spectral_radius,
     step_exprk_original,
     step_pexprk,

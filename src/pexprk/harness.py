@@ -329,12 +329,13 @@ def reference_solution(cfg: RunConfig, problem: SplitProblem | None = None, u0=N
 
 
 def estimate_order(rows: list) -> list:
-    """Observed order log2(e_{i-1} / e_i) for consecutive unfailed rows."""
+    """Observed order log2(e_{i-1} / e_i) for consecutive unfailed rows;
+    None where either error is zero."""
     prev_error = None
     orders = []
     for row in rows:
         order = None
-        if not row.failed and prev_error is not None and row.error_l2 > 0:
+        if not row.failed and prev_error and row.error_l2 > 0:
             order = math.log2(prev_error / row.error_l2)
         row.observed_order = order
         orders.append(order)
@@ -459,17 +460,7 @@ def parse_csv(path) -> tuple[list, dict]:
 
 def rows_data_equal(a: list, b: list) -> bool:
     """Row equality on the deterministic columns (wall time excluded)."""
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if repr(ra.h) != repr(rb.h) or repr(ra.error_l2) != repr(rb.error_l2):
-            return False
-        if ra.observed_order != rb.observed_order and not (
-            ra.observed_order is not None
-            and rb.observed_order is not None
-            and repr(ra.observed_order) == repr(rb.observed_order)
-        ):
-            return False
-        if ra.matvecs != rb.matvecs or ra.krylov_dims != rb.krylov_dims:
-            return False
-    return True
+    def key(r):
+        return repr(r.h), repr(r.error_l2), repr(r.observed_order), r.matvecs, r.krylov_dims
+
+    return len(a) == len(b) and all(key(ra) == key(rb) for ra, rb in zip(a, b))

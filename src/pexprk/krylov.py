@@ -156,7 +156,7 @@ class KrylovResult:
 
 @dataclass
 class KrylovStats:
-    matvecs: int = 0  # the step's operator tallies, written by the stepper
+    matvecs: int = 0  # the step's operator tallies, written by the step
     krylov_dim_total: int = 0
     solves: int = 0
 

@@ -340,7 +340,6 @@ def gs_partition(m: GrayScottModel, name: str) -> SplitProblem:
         m.dim,
         [partial(_part_rhs, m, name, p) for p in range(len(parts))],
         [builder(p, support, implicit) for p, (support, _, implicit) in enumerate(parts)],
-        name=name,
         supports=[support for support, _, _ in parts],
     )
 
@@ -361,9 +360,7 @@ def gs_unpartitioned(m: GrayScottModel, jacobian: str = "full", partition: str |
         parts = tuple(p for p, (_, _, implicit) in enumerate(_parts(m, _known(name))) if implicit)
     else:
         raise ValueError(f"unknown jacobian kind {jacobian!r}")
-    return unpartitioned_problem(
-        m.dim, partial(gs_rhs, m), lambda u: _gathered(m, name, parts)(u), name=f"gray-scott-{jacobian}"
-    )
+    return unpartitioned_problem(m.dim, partial(gs_rhs, m), lambda u: _gathered(m, name, parts)(u))
 
 
 @dataclass
@@ -390,7 +387,7 @@ class SemilinearOracle:
         return SparseOperator(self.matrix + self.eps * np.diag(np.cos(u)))
 
     def problem(self) -> SplitProblem:
-        return unpartitioned_problem(self.dim, self.f, self.jacobian, name="semilinear")
+        return unpartitioned_problem(self.dim, self.f, self.jacobian)
 
     def split_linear_nonlinear(self) -> SplitProblem:
         """Two-way split: the linear term and the smooth remainder."""
@@ -401,14 +398,13 @@ class SemilinearOracle:
                 lambda u: SparseOperator(self.matrix),
                 lambda u: SparseOperator(scipy.sparse.diags(self.eps * np.cos(u)), symmetric=True),
             ),
-            name="semilinear-split",
         )
 
     def split_all_explicit(self) -> SplitProblem:
         """Two-way split with both operators zero (fully explicit treatment)."""
         base = self.split_linear_nonlinear()
         zero = lambda u: ZeroOperator(self.dim)  # noqa: E731
-        return SplitProblem(self.dim, base.f_parts, (zero, zero), name="semilinear-explicit")
+        return SplitProblem(self.dim, base.f_parts, (zero, zero))
 
     def reference(self, t: float) -> np.ndarray:
         import scipy.integrate  # here, not at module level: only this test oracle integrates

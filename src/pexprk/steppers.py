@@ -20,7 +20,8 @@ gives the update.  Both forms are thus one recursion, ``_forward_substitution``:
     u_{n+1} = u_n + h sum_p [phi_1(hL_p) f_p(u_n) + sum_j b_j(hL_p) r_{p,j}]
 differing only in the stage residual r_{p,j}:
 
-``step_exprk_original``   P = 1 and r_j = g(Y_j) - g(y_n), one matvec L Y_j;
+``step_exprk_original``   P = 1 (a single-partition problem) and
+    r_j = g(Y_j) - g(y_n), one matvec L Y_j;
 ``step_pexprk``           r_{p,j} = f_p(U_j) - f_p(u_n) - h L_p X_j^p.  A zero
     operator (an explicitly treated partition) skips the L_p X matvec and
     reduces to the classical Runge-Kutta method; with P = 1 this is the
@@ -56,12 +57,20 @@ phi_1(hL_p') of an operator on support S_p' solves only on the restriction
 of its vector to S_p' and passes the rest through (phi_1(0) = 1), so under
 disjoint supports it costs no matvec.
 
-Partition operators are frozen at u_n and rebuilt each step, never within
-stages.  All phi applications run matrix-free through the Krylov engine.
+Each method is one step function.  With its tableau bound
+(``original_stepper``, ``pexprk_stepper``) or as it stands
+(``step_pexprk2_residual``) it has the stepper signature
+(prob, u_n, h, cfg, ctx) that ``integrate_fixed`` calls.  The step builds
+its partition operators frozen at u_n (``SplitProblem.build_operators``),
+never rebuilding them within stages, and writes its own counters to
+ctx.stats, matvecs included, so a direct call reports what an integration
+step reports.  All phi applications run matrix-free through the Krylov
+engine.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -98,7 +107,6 @@ class SplitProblem:
     dim: int
     f_parts: tuple
     operator_builders: tuple
-    name: str = ""
     supports: tuple | None = None
 
     def __post_init__(self):
@@ -144,7 +152,9 @@ def _forward_substitution(t, ops, fns, residual, supports, u_n, h, cfg, ctx):
     stage's X^p or the update's) enters the full state at its support
     (total[support] = total[support] + x), plain addition for full supports.
     A stage residual that overflows fails the step, naming its stage and
-    partition, without a floating-point warning."""
+    partition, without a floating-point warning.  The operators' tallies,
+    the step's only matvec count (Krylov plus direct applies), go to
+    ctx.stats."""
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     ctx = ctx if ctx is not None else EvalContext()
@@ -177,25 +187,29 @@ def _forward_substitution(t, ops, fns, residual, supports, u_n, h, cfg, ctx):
     acc = np.zeros_like(u_n)
     for p in parts:
         acc[supports[p]] = acc[supports[p]] + x[p][-1]
+    ctx.stats.matvecs = sum(op.matvecs for op in ops)
     return u_n + h * acc
 
 
 def step_exprk_original(
     t: ExprkTableau,
-    L: LinearOperator,
-    f: Callable[[np.ndarray], np.ndarray],
+    prob: SplitProblem,
     y_n: np.ndarray,
     h: float,
     cfg: KrylovConfig,
     ctx: EvalContext | None = None,
 ) -> np.ndarray:
+    if prob.partitions != 1:
+        raise ValueError("the original form takes a single-partition problem")
+    (L,) = ops = prob.build_operators(y_n)
+    f = prob.f_parts[0]
     fn = f(y_n)
     gn = fn - L.apply(y_n)
 
     def residual(p, y_i, x):
         return f(y_i) - L.apply(y_i) - gn  # g(Y_i) - g(y_n), g = f - L y
 
-    return _forward_substitution(t, [L], [fn], residual, _FULL, y_n, h, cfg, ctx)
+    return _forward_substitution(t, ops, [fn], residual, _FULL, y_n, h, cfg, ctx)
 
 
 def step_pexprk(
@@ -205,9 +219,8 @@ def step_pexprk(
     h: float,
     cfg: KrylovConfig,
     ctx: EvalContext | None = None,
-    ops: Sequence[LinearOperator] | None = None,
 ) -> np.ndarray:
-    ops = list(ops) if ops is not None else prob.build_operators(u_n)
+    ops = prob.build_operators(u_n)
     fns = [fp(u_n) for fp in prob.f_parts]
 
     def residual(p, u_i, x):
@@ -225,7 +238,6 @@ def step_pexprk2_residual(
     h: float,
     cfg: KrylovConfig,
     ctx: EvalContext | None = None,
-    ops: Sequence[LinearOperator] | None = None,
 ) -> np.ndarray:
     """Order-2 partitioned step written against partition residuals.
 
@@ -241,7 +253,7 @@ def step_pexprk2_residual(
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     ctx = ctx if ctx is not None else EvalContext()
-    ops = list(ops) if ops is not None else prob.build_operators(u_n)
+    ops = prob.build_operators(u_n)
     fns = [fp(u_n) for fp in prob.f_parts]
     supports = prob.supports
 
@@ -267,46 +279,21 @@ def step_pexprk2_residual(
         out[supports[p]] = out[supports[p]] + h * _phi(
             ops[p], 2, h, residual, cfg, ctx, f"update, residual term, partition {p + 1}"
         )
+    ctx.stats.matvecs = sum(op.matvecs for op in ops)
     return out
 
 
-# stepper factories with a uniform (prob, u, h, cfg, ctx) -> u_next signature
+# a step function with its tableau bound: (prob, u, h, cfg, ctx) -> u_next
 
 Stepper = Callable[[SplitProblem, np.ndarray, float, KrylovConfig, EvalContext], np.ndarray]
 
 
-def _stepper(run) -> Stepper:
-    """The stepper around run(prob, ops, u, h, cfg, ctx): it builds the
-    partition operators frozen at u_n and writes their tallies, the step's
-    only matvec count (Krylov plus direct applies), to ctx.stats."""
-
-    def step(prob, u, h, cfg, ctx):
-        ops = prob.build_operators(u)
-        out = run(prob, ops, u, h, cfg, ctx)
-        ctx.stats.matvecs = sum(op.matvecs for op in ops)
-        return out
-
-    return step
-
-
 def original_stepper(order: int) -> Stepper:
-    t = tableau(order)
-
-    def run(prob, ops, u, h, cfg, ctx):
-        if prob.partitions != 1:
-            raise ValueError("the unpartitioned forms take a single-partition problem")
-        return step_exprk_original(t, ops[0], prob.f_parts[0], u, h, cfg, ctx)
-
-    return _stepper(run)
+    return partial(step_exprk_original, tableau(order))
 
 
 def pexprk_stepper(order: int) -> Stepper:
-    t = tableau(order)
-    return _stepper(lambda prob, ops, u, h, cfg, ctx: step_pexprk(t, prob, u, h, cfg, ctx, ops=ops))
-
-
-def residual2_stepper() -> Stepper:
-    return _stepper(lambda prob, ops, u, h, cfg, ctx: step_pexprk2_residual(prob, u, h, cfg, ctx, ops=ops))
+    return partial(step_pexprk, tableau(order))
 
 
 @dataclass
@@ -348,9 +335,9 @@ def integrate_fixed(
     return IntegrationResult(state=u, t_final=tf, steps=n_steps, stats=total)
 
 
-def unpartitioned_problem(dim, f, jacobian_builder, name="") -> SplitProblem:
+def unpartitioned_problem(dim, f, jacobian_builder) -> SplitProblem:
     """Single-partition wrapper so the uniform steppers cover all forms."""
-    return SplitProblem(dim=dim, f_parts=(f,), operator_builders=(jacobian_builder,), name=name)
+    return SplitProblem(dim=dim, f_parts=(f,), operator_builders=(jacobian_builder,))
 
 
 def stability_matrix_spectral_radius(L1, L2, h: float) -> float:

@@ -45,5 +45,4 @@ def embedded_problem(prob):
         prob.dim,
         tuple(map(f_part, prob.f_parts, prob.supports)),
         tuple(map(builder, prob.operator_builders, prob.supports)),
-        name=prob.name,
     )

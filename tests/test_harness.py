@@ -36,7 +36,7 @@ from pexprk.krylov import EvalContext, KrylovConfig
 from pexprk.operators import SparseOperator
 from pexprk.phi import expm_dense
 from pexprk.problems import PAPER_SCALE_GRID, PARTITION_NAMES, gs_unpartitioned
-from pexprk.steppers import integrate_fixed, pexprk_stepper, residual2_stepper, unpartitioned_problem
+from pexprk.steppers import integrate_fixed, pexprk_stepper, step_pexprk2_residual, unpartitioned_problem
 
 
 def make_rows(errors, h0=0.5):
@@ -147,6 +147,36 @@ class TestEstimateOrder:
         rows = make_rows([16.0, 4.0, 1.0])
         estimate_order(rows)
         assert rows[1].observed_order == 2.0 and rows[2].observed_order == 2.0
+
+    def test_zero_error_has_no_order(self):
+        # an exact row gives no ratio, on either side of it
+        assert estimate_order(make_rows([0.0, 1e-17])) == [None, None]
+        assert estimate_order(make_rows([1e-17, 0.0, 1e-17])) == [None, None, None]
+
+
+class TestRowsDataEqual:
+    ROW = dict(h=0.1, error_l2=1.5e-7, observed_order=2.0, matvecs=120, krylov_dims=340, wall_ms=7.5)
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(h=0.1000000001), dict(error_l2=1.5000000000000002e-7), dict(matvecs=121),
+         dict(krylov_dims=341), dict(observed_order=2.0000000000000004), dict(observed_order=None)],
+        ids=["h", "error_l2", "matvecs", "krylov_dims", "order", "order-none"],
+    )
+    def test_a_changed_data_column_differs(self, change):
+        row, changed = ConvergenceRow(**self.ROW), ConvergenceRow(**{**self.ROW, **change})
+        assert not rows_data_equal([row], [changed]) and not rows_data_equal([changed], [row])
+
+    def test_wall_time_is_ignored(self):
+        assert rows_data_equal([ConvergenceRow(**self.ROW)], [ConvergenceRow(**{**self.ROW, "wall_ms": 99.0})])
+
+    def test_failed_row_equals_itself(self):
+        # NaN errors compare by repr, so a failed row equals itself
+        row = ConvergenceRow(h=0.025, failed=True)
+        assert rows_data_equal([row], [row]) and rows_data_equal([row], [ConvergenceRow(h=0.025, failed=True)])
+
+    def test_length_differs(self):
+        assert not rows_data_equal([ConvergenceRow(**self.ROW)], [])
 
 
 class TestCsv:
@@ -480,7 +510,7 @@ class TestGoldenCounts:
 
     @pytest.mark.parametrize("partition", list(GOLDEN_RESIDUAL))
     def test_residual_form_counts_and_final_norm(self, partition):
-        _, res = golden_run("part", partition, "full", 2, residual2_stepper())
+        _, res = golden_run("part", partition, "full", 2, step_pexprk2_residual)
         counts, norm = GOLDEN_RESIDUAL[partition]
         assert (res.stats.matvecs, res.stats.krylov_dim_total, res.stats.solves) == counts
         assert discrete_l2(res.state) == pytest.approx(norm, rel=1e-12, abs=0.0)
@@ -507,7 +537,7 @@ class TestGoldenCounts:
 
         monkeypatch.setattr(EvalContext, "arnoldi_state", counted)
         runs = [(*case, order, None) for case in GOLDEN for order in ORDERS]
-        runs += [("part", partition, "full", 2, residual2_stepper()) for partition in GOLDEN_RESIDUAL]
+        runs += [("part", partition, "full", 2, step_pexprk2_residual) for partition in GOLDEN_RESIDUAL]
         for run in runs:
             live.clear()
             golden_run(*run)

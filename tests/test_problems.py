@@ -383,8 +383,8 @@ class TestPartitions:
             orc.split_linear_nonlinear(),
             orc.split_all_explicit(),
         ]
-        for prob in problems:
-            assert prob.supports == (slice(None),) * prob.partitions, prob.name
+        for i, prob in enumerate(problems):
+            assert prob.supports == (slice(None),) * prob.partitions, f"problem {i}"
 
     @pytest.mark.parametrize("name", ["species", "space"])
     def test_part_operators_and_krylov_bases_have_support_size(self, small_model, random_state, name):

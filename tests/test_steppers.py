@@ -5,10 +5,10 @@ import pytest
 
 from pexprk import steppers
 from pexprk.coeffexpr import eval_dense
-from pexprk.krylov import KrylovConfig, KrylovError
+from pexprk.krylov import EvalContext, KrylovConfig, KrylovError
 from pexprk.operators import SparseOperator, ZeroOperator
 from pexprk.phi import expm_dense, phi_scalar
-from pexprk.problems import TIMESPAN, gs_default, gs_initial, gs_partition, oracle_semilinear
+from pexprk.problems import TIMESPAN, gs_default, gs_initial, gs_partition, gs_unpartitioned, oracle_semilinear
 from pexprk.steppers import (
     IntegrationFailure,
     SplitProblem,
@@ -16,7 +16,6 @@ from pexprk.steppers import (
     integrate_fixed,
     original_stepper,
     pexprk_stepper,
-    residual2_stepper,
     step_exprk_original,
     step_pexprk,
     step_pexprk2_residual,
@@ -32,9 +31,20 @@ from classical_rk import classical_rk_step
 from supports import embedded_problem
 
 
+def step_original(t, L, f, y, h, cfg):
+    """One original-form step on the single-partition problem (L, f)."""
+    return step_exprk_original(t, unpartitioned_problem(L.dim, f, lambda u: L), y, h, cfg)
+
+
 def step_transformed(t, L, f, y, h, cfg):
     """One step of the unpartitioned transformed method: step_pexprk with P = 1."""
     return step_pexprk(t, unpartitioned_problem(L.dim, f, lambda u: L), y, h, cfg)
+
+
+def frozen(prob, ops):
+    """prob with its operators fixed to the pre-built ops, so the caller can
+    read their tallies and identities after a step."""
+    return SplitProblem(prob.dim, prob.f_parts, tuple(lambda u, op=op: op for op in ops), supports=prob.supports)
 
 
 def dense_partitioned_step(tt, mats, f_parts, y, h):
@@ -72,7 +82,7 @@ class TestOriginalForm:
         lam, h, u0 = -2.0, 0.1, 1.0
         L = SparseOperator([[lam]], symmetric=True)
         f = lambda u: lam * u + 1.0  # noqa: E731
-        got = step_exprk_original(tableau(2), L, f, np.array([u0]), h, TIGHT)
+        got = step_original(tableau(2), L, f, np.array([u0]), h, TIGHT)
         expected = math.exp(lam * h) * u0 + h * phi_scalar(1, lam * h)
         assert got[0] == pytest.approx(expected, rel=1e-12)
 
@@ -84,19 +94,24 @@ class TestOriginalForm:
         y0 = rng.uniform(-1, 1, size=10)
         h = 0.3
         L = SparseOperator(a)
-        got = step_exprk_original(tableau(order), L, lambda u: a @ u, y0, h, TIGHT)
+        got = step_original(tableau(order), L, lambda u: a @ u, y0, h, TIGHT)
         assert np.allclose(got, expm_dense(h * a) @ y0, rtol=1e-11, atol=1e-13)
 
     def test_small_h_consistency(self):
         orc = oracle_semilinear(8, seed=3)
         h = 1e-5
         y = orc.u0
-        got = step_exprk_original(tableau(3), orc.jacobian(y), orc.f, y, h, TIGHT)
+        got = step_original(tableau(3), orc.jacobian(y), orc.f, y, h, TIGHT)
         assert np.linalg.norm(got - y - h * orc.f(y)) <= 1e-8
 
     def test_rejects_bad_h(self):
         with pytest.raises(ValueError):
-            step_exprk_original(tableau(2), ZeroOperator(1), lambda u: u, np.zeros(1), 0.0, TIGHT)
+            step_original(tableau(2), ZeroOperator(1), lambda u: u, np.zeros(1), 0.0, TIGHT)
+
+    def test_rejects_a_split_problem(self):
+        orc = oracle_semilinear(5, seed=1)
+        with pytest.raises(ValueError, match="single-partition"):
+            step_exprk_original(tableau(2), orc.split_linear_nonlinear(), orc.u0, 0.1, TIGHT)
 
 
 class TestTransformedEquivalence:
@@ -106,7 +121,7 @@ class TestTransformedEquivalence:
         orc = oracle_semilinear(12, seed=seed)
         L = orc.jacobian(orc.u0)
         h = 0.05
-        a = step_exprk_original(tableau(order), L, orc.f, orc.u0, h, TIGHT)
+        a = step_original(tableau(order), L, orc.f, orc.u0, h, TIGHT)
         b = step_transformed(tableau(order), L, orc.f, orc.u0, h, TIGHT)
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -153,7 +168,7 @@ class TestPartitionedForm:
         prob = SplitProblem(orc.dim, base.f_parts, builders)
         h = 0.04
         ops = prob.build_operators(orc.u0)
-        got = step_pexprk(tableau(order), prob, orc.u0, h, TIGHT, ops=ops)
+        got = step_pexprk(tableau(order), frozen(prob, ops), orc.u0, h, TIGHT)
         # densified from fresh operators: to_dense advances the matvec tally
         mats = [op.to_dense() for op in prob.build_operators(orc.u0)]
         want = dense_partitioned_step(transformed(order), mats, base.f_parts, orc.u0, h)
@@ -222,7 +237,7 @@ class TestPartitionedForm:
         u0 = gs_initial(model)
         ops = prob.build_operators(u0)
         assert [op.kind for op in ops] == ["sparse", "zero"]
-        step_pexprk2_residual(prob, u0, 1e-3, TIGHT, ops=ops)
+        step_pexprk2_residual(frozen(prob, ops), u0, 1e-3, TIGHT)
         assert ops[1].matvecs == 0 and ops[0].matvecs > 0
 
     @pytest.mark.parametrize("name", ["species", "space"])
@@ -235,7 +250,7 @@ class TestPartitionedForm:
         cfg = KrylovConfig()
         prob = gs_partition(model, name)
         own, embedded = (
-            integrate_fixed(residual2_stepper(), p, u0, 0.0, 0.01, 1, cfg)
+            integrate_fixed(step_pexprk2_residual, p, u0, 0.0, 0.01, 1, cfg)
             for p in (prob, embedded_problem(prob))
         )
         assert np.linalg.norm(own.state - embedded.state) <= 1e-15 * np.linalg.norm(embedded.state)
@@ -286,6 +301,29 @@ class TestIntegrateFixed:
         assert np.array_equal(res.state, direct)
         assert res.steps == 1 and res.stats.matvecs > 0
 
+    @pytest.mark.parametrize(
+        "step, stepper, split",
+        [
+            (step_exprk_original, original_stepper(4), None),
+            (step_pexprk, pexprk_stepper(4), None),
+            (step_pexprk, pexprk_stepper(4), "species"),
+            (step_pexprk2_residual, step_pexprk2_residual, "species"),
+        ],
+        ids=["orig-full", "tran-full", "part-species", "residual-species"],
+    )
+    def test_direct_step_reports_the_integration_counters(self, step, stepper, split):
+        # each step builds its own operators and writes its own matvec tally,
+        # so a direct call counts what an integration step counts
+        model = gs_default(n=8)
+        prob = gs_unpartitioned(model) if split is None else gs_partition(model, split)
+        u0, h, cfg = gs_initial(model), 0.01, KrylovConfig()
+        ctx = EvalContext()
+        tab = () if step is step_pexprk2_residual else (tableau(4),)
+        direct = step(*tab, prob, u0, h, cfg, ctx)
+        res = integrate_fixed(stepper, prob, u0, 0.0, h, 1, cfg)
+        assert np.array_equal(direct, res.state)
+        assert ctx.stats == res.stats and res.stats.matvecs > 0
+
     @pytest.mark.parametrize("make", [original_stepper, pexprk_stepper])
     def test_linear_many_steps_exact(self, make):
         rng = np.random.default_rng(31)
@@ -325,7 +363,7 @@ class TestIntegrateFixed:
         cfg = KrylovConfig(tol=1e-13, m_max=4)
         u0 = rng.uniform(size=30)
         # both forms run one core, so their failures name stage and partition alike
-        for step in (step_transformed, step_exprk_original):
+        for step in (step_transformed, step_original):
             with pytest.raises(StepFailure, match=r"^stage 2, partition 1, phi_1 term: .*did not converge"):
                 step(tableau(2), SparseOperator(a), lambda u: a @ u, u0, 0.5, cfg)
 
@@ -353,7 +391,7 @@ class TestIntegrateFixed:
 
         monkeypatch.setattr(steppers, "eval_coeff", failing)
         with pytest.raises(StepFailure) as failure:
-            step_pexprk(t, prob, u0, 1e-3, TIGHT, ops=ops)
+            step_pexprk(t, frozen(prob, ops), u0, 1e-3, TIGHT)
         assert str(failure.value) == f"{label}: forced"
 
 
