@@ -17,14 +17,17 @@ species, by space (both species of the lower, then the upper half of the
 grid), by physical process, and imex, the process split with its reaction
 part explicit; the unsplit system is the one-part case.  One routine builds
 each object from the table.  ``_part_rhs`` gives a part's right-hand side
-on its support, through row blocks that are views of the one diffusion
-matrix.  ``_gathered`` gives the operator of any set of parts, numbered over
-the union of their supports, from the full Jacobian's cached structure;
-``_assemble`` fills in its reaction values per state.  So each part's Krylov
-solves run in its own variables, ``gs_rhs`` and ``gs_full_jacobian`` are
-the unsplit case, and a block Jacobian is the union of a split's implicit
-parts.  An operator is declared symmetric, and so runs Lanczos, unless it
-holds a cross-species reaction entry (-2ab or b^2).
+on its support, run by run: each run lies in one species and reads its rows
+of the one diffusion matrix as a view.  ``_operator`` gives the operator of
+any set of parts at a state (zero for an explicit part), numbered over the
+union of their supports, from the full Jacobian's cached structure
+(``_gathered``); ``_assemble`` fills in its reaction values per state.  So
+each part's Krylov solves run in its own variables, ``gs_rhs`` and
+``gs_full_jacobian`` are the unsplit case, and a block Jacobian is the union
+of a split's implicit parts.  Every builder is a ``functools.partial`` of a
+module function, so every Gray-Scott problem pickles.  An operator is
+declared symmetric, and so runs Lanczos, unless it holds a cross-species
+reaction entry (-2ab or b^2).
 """
 
 from dataclasses import dataclass
@@ -188,7 +191,7 @@ def _assemble(m: GrayScottModel, entries: tuple, u: np.ndarray):
 
 
 def gs_full_jacobian(m: GrayScottModel, u: np.ndarray) -> SparseOperator:
-    return _gathered(m, None, (0,))(u)
+    return _operator(m, None, (0,), u)
 
 
 # Every split as data, per part: its support, the state indices it owns ("all",
@@ -226,26 +229,23 @@ def _parts(m: GrayScottModel, name) -> tuple:
 
 @lru_cache(maxsize=64)
 def _row_blocks(m: GrayScottModel, name, p: int) -> tuple:
-    """Part p's variables in runs of consecutive state indices.  Per run: the
-    diffusion matrix's rows of it, as a view of that matrix's arrays, and per
-    species s it holds (0 for a, 1 for b), s's equation, the run's positions
-    of s and their cells, as slices."""
+    """Part p's variables in runs of consecutive state indices, each within
+    one species.  Per run: the diffusion matrix's rows of it, as a view of
+    that matrix's arrays, the species' equation and the run's cells, as a
+    slice."""
     support, _, _ = _parts(m, name)[p]
     variables = np.arange(m.dim)[support]
+    breaks = np.flatnonzero((np.diff(variables) != 1) | (variables[1:] == m.cells)) + 1
     matrix, blocks = _diffusion_csr(m), []
-    for run in np.split(variables, np.flatnonzero(np.diff(variables) != 1) + 1):
+    for run in np.split(variables, breaks):
         start, stop = int(run[0]), int(run[-1]) + 1
         first, last = matrix.indptr[start], matrix.indptr[stop]
         data, indices, indptr = matrix.data[first:last], matrix.indices[first:last], matrix.indptr[start:stop + 1]
         indptr = indptr - first if first else indptr
         rows = scipy.sparse.csr_matrix((data, indices, indptr), shape=(stop - start, m.dim))
         rows.data, rows.indices = data, indices  # scipy copies a view of less than half its base
-        species = []
-        for s, equation in enumerate(_EQUATIONS):
-            lo, hi = max(start, s * m.cells), min(stop, (s + 1) * m.cells)
-            if lo < hi:
-                species.append((equation, slice(lo - start, hi - start), slice(lo - s * m.cells, hi - s * m.cells)))
-        blocks.append((rows, tuple(species)))
+        s = start // m.cells
+        blocks.append((rows, _EQUATIONS[s], slice(start - s * m.cells, stop - s * m.cells)))
     return tuple(blocks)
 
 
@@ -254,13 +254,9 @@ def _part_rhs(m: GrayScottModel, name, p: int, u: np.ndarray) -> np.ndarray:
     _, terms, _ = _parts(m, name)[p]
     a, b = _split_state(m, u)
     out = []
-    for rows, species in _row_blocks(m, name, p):
-        diffusion = rows @ u if "diffusion" in terms else None
-        if "reaction" in terms:
-            out += [equation(m, 0.0 if diffusion is None else diffusion[run], a[cells], b[cells])
-                    for equation, run, cells in species]
-        else:
-            out.append(diffusion)
+    for rows, equation, cells in _row_blocks(m, name, p):
+        diffusion = rows @ u if "diffusion" in terms else 0.0
+        out.append(equation(m, diffusion, a[cells], b[cells]) if "reaction" in terms else diffusion)
     return out[0] if len(out) == 1 else np.concatenate(out)
 
 
@@ -300,25 +296,28 @@ def _gathered(m: GrayScottModel, name, parts: tuple):
     """The builder of the operator made of split ``name``'s parts ``parts``:
     a function of the state.  The operator is declared symmetric unless it
     holds a cross-species reaction entry (-2ab or b^2).  On the whole state,
-    both terms read the full Jacobian's structure and the diffusion alone
-    the diffusion matrix, not copies of them."""
+    both terms read the full Jacobian's structure, and the diffusion alone is
+    the cached diffusion matrix itself."""
     chosen = [_parts(m, name)[p] for p in parts]
     terms = {term for _, carried, _ in chosen for term in carried}
     whole = all(isinstance(support, slice) and support == slice(None) for support, _, _ in chosen)
-    if whole and terms == set(_BOTH):
-        entries = _jacobian_structure(m)
-    elif whole and terms == {"diffusion"}:
-        matrix, none = _diffusion_csr(m), np.zeros(0, dtype=np.int64)
-        entries = (matrix.data, matrix.indices, matrix.indptr, none, none)
-    else:
-        entries = _gather(m, chosen)
+    if whole and terms == {"diffusion"}:  # one matrix, which no state changes
+        return lambda u: SparseOperator(_diffusion_csr(m), True)
+    entries = _jacobian_structure(m) if whole and terms == set(_BOTH) else _gather(m, chosen)
     held = np.zeros(4 * m.cells, dtype=bool)
     held[entries[4]] = True
     symmetric = not held[m.cells: 3 * m.cells].any()
-    if entries[3].size == 0:  # no reaction entry: one matrix, which no state changes
-        matrix = scipy.sparse.csr_matrix(entries[:3], shape=(entries[2].size - 1,) * 2)
-        return lambda u: SparseOperator(matrix, symmetric)
     return lambda u: SparseOperator(_assemble(m, entries, u), symmetric)
+
+
+def _operator(m: GrayScottModel, name, parts: tuple, u: np.ndarray):
+    """The operator of split ``name``'s parts ``parts`` frozen at u, numbered
+    over the union of their supports; zero, of its support's size, for an
+    explicit part (which is built alone)."""
+    support, _, implicit = _parts(m, name)[parts[0]]
+    if not implicit:
+        return ZeroOperator(len(range(m.dim)[support]) if isinstance(support, slice) else support.size)
+    return _gathered(m, name, parts)(u)
 
 
 def _known(name: str) -> str:
@@ -331,15 +330,10 @@ def gs_partition(m: GrayScottModel, name: str) -> SplitProblem:
     """The two-way split ``name`` of ``_SPLITS``: each part's right-hand side
     and operator on its support, in the support's own variables."""
     parts = _parts(m, _known(name))
-
-    def builder(p, support, implicit):
-        size = np.arange(m.dim)[support].size
-        return (lambda u: _gathered(m, name, (p,))(u)) if implicit else lambda u: ZeroOperator(size)
-
     return SplitProblem(
         m.dim,
         [partial(_part_rhs, m, name, p) for p in range(len(parts))],
-        [builder(p, support, implicit) for p, (support, _, implicit) in enumerate(parts)],
+        [partial(_operator, m, name, (p,)) for p in range(len(parts))],
         supports=[support for support, _, _ in parts],
     )
 
@@ -360,7 +354,7 @@ def gs_unpartitioned(m: GrayScottModel, jacobian: str = "full", partition: str |
         parts = tuple(p for p, (_, _, implicit) in enumerate(_parts(m, _known(name))) if implicit)
     else:
         raise ValueError(f"unknown jacobian kind {jacobian!r}")
-    return unpartitioned_problem(m.dim, partial(gs_rhs, m), lambda u: _gathered(m, name, parts)(u))
+    return unpartitioned_problem(m.dim, partial(gs_rhs, m), partial(_operator, m, name, parts))
 
 
 @dataclass

@@ -64,8 +64,10 @@ Each method is one step function.  With its tableau bound
 its partition operators frozen at u_n (``SplitProblem.build_operators``),
 never rebuilding them within stages, and writes its own counters to
 ctx.stats, matvecs included, so a direct call reports what an integration
-step reports.  All phi applications run matrix-free through the Krylov
-engine.
+step reports.  Its matvecs are the operators' tallies less their values
+when it built them, so a builder that returns the same operator every step
+reports each step's own count.  All phi applications run matrix-free
+through the Krylov engine.
 """
 
 from dataclasses import dataclass, field
@@ -145,16 +147,16 @@ def _phi(L, k, tau, v, cfg, ctx, where):
     return w
 
 
-def _forward_substitution(t, ops, fns, residual, supports, u_n, h, cfg, ctx):
+def _forward_substitution(t, ops, tally, fns, residual, supports, u_n, h, cfg, ctx):
     """One step of the recursion in the module docstring, by vector, on the
     partition operators ops, with f_p(u_n) = fns[p] and r_{p,i} =
     residual(p, U_i, X_i^p), all on partition p's support.  A row's sum (a
     stage's X^p or the update's) enters the full state at its support
     (total[support] = total[support] + x), plain addition for full supports.
     A stage residual that overflows fails the step, naming its stage and
-    partition, without a floating-point warning.  The operators' tallies,
-    the step's only matvec count (Krylov plus direct applies), go to
-    ctx.stats."""
+    partition, without a floating-point warning.  The operators' tallies
+    less ``tally``, their sum when the step built them, are the step's only
+    matvec count (Krylov plus direct applies) and go to ctx.stats."""
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     ctx = ctx if ctx is not None else EvalContext()
@@ -187,7 +189,7 @@ def _forward_substitution(t, ops, fns, residual, supports, u_n, h, cfg, ctx):
     acc = np.zeros_like(u_n)
     for p in parts:
         acc[supports[p]] = acc[supports[p]] + x[p][-1]
-    ctx.stats.matvecs = sum(op.matvecs for op in ops)
+    ctx.stats.matvecs = sum(op.matvecs for op in ops) - tally
     return u_n + h * acc
 
 
@@ -202,6 +204,7 @@ def step_exprk_original(
     if prob.partitions != 1:
         raise ValueError("the original form takes a single-partition problem")
     (L,) = ops = prob.build_operators(y_n)
+    tally = L.matvecs
     f = prob.f_parts[0]
     fn = f(y_n)
     gn = fn - L.apply(y_n)
@@ -209,7 +212,7 @@ def step_exprk_original(
     def residual(p, y_i, x):
         return f(y_i) - L.apply(y_i) - gn  # g(Y_i) - g(y_n), g = f - L y
 
-    return _forward_substitution(t, ops, [fn], residual, _FULL, y_n, h, cfg, ctx)
+    return _forward_substitution(t, ops, tally, [fn], residual, _FULL, y_n, h, cfg, ctx)
 
 
 def step_pexprk(
@@ -221,6 +224,7 @@ def step_pexprk(
     ctx: EvalContext | None = None,
 ) -> np.ndarray:
     ops = prob.build_operators(u_n)
+    tally = sum(op.matvecs for op in ops)
     fns = [fp(u_n) for fp in prob.f_parts]
 
     def residual(p, u_i, x):
@@ -229,7 +233,7 @@ def step_pexprk(
             r -= h * ops[p].apply(x)
         return r
 
-    return _forward_substitution(t, ops, fns, residual, prob.supports, u_n, h, cfg, ctx)
+    return _forward_substitution(t, ops, tally, fns, residual, prob.supports, u_n, h, cfg, ctx)
 
 
 def step_pexprk2_residual(
@@ -254,6 +258,7 @@ def step_pexprk2_residual(
         raise ValueError(f"step size must be positive, got {h}")
     ctx = ctx if ctx is not None else EvalContext()
     ops = prob.build_operators(u_n)
+    tally = sum(op.matvecs for op in ops)
     fns = [fp(u_n) for fp in prob.f_parts]
     supports = prob.supports
 
@@ -279,7 +284,7 @@ def step_pexprk2_residual(
         out[supports[p]] = out[supports[p]] + h * _phi(
             ops[p], 2, h, residual, cfg, ctx, f"update, residual term, partition {p + 1}"
         )
-    ctx.stats.matvecs = sum(op.matvecs for op in ops)
+    ctx.stats.matvecs = sum(op.matvecs for op in ops) - tally
     return out
 
 

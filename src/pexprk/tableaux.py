@@ -221,11 +221,6 @@ def transformed(order: int) -> TransformedTableau:
     return transform(tableau(order))
 
 
-CONDITION_ORDERS = {
-    "1": 1, "2a": 2, "2b": 2, "3a": 3, "3b": 3, "4a": 4, "4b": 4, "4c": 4, "4d": 4,
-}
-
-
 def check_order_conditions(
     t: ExprkTableau, up_to: int, n: int = 6, seed: int = 0
 ) -> dict[str, float]:

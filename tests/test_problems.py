@@ -1,5 +1,7 @@
 import hashlib
 import math
+import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from pexprk.problems import (
     PARTITION_NAMES,
     TIMESPAN,
     GrayScottModel,
+    _EQUATIONS,
     _diffusion_csr,
     _gathered,
     _parts,
@@ -431,13 +434,25 @@ class TestPartitions:
 
     @pytest.mark.parametrize("n", [16, 160])
     def test_part_rhs_rows_are_views_of_the_diffusion_matrix(self, n):
+        # each run lies in one species, its rows are that species' rows of
+        # the diffusion matrix, and the runs cover the part's support in order
         m = gs_default(n=n)
         matrix = _diffusion_csr(m)
         for name in (None, *PARTITION_NAMES):
-            for p in range(len(_parts(m, name))):
-                for rows, _ in _row_blocks(m, name, p):
+            for p, (support, _, _) in enumerate(_parts(m, name)):
+                runs, variables = _row_blocks(m, name, p), []
+                for rows, equation, cells in runs:
                     assert np.shares_memory(rows.data, matrix.data)
                     assert np.shares_memory(rows.indices, matrix.indices)
+                    assert 0 <= cells.start < cells.stop <= m.cells
+                    offset = _EQUATIONS.index(equation) * m.cells
+                    want = matrix[offset + cells.start: offset + cells.stop]
+                    for attr in ("data", "indices", "indptr"):
+                        assert np.array_equal(getattr(rows, attr), getattr(want, attr))
+                    variables.append(np.arange(cells.start, cells.stop) + offset)
+                assert np.array_equal(np.concatenate(variables), np.arange(m.dim)[support])
+                if name in (None, "physics"):
+                    assert len(runs) == 2
 
     # sha256 of each part's right-hand side and operator CSR (data, indices,
     # indptr), each block Jacobian's, gs_rhs's and gs_full_jacobian's at grid
@@ -545,6 +560,24 @@ class TestUnpartitioned:
     def test_block_jacobian_requires_partition(self, small_model):
         with pytest.raises(ValueError):
             gs_unpartitioned(small_model, jacobian="block")
+
+
+class TestPickling:
+    @pytest.mark.parametrize(
+        "name, jacobian",
+        [(None, "full"), *((name, kind) for kind in ("split", "block") for name in PARTITION_NAMES)],
+    )
+    def test_problem_round_trip_integrates_identically(self, name, jacobian):
+        # every builder is a partial of a module function, so the problem
+        # pickles, and its copy integrates to the same bytes and counters
+        m = gs_default(n=8)
+        prob = gs_partition(m, name) if jacobian == "split" else gs_unpartitioned(m, jacobian, name)
+        assert all(isinstance(fn, partial) for fn in (*prob.f_parts, *prob.operator_builders))
+        copy = pickle.loads(pickle.dumps(prob))
+        runs = [integrate_fixed(pexprk_stepper(4), q, gs_initial(m), 0.0, TIMESPAN / 8, 2, KrylovConfig())
+                for q in (prob, copy)]
+        assert np.array_equal(runs[0].state, runs[1].state)
+        assert runs[0].stats == runs[1].stats and runs[0].stats.matvecs > 0
 
 
 class TestSemilinearOracle:

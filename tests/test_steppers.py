@@ -324,6 +324,25 @@ class TestIntegrateFixed:
         assert np.array_equal(direct, res.state)
         assert ctx.stats == res.stats and res.stats.matvecs > 0
 
+    @pytest.mark.parametrize(
+        "stepper", [original_stepper(3), pexprk_stepper(3), step_pexprk2_residual], ids=["orig", "part", "residual"]
+    )
+    def test_shared_operator_reports_each_steps_matvecs(self, stepper):
+        # a step counts the applies made since it built its operators, so a
+        # builder that returns one operator every step reports what a builder
+        # of a fresh operator per step does
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(9, 9)) / 3.0 - 2.0 * np.eye(9)
+        u0 = rng.uniform(-1, 1, size=9)
+        mats = [np.tril(a), np.triu(a, 1)] if stepper is step_pexprk2_residual else [a]
+        f_parts = [lambda u, mat=mat: mat @ u for mat in mats]
+        shared = [lambda u, op=SparseOperator(mat): op for mat in mats]
+        fresh = [lambda u, mat=mat: SparseOperator(mat) for mat in mats]
+        runs = [integrate_fixed(stepper, SplitProblem(9, f_parts, builders), u0, 0.0, 1.0, 4, TIGHT)
+                for builders in (shared, fresh)]
+        assert np.array_equal(runs[0].state, runs[1].state)
+        assert runs[0].stats == runs[1].stats and runs[0].stats.matvecs > 0
+
     @pytest.mark.parametrize("make", [original_stepper, pexprk_stepper])
     def test_linear_many_steps_exact(self, make):
         rng = np.random.default_rng(31)
