@@ -51,7 +51,12 @@ combined, and only through the phi_1 surrogate
     est = |tau| * h_{M+1,M} * |e_M^T phi_1(tau H_M) e_1| / ||phi_k(tau H_M) e_1||,
 
 the leading term of the error integral for the phi_1 product, which is
-conservative for the faster-converging higher phi indices.  There is no
+conservative for the faster-converging higher phi indices.  A product
+converges once est is at most the tolerance its caller gives it, cfg.tol:
+the steppers give the products on f_p(u_n) the run's tolerance, and those on
+a stage residual a tolerance relative to the leading term of the row it
+feeds, cfg.tol ||f_p(u_n)|| / ||r||, clamped (``steppers._residual_cfg``).
+There is no
 sub-stepping in tau: a product that does not converge by m_max is returned
 with ``converged=False``.  A non-finite vector, basis or approximation
 raises KrylovError; the estimate's norm is taken with scaling, so a finite

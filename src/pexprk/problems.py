@@ -124,14 +124,23 @@ def gs_rhs(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
     return _part_rhs(m, None, 0, u)
 
 
-def _reaction_values(m: GrayScottModel, u: np.ndarray) -> np.ndarray:
-    """The reaction Jacobian's entries [[-b^2 - f, -2ab], [b^2, 2ab - (f + k)]]
-    as four blocks over the cells, row by row; cell i's lie in rows and
-    columns i and cells + i.  The only place that writes them."""
+# The reaction Jacobian [[-b^2 - f, -2ab], [b^2, 2ab - (f + k)]] as four
+# blocks, row by row, each a function of the model and of a and b at its cells;
+# cell i's entries lie in rows and columns i and cells + i.
+_REACTION_BLOCKS = (
+    lambda m, a, b: -(b * b) - m.feed,
+    lambda m, a, b: -2.0 * (a * b),
+    lambda m, a, b: b * b,
+    lambda m, a, b: 2.0 * (a * b) - (m.feed + m.kill),
+)
+
+
+def _reaction_values(m: GrayScottModel, u: np.ndarray, cells: tuple) -> np.ndarray:
+    """The reaction Jacobian's entries at state u, block by block, each block
+    at its cells ``cells[block]`` only (a slice or an ascending index array).
+    The only place that writes them."""
     a, b = _split_state(m, u)
-    b2 = b * b
-    ab = a * b
-    return np.concatenate([-b2 - m.feed, -2.0 * ab, b2, 2.0 * ab - (m.feed + m.kill)])
+    return np.concatenate([block(m, a[c], b[c]) for block, c in zip(_REACTION_BLOCKS, cells)])
 
 
 def _read_only(*arrays) -> tuple:
@@ -158,7 +167,7 @@ def _jacobian_structure(m: GrayScottModel) -> tuple:
     """The full Jacobian's entries (see ``_assemble``), which no state
     changes: the diffusion values on its sparsity pattern (stencil plus
     reaction entries, 0 at reaction-only ones), its CSR indices and indptr,
-    and the slot of each _reaction_values entry."""
+    and the slot of each reaction entry, block by block."""
     dim, cells = m.dim, m.cells
     diffusion = _diffusion_csr(m).tocoo()
     a = np.arange(cells, dtype=np.int64)
@@ -174,18 +183,18 @@ def _jacobian_structure(m: GrayScottModel) -> tuple:
     indptr = np.searchsorted(keys, np.arange(dim + 1, dtype=np.int64) * dim)
     slots = np.searchsorted(keys, reaction_keys)
     structure = _read_only(values, (keys % dim).astype(np.int32), indptr.astype(np.int32), slots)
-    return (*structure, slice(None))  # every reaction value lies on the pattern
+    return (*structure, (slice(None),) * 4)  # every reaction entry lies on the pattern
 
 
 def _assemble(m: GrayScottModel, entries: tuple, u: np.ndarray):
     """The CSR matrix of an operator whose entries lie on the full Jacobian's
     pattern.  ``entries`` holds the operator's diffusion values there (the
     full Jacobian's, or zeros), the CSR indices and indptr, and the reaction
-    entries among them: their slots in the operator's data and their indices
-    in ``_reaction_values``."""
-    diffusion, indices, indptr, slots, reaction = entries
+    entries among them: their slots in the operator's data and, per block of
+    ``_reaction_values``, their cells.  Only those entries are computed."""
+    diffusion, indices, indptr, slots, cells = entries
     data = diffusion.copy()
-    data[slots] += _reaction_values(m, u)[reaction]
+    data[slots] += _reaction_values(m, u, cells)
     size = indptr.size - 1
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
@@ -283,12 +292,14 @@ def _gather(m: GrayScottModel, chosen) -> tuple:
     local[union] = np.arange(np.count_nonzero(union), dtype=np.int32)
     position = np.full(values.size, -1)  # each taken entry's slot in the operator's data
     position[take] = np.arange(take.size)
-    held = np.flatnonzero(reaction[slots])
-    held = slice(None) if held.size == slots.size else held  # all of them: _assemble takes a view
+    held = np.flatnonzero(reaction[slots])  # ascending, so block by block
+    blocks = np.split(held, np.searchsorted(held, np.arange(1, 4) * m.cells))
+    # all of a block's cells as a slice: _reaction_values then takes views
+    cells = tuple(slice(None) if c.size == m.cells else c - k * m.cells for k, c in enumerate(blocks))
     # the union is ascending, so its rows stay in CSR order
     starts = np.append(np.searchsorted(take, indptr[:-1][union]), take.size).astype(np.int32)
     data = np.where(diffusion[take], values[take], 0.0)
-    return (*_read_only(data, local[indices[take]], starts, position[slots[held]]), held)
+    return (*_read_only(data, local[indices[take]], starts, position[slots[held]]), cells)
 
 
 @lru_cache(maxsize=64)
@@ -304,9 +315,7 @@ def _gathered(m: GrayScottModel, name, parts: tuple):
     if whole and terms == {"diffusion"}:  # one matrix, which no state changes
         return lambda u: SparseOperator(_diffusion_csr(m), True)
     entries = _jacobian_structure(m) if whole and terms == set(_BOTH) else _gather(m, chosen)
-    held = np.zeros(4 * m.cells, dtype=bool)
-    held[entries[4]] = True
-    symmetric = not held[m.cells: 3 * m.cells].any()
+    symmetric = not any(np.arange(m.cells)[c].size for c in entries[4][1:3])
     return lambda u: SparseOperator(_assemble(m, entries, u), symmetric)
 
 

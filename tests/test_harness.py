@@ -283,63 +283,63 @@ class TestStudy:
 # the study rows must reproduce these.
 GOLDEN = {
     ("orig", "none", "full"): {
-        2: ((60, 56, 4), 0.49871565492501324),
-        3: ((84, 100, 8), 0.4987157212401996),
-        4: ((150, 406, 32), 0.49871571629035877),
+        2: ((54, 50, 4), 0.49871565492501324),
+        3: ((74, 90, 8), 0.4987157212401996),
+        4: ((126, 334, 32), 0.49871571629035877),
     },
     ("tran", "none", "full"): {
-        2: ((58, 56, 4), 0.49871565492501324),
-        3: ((82, 100, 8), 0.4987157212401996),
-        4: ((148, 406, 32), 0.49871571629035877),
+        2: ((52, 50, 4), 0.49871565492501324),
+        3: ((72, 90, 8), 0.4987157212401996),
+        4: ((124, 334, 32), 0.49871571629035877),
     },
     ("tran", "species", "block"): {
-        2: ((58, 56, 4), 0.49871221386579967),
-        3: ((82, 100, 8), 0.49871559645071606),
-        4: ((148, 406, 32), 0.49871572176745393),
+        2: ((52, 50, 4), 0.49871221386579967),
+        3: ((76, 94, 8), 0.49871559645071606),
+        4: ((130, 348, 32), 0.49871572176745393),
     },
     ("tran", "space", "block"): {
         2: ((58, 56, 4), 0.4987519531907184),
-        3: ((82, 100, 8), 0.4987178581393905),
-        4: ((148, 406, 32), 0.4987158221269866),
+        3: ((79, 97, 8), 0.4987178581393905),
+        4: ((148, 393, 32), 0.4987158221269866),
     },
     ("tran", "physics", "block"): {
-        2: ((58, 56, 4), 0.49871565492501324),
-        3: ((82, 100, 8), 0.4987157212401996),
-        4: ((148, 406, 32), 0.49871571629035877),
+        2: ((52, 50, 4), 0.49871565492501324),
+        3: ((72, 90, 8), 0.4987157212401996),
+        4: ((124, 334, 32), 0.49871571629035877),
     },
     ("tran", "imex", "block"): {
-        2: ((58, 56, 4), 0.49871644877779525),
-        3: ((82, 100, 8), 0.4987157286364669),
-        4: ((148, 406, 32), 0.4987157171731135),
+        2: ((52, 50, 4), 0.49871644877779525),
+        3: ((76, 94, 8), 0.4987157286364669),
+        4: ((124, 336, 32), 0.4987157171731135),
     },
     ("part", "species", "full"): {
-        2: ((104, 100, 8), 0.4987122138657996),
-        3: ((148, 180, 16), 0.49871559645071606),
-        4: ((266, 730, 64), 0.49871572176745393),
+        2: ((94, 90, 8), 0.4987122138657996),
+        3: ((138, 170, 16), 0.49871559645071606),
+        4: ((228, 628, 64), 0.49871572176745393),
     },
     ("part", "space", "full"): {
-        2: ((116, 112, 8), 0.4987519531907184),
-        3: ((164, 200, 16), 0.4987178581393906),
-        4: ((296, 812, 64), 0.4987158221269866),
+        2: ((113, 109, 8), 0.4987519531907184),
+        3: ((158, 194, 16), 0.4987178581393906),
+        4: ((296, 768, 64), 0.4987158221269866),
     },
     ("part", "physics", "full"): {
-        2: ((86, 82, 8), 0.49871538195465587),
-        3: ((122, 146, 16), 0.49871575213470387),
-        4: ((224, 600, 64), 0.4987157166988749),
+        2: ((76, 72, 8), 0.49871538195465587),
+        3: ((112, 136, 16), 0.49871575213470387),
+        4: ((204, 524, 64), 0.4987157166988749),
     },
     ("part", "imex", "full"): {
-        2: ((58, 56, 8), 0.49871522293512066),
-        3: ((82, 100, 16), 0.49871574868089863),
-        4: ((148, 406, 64), 0.4987157168435433),
+        2: ((52, 50, 8), 0.49871522293512066),
+        3: ((76, 94, 16), 0.49871574868089863),
+        4: ((136, 354, 64), 0.4987157168435433),
     },
 }
 ORDERS = (2, 3, 4)
 # the same for the order-2 residual form (step_pexprk2_residual) on each split
 GOLDEN_RESIDUAL = {
-    "species": ((104, 100, 12), 0.4987122138657996),
-    "space": ((116, 112, 12), 0.4987519531907184),
-    "physics": ((125, 121, 12), 0.49871538195465587),
-    "imex": ((83, 81, 12), 0.49871522293512066),
+    "species": ((94, 90, 12), 0.4987122138657996),
+    "space": ((113, 109, 12), 0.4987519531907184),
+    "physics": ((103, 99, 12), 0.49871538195465587),
+    "imex": ((65, 63, 12), 0.49871522293512066),
 }
 
 

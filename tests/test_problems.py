@@ -8,6 +8,7 @@ import pytest
 import scipy.integrate
 import scipy.sparse
 
+from pexprk import problems
 from pexprk.krylov import KrylovConfig
 from pexprk.operators import SparseOperator, ZeroOperator, laplacian_2d_periodic
 from pexprk.phi import expm_dense
@@ -431,6 +432,27 @@ class TestPartitions:
             build_study(RunConfig(grid=16, partition=partition, form="part"))
             build_study(RunConfig(grid=16, partition=partition, form="tran", jacobian="block"))
         assert _gathered.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("name, held", [
+        # per build, the reaction entries computed, in cells: the unsplit and
+        # physics reaction operators hold all four blocks, a species part one
+        # diagonal block, a space part all four on half the cells; the
+        # diffusion-only and explicit parts compute none
+        (None, [4]), ("species", [1, 1]), ("space", [2, 2]), ("physics", [4]), ("imex", []),
+    ])
+    def test_build_computes_only_the_reaction_entries_it_holds(self, name, held, monkeypatch):
+        m = gs_default(n=8)
+        computed = []
+        reaction_values = problems._reaction_values
+
+        def counted(*args):
+            values = reaction_values(*args)
+            computed.append(values.size)
+            return values
+
+        monkeypatch.setattr(problems, "_reaction_values", counted)
+        (gs_unpartitioned(m) if name is None else gs_partition(m, name)).build_operators(gs_initial(m))
+        assert computed == [k * m.cells for k in held]
 
     @pytest.mark.parametrize("n", [16, 160])
     def test_part_rhs_rows_are_views_of_the_diffusion_matrix(self, n):

@@ -3,12 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from pexprk import steppers
-from pexprk.coeffexpr import eval_dense
+from pexprk import coeffexpr, steppers
+from pexprk.coeffexpr import Phi, Scale, Sum, eval_dense
+from pexprk.harness import RunConfig, build_study
 from pexprk.krylov import EvalContext, KrylovConfig, KrylovError
 from pexprk.operators import SparseOperator, ZeroOperator
-from pexprk.phi import expm_dense, phi_scalar
-from pexprk.problems import TIMESPAN, gs_default, gs_initial, gs_partition, gs_unpartitioned, oracle_semilinear
+from pexprk.phi import expm_dense, phi_dense_times_vector, phi_scalar
+from pexprk.problems import (
+    PARTITION_NAMES,
+    TIMESPAN,
+    gs_default,
+    gs_initial,
+    gs_partition,
+    gs_unpartitioned,
+    oracle_semilinear,
+)
 from pexprk.steppers import (
     IntegrationFailure,
     SplitProblem,
@@ -343,6 +352,20 @@ class TestIntegrateFixed:
         assert np.array_equal(runs[0].state, runs[1].state)
         assert runs[0].stats == runs[1].stats and runs[0].stats.matvecs > 0
 
+    @pytest.mark.parametrize("stepper", [pexprk_stepper(3), step_pexprk2_residual], ids=["part", "residual"])
+    def test_operator_serving_two_partitions_counts_once(self, stepper):
+        # a step sums the tallies of its distinct operators, so one operator
+        # built for both halves of a split reports what two operators do
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(9, 9)) / 3.0 - 2.0 * np.eye(9)
+        u0 = rng.uniform(-1, 1, size=9)
+        f_parts = [lambda u: (a / 2) @ u] * 2
+        one = SparseOperator(a / 2)
+        runs = [integrate_fixed(stepper, SplitProblem(9, f_parts, builders), u0, 0.0, 1.0, 4, TIGHT)
+                for builders in ([lambda u: one] * 2, [lambda u: SparseOperator(a / 2)] * 2)]
+        assert np.array_equal(runs[0].state, runs[1].state)
+        assert runs[0].stats == runs[1].stats and runs[0].stats.matvecs > 0
+
     @pytest.mark.parametrize("make", [original_stepper, pexprk_stepper])
     def test_linear_many_steps_exact(self, make):
         rng = np.random.default_rng(31)
@@ -412,6 +435,185 @@ class TestIntegrateFixed:
         with pytest.raises(StepFailure) as failure:
             step_pexprk(t, frozen(prob, ops), u0, 1e-3, TIGHT)
         assert str(failure.value) == f"{label}: forced"
+
+
+class TestResidualTolerance:
+    """The tolerance of the products on a stage residual over its whole
+    range: cfg.tol ||f_p(u_n)|| / ||r||, clamped to [cfg.tol, the cap], from
+    norms taken with scaling."""
+
+    CFG = KrylovConfig(tol=1e-12)
+
+    @pytest.mark.parametrize("f_norm", [0.0, math.inf, math.nan])
+    def test_zero_or_non_finite_leading_norm_keeps_cfg_tol(self, f_norm):
+        assert steppers._residual_cfg(self.CFG, f_norm, 1e-6) is self.CFG
+
+    @pytest.mark.parametrize("r_norm", [math.inf, math.nan])
+    def test_non_finite_residual_norm_keeps_cfg_tol(self, r_norm):
+        assert steppers._residual_cfg(self.CFG, 1.0, r_norm) is self.CFG
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-2])
+    @pytest.mark.parametrize("ratio", [1.0, 3.0, 1e10, 1e300])  # ||r|| / ||f_p(u_n)||
+    def test_ratio_above_one_never_tightens_below_cfg_tol(self, tol, ratio):
+        # a cfg.tol above the cap stays too: the cap only loosens
+        assert steppers._residual_cfg(KrylovConfig(tol=tol), 1.0, ratio).tol == tol
+
+    def test_ratio_between_the_bounds_scales_cfg_tol(self):
+        cfg = steppers._residual_cfg(self.CFG, 2.0, 1e-4)
+        assert cfg.tol == pytest.approx(2e-8, rel=1e-15) and cfg.m_max == self.CFG.m_max
+
+    @pytest.mark.parametrize("f_norm, r_norm", [(1.0, 1e-10), (1.0, 1e-300), (1e308, 5e-324)])
+    def test_tiny_ratio_stops_at_the_cap(self, f_norm, r_norm):
+        # cfg.tol f_norm / r_norm may overflow to inf: no warning, still the cap
+        assert steppers._residual_cfg(self.CFG, f_norm, r_norm).tol == steppers._RESIDUAL_TOL_CAP
+
+    def test_scaled_norm_of_entries_near_the_largest_float(self):
+        # their squares overflow; the scaled norm is finite and warns of nothing
+        v = np.array([1e308, -1e308, 5e307])
+        assert steppers._scaled_norm(v) == pytest.approx(math.hypot(*v), rel=1e-15)
+        assert math.isfinite(steppers._scaled_norm(v))
+        assert steppers._residual_cfg(self.CFG, steppers._scaled_norm(v), 1.0).tol == steppers._RESIDUAL_TOL_CAP
+
+    def test_scaled_norm_of_zero_tiny_and_non_finite_vectors(self):
+        assert steppers._scaled_norm(np.zeros(4)) == 0.0
+        assert steppers._scaled_norm(np.full(4, 5e-324)) == pytest.approx(1e-323)
+        assert steppers._scaled_norm(np.array([1.0, np.inf])) == math.inf
+        assert math.isnan(steppers._scaled_norm(np.array([1.0, np.nan])))
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_zero_residual_takes_no_product(self, order, monkeypatch):
+        # f = A y with L = A, applied by the same CSR product: every stage
+        # residual g(Y_j) - g(y_n) is exactly zero, so the only products are
+        # the phi_1 terms on f(y_n), one per distinct abscissa
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(10, 10)) / 3.0 - 2.0 * np.eye(10)
+        L = SparseOperator(a)
+        prob = unpartitioned_problem(10, lambda u: L.matrix @ u, lambda u: L)
+        vectors = []  # every vector a factorization starts from
+        arnoldi_state = EvalContext.arnoldi_state
+
+        def recorded(ctx, op, v, m_max):
+            vectors.append(v)
+            return arnoldi_state(ctx, op, v, m_max)
+
+        monkeypatch.setattr(EvalContext, "arnoldi_state", recorded)
+        ctx, t = EvalContext(), tableau(order)
+        y0 = rng.uniform(-1, 1, size=10)
+        got = step_exprk_original(t, prob, y0, 0.3, TIGHT, ctx)
+        assert np.allclose(got, expm_dense(0.3 * a) @ y0, rtol=1e-11, atol=1e-13)
+        assert ctx.stats.solves == len({*t.c[1:], 1.0}) == len(vectors)
+        assert all(np.any(v) for v in vectors)
+
+    def test_zero_residual_takes_no_product_in_the_residual_form(self):
+        # a constant right-hand side on zero operators: each partition's
+        # residual is exactly zero, so a step makes the two stage and the two
+        # cross products only
+        c = np.random.default_rng(5).uniform(size=4)
+        prob = SplitProblem(8, (lambda u: c,) * 2, (lambda u: ZeroOperator(4),) * 2,
+                            supports=(slice(0, 4), slice(4, 8)))
+        ctx = EvalContext()
+        got = step_pexprk2_residual(prob, np.zeros(8), 0.5, TIGHT, ctx)
+        assert np.allclose(got, 0.5 * np.concatenate([c, c]), rtol=1e-15)
+        assert ctx.stats.solves == 4
+
+
+# the ten (form, partition, jacobian) cells of the study matrix, each at
+# orders 2-4, and the order-2 residual form on each split
+LEDGER_CASES = [
+    (*cell, order)
+    for cell in [("orig", "none", "full"), ("tran", "none", "full"),
+                 *(("tran", p, "block") for p in PARTITION_NAMES), *(("part", p, "full") for p in PARTITION_NAMES)]
+    for order in (2, 3, 4)
+] + [("residual", p, "full", 2) for p in PARTITION_NAMES]
+
+
+class TestAccuracyLedger:
+    """Every phi product of a two-step grid-8 integration against the dense
+    phi of its operator, and every row's summed residual-product error
+    against the row's leading term.
+
+    PRODUCT_C: a product stops once its phi_1-surrogate estimate, relative to
+    the product, is at most the tolerance it was given; the surrogate is the
+    leading term of the error series and is conservative for phi_k, k >= 2
+    (``krylov``'s docstring), so the true error should stay below that
+    tolerance.  ROW_C: a residual product's tolerance aims its error at
+    cfg.tol ||f_p(u_n)||, the error the row's phi_1 term is allowed, so a
+    row's residual terms together should stay within that budget.  Both are
+    1; the largest ratios measured over these cases are 0.081 for products
+    and 0.035 for rows."""
+
+    PRODUCT_C = 1.0
+    ROW_C = 1.0
+
+    @pytest.mark.parametrize("form, partition, jacobian, order", LEDGER_CASES,
+                             ids=["-".join(map(str, case)) for case in LEDGER_CASES])
+    def test_products_and_rows_within_their_tolerances(self, form, partition, jacobian, order, monkeypatch):
+        residual_form = form == "residual"
+        cfg = RunConfig(grid=8, form="part" if residual_form else form, partition=partition, jacobian=jacobian,
+                        order=order)
+        _, prob, stepper, u0 = build_study(cfg)
+        products, terms = [], []
+        phi, apply = coeffexpr.phi_times_vector, steppers._apply_coeff
+
+        def phi_spy(L, k, tau, v, kcfg, ctx=None, p=None):
+            res = phi(L, k, tau, v, kcfg, ctx=ctx, p=p)
+            products.append((L, k, tau, v, kcfg.tol, res.approximation))
+            return res
+
+        def apply_spy(expr, L, h, v, kcfg, ctx, where, phi_max):
+            out = apply(expr, L, h, v, kcfg, ctx, where, phi_max)
+            terms.append((where, expr, L, h, v, out))
+            return out
+
+        monkeypatch.setattr(coeffexpr, "phi_times_vector", phi_spy)
+        monkeypatch.setattr(steppers, "phi_times_vector", phi_spy)
+        monkeypatch.setattr(steppers, "_apply_coeff", apply_spy)
+        integrate_fixed(step_pexprk2_residual if residual_form else stepper, prob, u0, cfg.t0, cfg.tf, 2,
+                        cfg.krylov())
+
+        dense = {}  # per operator (held, so ids stay unique): its matrix
+
+        def exact(expr, L, h, v):
+            """expr(hL) v from one dense augmented exponential per phi node."""
+            if id(L) not in dense:
+                dense[id(L)] = (L, L.to_dense())
+            if isinstance(expr, Phi):
+                return phi_dense_times_vector(expr.k, expr.c * h * dense[id(L)][1], v)[-1]
+            if isinstance(expr, Scale):
+                return expr.r * exact(expr.child, L, h, v)
+            if isinstance(expr, Sum):
+                return sum(exact(child, L, h, v) for child in expr.children)
+            return expr.r * v  # a Const
+
+        def norm(v):
+            return float(np.linalg.norm(v))
+
+        # each product within C times its tolerance, relative to itself; the
+        # first vector on an operator is its f_p(u_n), and only the stage
+        # residuals get the residual tolerance
+        leading = {}
+        for L, k, tau, v, tol, approx in products:
+            f_p = leading.setdefault(id(L), v)
+            on_residual = k == 2 if residual_form else v is not f_p
+            want = steppers._residual_cfg(cfg.krylov(), steppers._scaled_norm(f_p), steppers._scaled_norm(v)).tol
+            assert tol == (want if on_residual else cfg.krylov_tol)
+            error = norm(approx - exact(Phi(k), L, tau, v))
+            assert error <= self.PRODUCT_C * tol * norm(approx), (k, tau)
+            if residual_form and k == 2:  # the update row's one residual term
+                assert error <= self.ROW_C * cfg.krylov_tol * norm(f_p)
+
+        # each row's residual terms together within C cfg.tol ||f_p(u_n)||
+        rows, current = [], {}
+        for where, expr, L, h, v, out in terms:
+            row = tuple(where.split(", ")[:2])  # the stage or update, and the partition
+            if where.endswith("phi_1 term"):
+                current[row] = [norm(v)]
+                rows.append(current[row])
+            else:
+                current[row].append(norm(out - exact(expr, L, h, v)))
+        for f_norm, *errors in rows:
+            assert sum(errors) <= self.ROW_C * cfg.krylov_tol * f_norm
+        assert residual_form or len(rows) == prob.partitions * tableau(order).s * 2
 
 
 class TestStabilityDiagnostic:
