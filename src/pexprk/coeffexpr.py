@@ -218,17 +218,17 @@ def eval_coeff(
 
     Phi nodes go through the Krylov engine with tau = c * h, which evaluates
     phi_1 .. phi_p of each reduced matrix together (p defaults to each node's
-    k).  With a shared EvalContext, repeated subtree applications to the same
-    vector are memoized (each entry holds its operator and vector, so their
-    ids stay unique) and Arnoldi factorizations are reused across phi indices.
+    k).  A shared EvalContext serves (L, v) from one Arnoldi factorization
+    across phi indices, and memoizes subtree applications in the pair's memo
+    under (node, h, cfg.tol, cfg.m_max, p), everything the product depends on.
     """
     ctx = ctx if ctx is not None else EvalContext()
-    memo_key = (expr, id(L), id(v))
-    cached = ctx.memo.get(memo_key)
-    if cached is not None:
-        return cached[0]
-    out = _eval_coeff_node(expr, L, h, v, cfg, ctx, p)
-    ctx.memo[memo_key] = (out, L, v)
+    v = np.asarray(v, dtype=float)  # one object, so the pair holds through the tree
+    memo = ctx.pair_memo(L, v)
+    key = (expr, h, cfg.tol, cfg.m_max, p)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _eval_coeff_node(expr, L, h, v, cfg, ctx, p)
     return out
 
 

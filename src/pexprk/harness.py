@@ -10,7 +10,8 @@ guarded by a self-consistency gate: the reference computed at h_ref and at
 The two reference integrations run at the same time: the coarse one in a
 forked child process, the fine one in this process, each with numpy's
 OpenBLAS pinned to one thread (two processes at two threads each would
-fight over two cores).  Pinned, the reference state does not depend on
+fight over two cores).  The study rows integrate under the same pin, so
+neither the reference state nor a study row depends on
 OPENBLAS_NUM_THREADS.  The child is forked after the problem and its cached
 Jacobian structure are built, so it shares them with this process and adds
 only the memory its own integration allocates.  Fork, unlike spawn, pickles
@@ -316,15 +317,13 @@ def reference_solution(cfg: RunConfig, problem: SplitProblem | None = None, u0=N
     except IntegrationFailure as exc:
         raise NumericalFailure(f"reference integration failed: {exc}") from exc
     wall_ms = (time.perf_counter() - start) * 1e3
-    stats = KrylovStats()
-    stats.merge(fine.stats)
-    stats.merge(coarse.stats)
+    fine.stats.merge(coarse.stats)  # both runs' work
     return ReferenceSolution(
         state=fine.state,
         gap=discrete_l2(fine.state - coarse.state),
         n_steps=n_fine,
         wall_ms=wall_ms,
-        stats=stats,
+        stats=fine.stats,
     )
 
 
@@ -356,20 +355,21 @@ def run_convergence_study(cfg: RunConfig, reference: ReferenceSolution | None = 
         reference = reference_solution(cfg)
     kcfg = cfg.krylov()
     rows = []
-    for n_steps in cfg.steps:
-        h = (cfg.tf - cfg.t0) / n_steps
-        row = ConvergenceRow(h=h)
-        start = time.perf_counter()
-        try:
-            result = integrate_fixed(stepper, problem, u0, cfg.t0, cfg.tf, n_steps, kcfg)
-            row.error_l2 = discrete_l2(result.state - reference.state)
-            row.matvecs = result.stats.matvecs
-            row.krylov_dims = result.stats.krylov_dim_total
-        except IntegrationFailure as exc:
-            row.failed = True
-            row.message = str(exc)
-        row.wall_ms = (time.perf_counter() - start) * 1e3
-        rows.append(row)
+    with _one_blas_thread():  # as the reference: rows independent of the thread count
+        for n_steps in cfg.steps:
+            h = (cfg.tf - cfg.t0) / n_steps
+            row = ConvergenceRow(h=h)
+            start = time.perf_counter()
+            try:
+                result = integrate_fixed(stepper, problem, u0, cfg.t0, cfg.tf, n_steps, kcfg)
+                row.error_l2 = discrete_l2(result.state - reference.state)
+                row.matvecs = result.stats.matvecs
+                row.krylov_dims = result.stats.krylov_dim_total
+            except IntegrationFailure as exc:
+                row.failed = True
+                row.message = str(exc)
+            row.wall_ms = (time.perf_counter() - start) * 1e3
+            rows.append(row)
     estimate_order(rows)
 
     if all(row.failed for row in rows):

@@ -63,6 +63,12 @@ raises KrylovError; the estimate's norm is taken with scaling, so a finite
 result whose squared norm overflows still gets a finite estimate.  Matvecs
 are counted only by the operator's own tally (``op.matvecs``); the engine
 records solves and Krylov dimensions.
+
+An ``EvalContext`` is the workspace of one integration: it adds up the
+run's counters and holds one (operator, vector) pair at a time, with that
+pair's factorization and coefficient memo.  The steppers apply every product
+on a Krylov vector while it is live and then release it (phipm's order), so
+one pair is all a step needs.
 """
 
 import math
@@ -88,7 +94,10 @@ def _dot(x, y) -> float:
     over its threads at basis lengths.  On a shared 2-core machine, right
     after the single-threaded CSR matvec, the 1814 Arnoldi norms of a grid-160
     reference took 0.41 s at two BLAS threads in one measurement, against
-    0.05 s at one; this loop takes about 0.09 s at either."""
+    0.05 s at one; this loop takes about 0.09 s at either.  It also keeps an
+    overflowing norm silent: where x @ x and np.dot warn "overflow encountered"
+    (entries near 1e200), einsum returns inf quietly, so the non-finite check
+    that follows raises the named KrylovError rather than a RuntimeWarning."""
     return float(np.einsum("i,i->", x, y))
 
 
@@ -161,7 +170,7 @@ class KrylovResult:
 
 @dataclass
 class KrylovStats:
-    matvecs: int = 0  # the step's operator tallies, written by the step
+    matvecs: int = 0  # the operators' tallies, added by each step
     krylov_dim_total: int = 0
     solves: int = 0
 
@@ -172,32 +181,36 @@ class KrylovStats:
 
 
 class EvalContext:
-    """Per-step evaluation workspace.
+    """The Krylov workspace of one integration, serving one (operator,
+    vector) pair at a time.
 
-    Shares Arnoldi factorizations between phi products on the same
-    (operator, vector) pair -- the basis is independent of the phi index and
-    of tau -- and memoizes coefficient-expression applications.  Both caches
-    are keyed by the ids of operator and vector, and each entry holds the two
-    objects, which keeps the ids unique for the context's lifetime.
+    It holds the pair's Arnoldi factorization, shared by every phi product on
+    the pair -- the basis is independent of the phi index and of tau -- and
+    its coefficient memo.  Asking for another pair drops the last one's
+    factorization and memo; holding the pair itself keeps its identity
+    unambiguous.  The stats add up over the context's lifetime.
     """
 
     def __init__(self):
-        self._arnoldi: dict = {}
-        self.memo: dict = {}
         self.stats = KrylovStats()
+        self.clear()
+
+    def pair_memo(self, op: LinearOperator, v: np.ndarray) -> dict:
+        """The coefficient memo of (op, v), restarted for a new pair."""
+        if self._op is not op or self._v is not v:
+            self.clear()
+            self._op, self._v = op, v
+        return self._memo
 
     def arnoldi_state(self, op: LinearOperator, v: np.ndarray, m_max: int) -> "_ArnoldiState":
-        key = (id(op), id(v))
-        entry = self._arnoldi.get(key)
-        if entry is None:
-            entry = (_ArnoldiState(op, v, m_max), op, v)
-            self._arnoldi[key] = entry
-        return entry[0]
+        self.pair_memo(op, v)
+        self._state = self._state or _ArnoldiState(op, v, m_max)
+        return self._state
 
     def clear(self):
-        """Drop every factorization and memo entry; the stats stay."""
-        self._arnoldi.clear()
-        self.memo.clear()
+        """Drop the pair, its factorization and its memo; the stats stay."""
+        self._op = self._v = self._state = None
+        self._memo = {}
 
 
 class _ArnoldiState:

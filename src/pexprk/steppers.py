@@ -74,13 +74,14 @@ Each method is one step function.  With its tableau bound
 (``step_pexprk2_residual``) it has the stepper signature
 (prob, u_n, h, cfg, ctx) that ``integrate_fixed`` calls.  The step builds
 its partition operators frozen at u_n (``SplitProblem.build_operators``),
-never rebuilding them within stages, and writes its own counters to
-ctx.stats, matvecs included, so a direct call reports what an integration
-step reports.  Its matvecs are the operators' tallies less their values
-when it built them, summed over distinct operators: a builder that returns
-the same operator every step reports each step's own count, and one
-operator that serves two partitions counts once.  All phi applications run
-matrix-free through the Krylov engine.
+never rebuilding them within stages, and adds its own counters to
+ctx.stats, matvecs included, so a direct call on a fresh context reports
+what the step adds to an integration's.  Its matvecs are the operators'
+tallies less their values when it built them, summed over distinct
+operators: a builder that returns the same operator every step reports each
+step's own count, and one operator that serves two partitions counts once.
+All phi applications run matrix-free through the Krylov engine, on the
+integration's one EvalContext (``krylov``).
 """
 
 import math
@@ -180,7 +181,9 @@ def _scaled_norm(v) -> float:
     """||v||, with v scaled by its largest entry first, so that no square
     overflows: finite whenever the norm itself is.  0 for v = 0, and inf or
     NaN for a non-finite v.  The sum is numpy's own loop, not BLAS ddot,
-    for the reason ``krylov._dot`` gives."""
+    for the reasons ``krylov._dot`` gives: no BLAS threading, and no
+    overflow warning, though here the scaling already keeps every square
+    and the sum finite."""
     scale = float(np.max(np.abs(v)))
     if not 0.0 < scale < math.inf:
         return scale
@@ -218,7 +221,7 @@ def _forward_substitution(t, ops, tally, fns, residual, supports, u_n, h, cfg, c
     relative to the row's leading term, and a zero r_{p,j} takes no product.
     The distinct operators' tallies less ``tally``, their sum when the step
     built them, are the step's only matvec count (Krylov plus direct
-    applies) and go to ctx.stats."""
+    applies) and are added to ctx.stats."""
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     ctx = ctx if ctx is not None else EvalContext()
@@ -258,7 +261,7 @@ def _forward_substitution(t, ops, tally, fns, residual, supports, u_n, h, cfg, c
     acc = np.zeros_like(u_n)
     for p in parts:
         acc[supports[p]] = acc[supports[p]] + x[p][-1]
-    ctx.stats.matvecs = _matvecs(ops) - tally
+    ctx.stats.matvecs += _matvecs(ops) - tally
     return u_n + h * acc
 
 
@@ -356,7 +359,7 @@ def step_pexprk2_residual(
                 ops[p], 2, h, residual, _residual_cfg(cfg, _scaled_norm(fns[p]), r_norm), ctx,
                 f"update, residual term, partition {p + 1}",
             )
-    ctx.stats.matvecs = _matvecs(ops) - tally
+    ctx.stats.matvecs += _matvecs(ops) - tally
     return out
 
 
@@ -392,24 +395,24 @@ def integrate_fixed(
 ) -> IntegrationResult:
     """Apply the stepper n_steps times with constant h = (tf - t0) / n_steps.
 
-    Partition operators are rebuilt at each step start by the stepper.  Any
-    step failure aborts the integration with the step index attached.
+    Partition operators are rebuilt at each step start by the stepper.  The
+    run has one EvalContext, its Krylov workspace, to which each step adds
+    its counters.  Any step failure aborts the integration with the step
+    index attached.
     """
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
     h = (tf - t0) / n_steps
     u = np.asarray(u0, dtype=float).copy()
-    total = KrylovStats()
+    ctx = EvalContext()
     for step_index in range(n_steps):
-        ctx = EvalContext()
         try:
             u = stepper(prob, u, h, cfg, ctx)
         except StepFailure as exc:
             raise IntegrationFailure(f"step {step_index + 1}/{n_steps}: {exc}") from exc
-        total.merge(ctx.stats)
         if not np.all(np.isfinite(u)):
             raise IntegrationFailure(f"step {step_index + 1}/{n_steps}: state diverged (non-finite)")
-    return IntegrationResult(state=u, t_final=tf, steps=n_steps, stats=total)
+    return IntegrationResult(state=u, t_final=tf, steps=n_steps, stats=ctx.stats)
 
 
 def unpartitioned_problem(dim, f, jacobian_builder) -> SplitProblem:

@@ -252,6 +252,25 @@ class TestStudy:
         assert discrete_l2(ref.state - exact) <= 1e-11
         assert ref.n_steps == 8 * 32
 
+    def test_rows_do_not_depend_on_blas_threads(self):
+        # at two BLAS threads this row's error_l2 differed in its last digits
+        threads = harness._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's OpenBLAS has no thread-count setter here")
+        get, set_ = threads
+        before = get()
+        cfg = RunConfig(grid=96, form="orig", order=4, steps=(1,))
+        ref = reference_solution(cfg)
+        studies = []
+        try:
+            for count in (1, 2):
+                set_(count)
+                studies.append(run_convergence_study(cfg, ref))
+                assert get() == count
+        finally:
+            set_(before)
+        assert rows_data_equal(*(study.rows for study in studies))
+
     def test_gate_violation_raises(self, small_cfg, small_study):
         import dataclasses
 

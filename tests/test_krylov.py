@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
 from pexprk import krylov
+from pexprk.coeffexpr import Phi, Scale, Sum, eval_coeff
 from pexprk.krylov import (
     _ORTH_BOUND,
     EvalContext,
@@ -534,3 +537,62 @@ class TestSharedFactorization:
                 [dense_phi_reference(k, h, m, v[4 * i: 4 * i + 4]) for i, m in enumerate(mats)]
             )
             assert np.linalg.norm(whole - per_block) <= 1e-11 * max(1.0, np.linalg.norm(per_block))
+
+
+class TestWorkspace:
+    """An EvalContext serves one (operator, vector) pair at a time: its
+    factorization, and its coefficient memo keyed by everything a product
+    depends on."""
+
+    EXPR = Sum(Phi(1, 0.5), Scale(-2.0, Phi(2)))
+
+    def problem(self, seed=7, n=30):
+        rng = np.random.default_rng(seed)
+        return SparseOperator(stable_dense(rng, n)), rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
+
+    def test_second_h_equals_a_fresh_product(self):
+        op, v, _ = self.problem()
+        cfg = KrylovConfig(tol=1e-12, m_max=40)
+        ctx = EvalContext()
+        eval_coeff(self.EXPR, op, 0.3, v, cfg, ctx, p=2)
+        got = eval_coeff(self.EXPR, op, 0.7, v, cfg, ctx, p=2)
+        assert np.array_equal(got, eval_coeff(self.EXPR, op, 0.7, v, cfg, p=2))
+
+    def test_tighter_tolerance_equals_a_fresh_product(self):
+        op, v, _ = self.problem()
+        loose, tight = KrylovConfig(tol=1e-4, m_max=40), KrylovConfig(tol=1e-12, m_max=40)
+        ctx = EvalContext()
+        eval_coeff(self.EXPR, op, 0.5, v, loose, ctx, p=2)
+        got = eval_coeff(self.EXPR, op, 0.5, v, tight, ctx, p=2)
+        assert np.array_equal(got, eval_coeff(self.EXPR, op, 0.5, v, tight, p=2))
+
+    def test_second_pair_drops_the_first(self):
+        op, v, w = self.problem()
+        cfg = KrylovConfig(tol=1e-12, m_max=40)
+        ctx = EvalContext()
+        first = eval_coeff(self.EXPR, op, 0.5, v, cfg, ctx, p=2)
+        assert eval_coeff(self.EXPR, op, 0.5, v, cfg, ctx, p=2) is first  # the pair's memo
+        state = weakref.ref(ctx.arnoldi_state(op, v, cfg.m_max))
+        second = eval_coeff(self.EXPR, op, 0.5, w, cfg, ctx, p=2)
+        assert state() is None
+        assert np.array_equal(second, eval_coeff(self.EXPR, op, 0.5, w, cfg, p=2))
+        assert np.array_equal(eval_coeff(self.EXPR, op, 0.5, v, cfg, ctx, p=2), first)
+        assert ctx.stats.solves == 6  # two per pair, the memo hit excepted
+
+    @pytest.mark.parametrize("convert", [list, lambda v: v.astype(np.float32)], ids=["list", "float32"])
+    def test_converted_vector_is_one_pair_through_the_tree(self, convert, monkeypatch):
+        op, v, _ = self.problem()
+        states = weakref.WeakSet()
+        arnoldi_state = EvalContext.arnoldi_state
+
+        def counted(ctx, *args):
+            state = arnoldi_state(ctx, *args)
+            states.add(state)
+            return state
+
+        monkeypatch.setattr(EvalContext, "arnoldi_state", counted)
+        ctx = EvalContext()
+        got = eval_coeff(self.EXPR, op, 0.5, convert(v), KrylovConfig(), ctx, p=2)
+        assert len(states) == 1
+        assert np.array_equal(got, eval_coeff(self.EXPR, op, 0.5, np.asarray(convert(v), dtype=float),
+                                              KrylovConfig(), p=2))

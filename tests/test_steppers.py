@@ -6,7 +6,7 @@ import pytest
 from pexprk import coeffexpr, steppers
 from pexprk.coeffexpr import Phi, Scale, Sum, eval_dense
 from pexprk.harness import RunConfig, build_study
-from pexprk.krylov import EvalContext, KrylovConfig, KrylovError
+from pexprk.krylov import EvalContext, KrylovConfig, KrylovError, KrylovStats
 from pexprk.operators import SparseOperator, ZeroOperator
 from pexprk.phi import expm_dense, phi_dense_times_vector, phi_scalar
 from pexprk.problems import (
@@ -332,6 +332,30 @@ class TestIntegrateFixed:
         res = integrate_fixed(stepper, prob, u0, 0.0, h, 1, cfg)
         assert np.array_equal(direct, res.state)
         assert ctx.stats == res.stats and res.stats.matvecs > 0
+
+    @pytest.mark.parametrize(
+        "step, stepper, split",
+        [
+            (step_exprk_original, original_stepper(4), None),
+            (step_pexprk, pexprk_stepper(4), "species"),
+            (step_pexprk2_residual, step_pexprk2_residual, "space"),
+        ],
+        ids=["orig-full", "part-species", "residual-space"],
+    )
+    def test_integration_adds_up_its_steps_counters(self, step, stepper, split):
+        # one context serves the whole run, and each step adds its counters
+        model = gs_default(n=8)
+        prob = gs_unpartitioned(model) if split is None else gs_partition(model, split)
+        u, h, cfg = gs_initial(model), 0.01, KrylovConfig()
+        tab = () if step is step_pexprk2_residual else (tableau(4),)
+        res = integrate_fixed(stepper, prob, u, 0.0, 4 * h, 4, cfg)
+        total = KrylovStats()
+        for _ in range(4):
+            ctx = EvalContext()
+            u = step(*tab, prob, u, h, cfg, ctx)
+            total.merge(ctx.stats)
+        assert np.array_equal(u, res.state)
+        assert total == res.stats and total.solves > 0
 
     @pytest.mark.parametrize(
         "stepper", [original_stepper(3), pexprk_stepper(3), step_pexprk2_residual], ids=["orig", "part", "residual"]
