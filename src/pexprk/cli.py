@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .harness import (
     FORMS,
-    JACOBIANS,
     ConfigError,
     NumericalFailure,
     RunConfig,
@@ -57,7 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--partition", default=_UNSET, choices=("none",) + PARTITION_NAMES)
     run.add_argument("--order", type=int, default=_UNSET, choices=[2, 3, 4])
     run.add_argument("--form", default=_UNSET, choices=FORMS)
-    run.add_argument("--jacobian", default=_UNSET, choices=JACOBIANS)
     run.add_argument("--tspan", default=_UNSET, help="t0:tf")
     run.add_argument("--steps-pow2", default=_UNSET,
                      help="j0:j1, shorthand for --steps 2^j0,...,2^j1")

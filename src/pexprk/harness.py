@@ -7,6 +7,9 @@ transformed method at a step 32 times smaller than the smallest study step,
 guarded by a self-consistency gate: the reference computed at h_ref and at
 2 h_ref must differ by far less than the smallest study error.
 
+A run's cell of the study matrix is its form and partition; the Jacobian
+an unpartitioned form freezes follows from them (``RunConfig.jacobian``).
+
 The two reference integrations run at the same time: the coarse one in a
 forked child process, the fine one in this process, each with numpy's
 OpenBLAS pinned to one thread (two processes at two threads each would
@@ -69,7 +72,6 @@ class NumericalFailure(RuntimeError):
 
 
 FORMS = ("orig", "tran", "part")
-JACOBIANS = ("full", "block")
 
 
 @dataclass
@@ -78,7 +80,6 @@ class RunConfig:
     partition: str = "none"
     order: int = 2
     form: str = "tran"
-    jacobian: str = "full"
     t0: float = 0.0
     tf: float = TIMESPAN
     steps: tuple = (2, 4, 8, 16, 32, 64)
@@ -103,16 +104,12 @@ class RunConfig:
             raise ConfigError(f"order must be 2, 3, or 4, got {self.order}")
         if self.form not in FORMS:
             raise ConfigError(f"form must be orig, tran, or part, got {self.form!r}")
-        if self.jacobian not in JACOBIANS:
-            raise ConfigError(f"jacobian must be full or block, got {self.jacobian!r}")
         # the study matrix: orig and tran on the full Jacobian, tran on a
         # partition's block Jacobian, part on a partition's own operators
-        if self.jacobian == "block" and self.form != "tran":
-            raise ConfigError(f"--jacobian block does nothing with --form {self.form}")
-        if self.partition == "none" and (self.form == "part" or self.jacobian == "block"):
-            raise ConfigError(f"--form {self.form} --jacobian {self.jacobian} requires a partition")
-        if self.partition != "none" and self.form != "part" and self.jacobian == "full":
-            raise ConfigError(f"--partition does nothing with --form {self.form} --jacobian full")
+        if self.form == "part" and self.partition == "none":
+            raise ConfigError("--form part requires a partition")
+        if self.form == "orig" and self.partition != "none":
+            raise ConfigError("--partition does nothing with --form orig")
         if not self.tf > self.t0:
             raise ConfigError(f"empty time span [{self.t0}, {self.tf}]")
         if self.krylov_tol <= 0 or self.krylov_mmax < 1:
@@ -131,6 +128,11 @@ class RunConfig:
     def krylov(self) -> KrylovConfig:
         return KrylovConfig(tol=self.krylov_tol, m_max=self.krylov_mmax)
 
+    @property
+    def jacobian(self) -> str:
+        """The frozen Jacobian: the partition's block for tran on a partition, else full."""
+        return "block" if self.form == "tran" and self.partition != "none" else "full"
+
     def label(self) -> str:
         prefix = "pexprks" if self.form == "part" else "exprks"
         form = "tran" if self.form == "part" else self.form
@@ -139,7 +141,7 @@ class RunConfig:
 
     def as_metadata(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update(steps=list(self.steps), label=self.label())
+        out.update(jacobian=self.jacobian, steps=list(self.steps), label=self.label())
         return out
 
 
@@ -198,8 +200,8 @@ def build_study(cfg: RunConfig):
         problem = gs_partition(model, cfg.partition)
         stepper = pexprk_stepper(cfg.order)
     else:
-        # validate() leaves a partition here only for the block Jacobian
-        problem = gs_unpartitioned(model, jacobian=cfg.jacobian, partition=cfg.partition)
+        # validate() leaves a partition here only for tran's block Jacobian
+        problem = gs_unpartitioned(model, None if cfg.partition == "none" else cfg.partition)
         stepper = (original_stepper if cfg.form == "orig" else pexprk_stepper)(cfg.order)
     return model, problem, stepper, u0
 
@@ -304,7 +306,7 @@ def reference_solution(cfg: RunConfig, problem: SplitProblem | None = None, u0=N
     """
     if problem is None:
         model, u0 = study_model(cfg)
-        problem = gs_unpartitioned(model, jacobian="full")
+        problem = gs_unpartitioned(model)
     elif u0 is None:
         raise ValueError("an injected reference problem needs an initial state")
     problem.build_operators(u0)  # fills the problem's caches, which the child then shares

@@ -23,11 +23,12 @@ any set of parts at a state (zero for an explicit part), numbered over the
 union of their supports, from the full Jacobian's cached structure
 (``_gathered``); ``_assemble`` fills in its reaction values per state.  So
 each part's Krylov solves run in its own variables, ``gs_rhs`` and
-``gs_full_jacobian`` are the unsplit case, and a block Jacobian is the union
-of a split's implicit parts.  Every builder is a ``functools.partial`` of a
-module function, so every Gray-Scott problem pickles.  An operator is
-declared symmetric, and so runs Lanczos, unless it holds a cross-species
-reaction entry (-2ab or b^2).
+``gs_full_jacobian`` are the unsplit case, and ``gs_unpartitioned`` freezes
+the union of a split's implicit parts: a partition's block Jacobian, or the
+full Jacobian for the unsplit system.  Every builder is a
+``functools.partial`` of a module function, so every Gray-Scott problem
+pickles.  An operator is declared symmetric, and so runs Lanczos, unless it
+holds a cross-species reaction entry (-2ab or b^2).
 """
 
 from dataclasses import dataclass
@@ -347,23 +348,15 @@ def gs_partition(m: GrayScottModel, name: str) -> SplitProblem:
     )
 
 
-def gs_unpartitioned(m: GrayScottModel, jacobian: str = "full", partition: str | None = None) -> SplitProblem:
-    """Single-partition problem for the unpartitioned forms.
-
-    ``jacobian='full'`` freezes the exact Jacobian, the unsplit system's
-    operator; ``jacobian='block'`` freezes a partition's block Jacobian, made
-    of its implicit parts (dropping the couplings the partition drops).
+def gs_unpartitioned(m: GrayScottModel, partition: str | None = None) -> SplitProblem:
+    """Single-partition problem for the unpartitioned forms, freezing the
+    Jacobian made of split ``partition``'s implicit parts: for a partition
+    its block Jacobian (dropping the couplings the partition drops), for the
+    unsplit system (None) the full Jacobian.
     """
-    if jacobian == "full":
-        name, parts = None, (0,)
-    elif jacobian == "block":
-        if partition is None:
-            raise ValueError("the block Jacobian needs a partition to take blocks from")
-        name = partition
-        parts = tuple(p for p, (_, _, implicit) in enumerate(_parts(m, _known(name))) if implicit)
-    else:
-        raise ValueError(f"unknown jacobian kind {jacobian!r}")
-    return unpartitioned_problem(m.dim, partial(gs_rhs, m), partial(_operator, m, name, parts))
+    parts = _parts(m, partition if partition is None else _known(partition))
+    chosen = tuple(p for p, (_, _, implicit) in enumerate(parts) if implicit)
+    return unpartitioned_problem(m.dim, partial(gs_rhs, m), partial(_operator, m, partition, chosen))
 
 
 @dataclass

@@ -234,7 +234,7 @@ class TestCriterion6SpeciesSplitIdentity:
         )
         blocked = integrate_fixed(
             pexprk_stepper(2),
-            gs_unpartitioned(m, jacobian="block", partition="species"),
+            gs_unpartitioned(m, "species"),
             u0, 0.0, TIMESPAN, n_steps, cfg,
         )
         rel = np.linalg.norm(part.state - blocked.state) / np.linalg.norm(blocked.state)

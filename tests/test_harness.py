@@ -17,7 +17,6 @@ from pexprk import cli, harness
 from pexprk.cli import _build_parser, _config_from_args
 from pexprk.harness import (
     FORMS,
-    JACOBIANS,
     ConfigError,
     ConvergenceRow,
     NumericalFailure,
@@ -53,11 +52,11 @@ def config_from(tmp_path, *flags, file=None) -> RunConfig:
     return _config_from_args(_build_parser().parse_args(argv))
 
 
-# the (form, partition, jacobian) cells of the study matrix
+# the (form, partition) cells of the study matrix
 STUDY_CELLS = (
-    {("orig", "none", "full"), ("tran", "none", "full")}
-    | {("tran", p, "block") for p in PARTITION_NAMES}
-    | {("part", p, "full") for p in PARTITION_NAMES}
+    {("orig", "none"), ("tran", "none")}
+    | {("tran", p) for p in PARTITION_NAMES}
+    | {("part", p) for p in PARTITION_NAMES}
 )
 
 
@@ -85,15 +84,14 @@ class TestRunConfig:
             dict(partition="rows"),
             dict(order=5),
             dict(form="part"),  # partition defaults to none
-            dict(form="orig", jacobian="block", partition="species"),
-            dict(form="tran", jacobian="block"),  # block needs a partition
+            dict(form="orig", partition="species"),
             dict(tf=0.0),
             dict(krylov_tol=-1.0),
             dict(steps=(4, 2)),
             dict(steps=()),
             dict(grid=2),
             dict(grid=33, partition="space", form="part"),
-            dict(grid=33, partition="space", form="tran", jacobian="block"),
+            dict(grid=33, partition="space", form="tran"),
             dict(steps=(0, 2)),
             dict(grid="64"),
             dict(order=True),
@@ -117,17 +115,65 @@ class TestRunConfig:
         RunConfig(grid=33, partition="species", form="part").validate()
 
     @pytest.mark.parametrize(
-        "form, partition, jacobian",
-        list(itertools.product(FORMS, ("none",) + PARTITION_NAMES, JACOBIANS)),
+        "form, partition",
+        list(itertools.product(FORMS, ("none",) + PARTITION_NAMES)),
     )
-    def test_validate_accepts_exactly_the_study_cells(self, form, partition, jacobian):
-        cfg = RunConfig(grid=8, form=form, partition=partition, jacobian=jacobian)
-        if (form, partition, jacobian) in STUDY_CELLS:
+    def test_validate_accepts_exactly_the_study_cells(self, form, partition):
+        cfg = RunConfig(grid=8, form=form, partition=partition)
+        if (form, partition) in STUDY_CELLS:
             cfg.validate()
         else:
             # the message names the flag that would be ignored, or the missing one
-            with pytest.raises(ConfigError, match="--partition|--jacobian|requires a partition"):
+            with pytest.raises(ConfigError, match="--partition|requires a partition"):
                 cfg.validate()
+
+
+class TestDerivedJacobian:
+    """The frozen Jacobian follows from the form and the partition: it is
+    no setting, and each cell keeps the label and metadata it had when it
+    was one."""
+
+    # per cell at order 2: its label and its metadata's jacobian
+    CELL_LABELS = {
+        ("orig", "none"): ("exprks_orig_order_2", "full"),
+        ("tran", "none"): ("exprks_tran_order_2_full_jacobian", "full"),
+        ("tran", "species"): ("exprks_tran_order_2_block_jacobian", "block"),
+        ("tran", "space"): ("exprks_tran_order_2_block_jacobian", "block"),
+        ("tran", "physics"): ("exprks_tran_order_2_block_jacobian", "block"),
+        ("tran", "imex"): ("exprks_tran_order_2_block_jacobian", "block"),
+        ("part", "species"): ("pexprks_tran_order_2_full_jacobian", "full"),
+        ("part", "space"): ("pexprks_tran_order_2_full_jacobian", "full"),
+        ("part", "physics"): ("pexprks_tran_order_2_full_jacobian", "full"),
+        ("part", "imex"): ("pexprks_tran_order_2_full_jacobian", "full"),
+    }
+
+    def test_jacobian_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            _build_parser().parse_args(["run", "--form", "tran", "--partition", "species", "--jacobian", "block"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --jacobian block" in capsys.readouterr().err
+
+    def test_jacobian_config_key_is_unknown(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown configuration key 'jacobian'"):
+            config_from(tmp_path, file={"form": "tran", "partition": "species", "jacobian": "block"})
+
+    @pytest.mark.parametrize("cell", list(CELL_LABELS), ids=["-".join(cell) for cell in CELL_LABELS])
+    def test_label_and_metadata_of_the_cell(self, cell, tmp_path):
+        form, partition = cell
+        cfg = config_from(tmp_path, "--form", form, "--partition", partition)
+        assert (cfg.label(), cfg.as_metadata()["jacobian"]) == self.CELL_LABELS[cell]
+
+    def test_tran_on_physics_gives_the_rows_of_tran_on_none(self):
+        # the physics split's two implicit parts sum to the full Jacobian
+        full, physics = (RunConfig(grid=8, form="tran", partition=p, steps=(1, 2)) for p in ("none", "physics"))
+        reference = reference_solution(full)
+        rows = [run_convergence_study(cfg, reference).rows for cfg in (full, physics)]
+        assert rows_data_equal(*rows)
+        states = []
+        for cfg in (full, physics):
+            _, problem, stepper, u0 = build_study(cfg)
+            states.append(integrate_fixed(stepper, problem, u0, cfg.t0, cfg.tf, 2, cfg.krylov()).state.tobytes())
+        assert states[0] == states[1]
 
 
 class TestEstimateOrder:
@@ -298,55 +344,55 @@ class TestStudy:
 
 # Work counters (matvecs, krylov_dim_total, solves) and the discrete L2 norm
 # of the final state for two steps of h = T/2 on grid 16, per
-# (form, partition, jacobian) and order.  A refactor that claims to reproduce
+# (form, partition) and order.  A refactor that claims to reproduce
 # the study rows must reproduce these.
 GOLDEN = {
-    ("orig", "none", "full"): {
+    ("orig", "none"): {
         2: ((54, 50, 4), 0.49871565492501324),
         3: ((74, 90, 8), 0.4987157212401996),
         4: ((126, 334, 32), 0.49871571629035877),
     },
-    ("tran", "none", "full"): {
+    ("tran", "none"): {
         2: ((52, 50, 4), 0.49871565492501324),
         3: ((72, 90, 8), 0.4987157212401996),
         4: ((124, 334, 32), 0.49871571629035877),
     },
-    ("tran", "species", "block"): {
+    ("tran", "species"): {
         2: ((52, 50, 4), 0.49871221386579967),
         3: ((76, 94, 8), 0.49871559645071606),
         4: ((130, 348, 32), 0.49871572176745393),
     },
-    ("tran", "space", "block"): {
+    ("tran", "space"): {
         2: ((58, 56, 4), 0.4987519531907184),
         3: ((79, 97, 8), 0.4987178581393905),
         4: ((148, 393, 32), 0.4987158221269866),
     },
-    ("tran", "physics", "block"): {
+    ("tran", "physics"): {
         2: ((52, 50, 4), 0.49871565492501324),
         3: ((72, 90, 8), 0.4987157212401996),
         4: ((124, 334, 32), 0.49871571629035877),
     },
-    ("tran", "imex", "block"): {
+    ("tran", "imex"): {
         2: ((52, 50, 4), 0.49871644877779525),
         3: ((76, 94, 8), 0.4987157286364669),
         4: ((124, 336, 32), 0.4987157171731135),
     },
-    ("part", "species", "full"): {
+    ("part", "species"): {
         2: ((94, 90, 8), 0.4987122138657996),
         3: ((138, 170, 16), 0.49871559645071606),
         4: ((228, 628, 64), 0.49871572176745393),
     },
-    ("part", "space", "full"): {
+    ("part", "space"): {
         2: ((113, 109, 8), 0.4987519531907184),
         3: ((158, 194, 16), 0.4987178581393906),
         4: ((296, 768, 64), 0.4987158221269866),
     },
-    ("part", "physics", "full"): {
+    ("part", "physics"): {
         2: ((76, 72, 8), 0.49871538195465587),
         3: ((112, 136, 16), 0.49871575213470387),
         4: ((204, 524, 64), 0.4987157166988749),
     },
-    ("part", "imex", "full"): {
+    ("part", "imex"): {
         2: ((52, 50, 8), 0.49871522293512066),
         3: ((76, 94, 16), 0.49871574868089863),
         4: ((136, 354, 64), 0.4987157168435433),
@@ -362,10 +408,10 @@ GOLDEN_RESIDUAL = {
 }
 
 
-def golden_run(form, partition, jacobian, order, stepper=None):
+def golden_run(form, partition, order, stepper=None):
     """The golden integration of one case: (its problem, its result).  A
     stepper, if given, replaces the case's own on the case's problem."""
-    cfg = RunConfig(grid=16, form=form, partition=partition, jacobian=jacobian, order=order)
+    cfg = RunConfig(grid=16, form=form, partition=partition, order=order)
     _, problem, study_stepper, u0 = build_study(cfg)
     return problem, integrate_fixed(stepper or study_stepper, problem, u0, cfg.t0, cfg.tf, 2, cfg.krylov())
 
@@ -518,18 +564,18 @@ class TestGoldenCounts:
     """Each case checks every catalog order."""
 
     @pytest.mark.parametrize(
-        "form, partition, jacobian", list(GOLDEN), ids=["-".join(case) for case in GOLDEN]
+        "form, partition", list(GOLDEN), ids=["-".join(case) for case in GOLDEN]
     )
-    def test_counts_and_final_norm(self, form, partition, jacobian):
+    def test_counts_and_final_norm(self, form, partition):
         for order in ORDERS:
-            _, res = golden_run(form, partition, jacobian, order)
-            counts, norm = GOLDEN[(form, partition, jacobian)][order]
+            _, res = golden_run(form, partition, order)
+            counts, norm = GOLDEN[(form, partition)][order]
             assert (res.stats.matvecs, res.stats.krylov_dim_total, res.stats.solves) == counts, order
             assert discrete_l2(res.state) == pytest.approx(norm, rel=1e-12, abs=0.0), order
 
     @pytest.mark.parametrize("partition", list(GOLDEN_RESIDUAL))
     def test_residual_form_counts_and_final_norm(self, partition):
-        _, res = golden_run("part", partition, "full", 2, step_pexprk2_residual)
+        _, res = golden_run("part", partition, 2, step_pexprk2_residual)
         counts, norm = GOLDEN_RESIDUAL[partition]
         assert (res.stats.matvecs, res.stats.krylov_dim_total, res.stats.solves) == counts
         assert discrete_l2(res.state) == pytest.approx(norm, rel=1e-12, abs=0.0)
@@ -537,7 +583,7 @@ class TestGoldenCounts:
     def test_solves_per_partition_equal_original_form(self):
         # forward substitution costs each partition the original form's solves
         for order in ORDERS:
-            _, orig = golden_run("orig", "none", "full", order)
+            _, orig = golden_run("orig", "none", order)
             for case in GOLDEN:
                 problem, res = golden_run(*case, order)
                 assert res.stats.solves == problem.partitions * orig.stats.solves, (case, order)
@@ -556,11 +602,11 @@ class TestGoldenCounts:
 
         monkeypatch.setattr(EvalContext, "arnoldi_state", counted)
         runs = [(*case, order, None) for case in GOLDEN for order in ORDERS]
-        runs += [("part", partition, "full", 2, step_pexprk2_residual) for partition in GOLDEN_RESIDUAL]
+        runs += [("part", partition, 2, step_pexprk2_residual) for partition in GOLDEN_RESIDUAL]
         for run in runs:
             live.clear()
             golden_run(*run)
-            assert max(live) == 1, run[:4]
+            assert max(live) == 1, run[:3]
 
 
 class TestCli:
@@ -733,14 +779,14 @@ class TestCli:
     @pytest.mark.parametrize(
         "flags",
         [
-            ("--form", "part", "--partition", "species", "--jacobian", "block"),
+            ("--form", "part", "--partition", "none"),
             ("--form", "orig", "--partition", "species"),
-            ("--form", "tran", "--jacobian", "full", "--partition", "space"),
+            ("--form", "orig", "--partition", "space"),
             ("--paper-scale", "--grid", "32"),
             ("--steps", "1", "--steps-pow2", "1:3"),
             ("--steps-pow2", "0:3"),
         ],
-        ids=["part-block", "orig-species", "tran-full-space", "paper-scale-grid", "steps-twice",
+        ids=["part-none", "orig-species", "orig-space", "paper-scale-grid", "steps-twice",
              "steps-pow2-from-0"],
     )
     def test_ignored_or_doubly_set_flag_exit_code(self, flags, main):
@@ -782,7 +828,7 @@ class TestCli:
         assert config_from(tmp_path, file={"tf": 2.0}).tf == 2.0
 
     def test_odd_grid_space_split_exit_code(self, main):
-        for form in (["--form", "part"], ["--form", "tran", "--jacobian", "block"]):
+        for form in (["--form", "part"], ["--form", "tran"]):
             proc = main("run", "--grid", "33", "--partition", "space", *form, "--steps", "1")
             assert proc.returncode == 2, form
             assert "even grid side" in proc.stderr and "Traceback" not in proc.stderr

@@ -336,7 +336,7 @@ class TestPartitions:
             ops = [gs_full_jacobian(m, u), laplacian_2d_periodic(n, m.d_a)]
             for name in PARTITION_NAMES:
                 ops += [op for op in gs_partition(m, name).build_operators(u) if op.kind != "zero"]
-                ops += gs_unpartitioned(m, jacobian="block", partition=name).build_operators(u)
+                ops += gs_unpartitioned(m, name).build_operators(u)
             declared = [op.symmetric for op in ops]
             assert declared == [byte_symmetric(op.matrix) for op in ops]
             # the Laplacian, the species parts and block, the physics and imex
@@ -381,8 +381,8 @@ class TestPartitions:
         problems = [
             gs_partition(m, "physics"),
             gs_partition(m, "imex"),
-            gs_unpartitioned(m, jacobian="full"),
-            *(gs_unpartitioned(m, jacobian="block", partition=name) for name in PARTITION_NAMES),
+            gs_unpartitioned(m),
+            *(gs_unpartitioned(m, name) for name in PARTITION_NAMES),
             orc.problem(),
             orc.split_linear_nonlinear(),
             orc.split_all_explicit(),
@@ -411,7 +411,7 @@ class TestPartitions:
         # their supports: for physics the full Jacobian, for imex the diffusion
         m = gs_default(n=n)
         split = gs_partition(m, name)
-        block = gs_unpartitioned(m, jacobian="block", partition=name).operator_builders[0]
+        block = gs_unpartitioned(m, name).operator_builders[0]
         for u in reference_states(m):
             parts = [
                 embedded_matrix(m.dim, s, op)
@@ -430,7 +430,7 @@ class TestPartitions:
         _gathered.cache_clear()
         for partition in ("species", "space"):
             build_study(RunConfig(grid=16, partition=partition, form="part"))
-            build_study(RunConfig(grid=16, partition=partition, form="tran", jacobian="block"))
+            build_study(RunConfig(grid=16, partition=partition, form="tran"))
         assert _gathered.cache_info().currsize == 0
 
     @pytest.mark.parametrize("name, held", [
@@ -523,7 +523,7 @@ class TestPartitions:
                 got[f"{name}[{p}].rhs"] = digest(f(u))
                 if op.kind != "zero":
                     got[f"{name}[{p}].operator"] = csr(op)
-            got[f"{name}.block"] = csr(gs_unpartitioned(m, jacobian="block", partition=name).build_operators(u)[0])
+            got[f"{name}.block"] = csr(gs_unpartitioned(m, name).build_operators(u)[0])
         assert got == self.ASSEMBLY_DIGESTS
 
     def test_space_requires_even_grid(self):
@@ -561,39 +561,32 @@ class TestPartitions:
         assert np.linalg.norm(got - taylor) <= 10 * h**2 * np.linalg.norm(gs_rhs(m, u0)) * 100
 
     def test_unknown_partition_rejected(self, small_model):
-        with pytest.raises(ValueError):
-            gs_partition(small_model, "bogus")
+        for build in (gs_partition, gs_unpartitioned):
+            with pytest.raises(ValueError, match="unknown partition 'bogus'"):
+                build(small_model, "bogus")
 
 
 class TestUnpartitioned:
     def test_block_jacobian_drops_species_coupling(self, small_model, random_state):
         m = small_model
-        full = gs_unpartitioned(m, jacobian="full").build_operators(random_state)[0].to_dense()
-        block = (
-            gs_unpartitioned(m, jacobian="block", partition="species")
-            .build_operators(random_state)[0]
-            .to_dense()
-        )
+        full = gs_unpartitioned(m).build_operators(random_state)[0].to_dense()
+        block = gs_unpartitioned(m, "species").build_operators(random_state)[0].to_dense()
         coupling = full.copy()
         coupling[: m.cells, : m.cells] = 0.0
         coupling[m.cells:, m.cells:] = 0.0
         assert np.max(np.abs((full - block) - coupling)) <= 1e-10
 
-    def test_block_jacobian_requires_partition(self, small_model):
-        with pytest.raises(ValueError):
-            gs_unpartitioned(small_model, jacobian="block")
-
 
 class TestPickling:
     @pytest.mark.parametrize(
-        "name, jacobian",
-        [(None, "full"), *((name, kind) for kind in ("split", "block") for name in PARTITION_NAMES)],
+        "form, partition",
+        [("tran", None), *((form, name) for form in ("part", "tran") for name in PARTITION_NAMES)],
     )
-    def test_problem_round_trip_integrates_identically(self, name, jacobian):
+    def test_problem_round_trip_integrates_identically(self, form, partition):
         # every builder is a partial of a module function, so the problem
         # pickles, and its copy integrates to the same bytes and counters
         m = gs_default(n=8)
-        prob = gs_partition(m, name) if jacobian == "split" else gs_unpartitioned(m, jacobian, name)
+        prob = gs_partition(m, partition) if form == "part" else gs_unpartitioned(m, partition)
         assert all(isinstance(fn, partial) for fn in (*prob.f_parts, *prob.operator_builders))
         copy = pickle.loads(pickle.dumps(prob))
         runs = [integrate_fixed(pexprk_stepper(4), q, gs_initial(m), 0.0, TIMESPAN / 8, 2, KrylovConfig())

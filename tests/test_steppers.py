@@ -296,7 +296,7 @@ class TestPartitionedForm:
         cfg = KrylovConfig(tol=1e-13, m_max=100)
         h = 1e-3
         part = step_pexprk(tableau(2), gs_partition(model, "species"), u0, h, cfg)
-        prob = gs_unpartitioned(model, jacobian="block", partition="species")
+        prob = gs_unpartitioned(model, "species")
         blocked = step_pexprk(tableau(2), prob, u0, h, cfg)
         assert np.linalg.norm(part - blocked) <= 1e-12 * np.linalg.norm(blocked)
 
@@ -541,14 +541,14 @@ class TestResidualTolerance:
         assert ctx.stats.solves == 4
 
 
-# the ten (form, partition, jacobian) cells of the study matrix, each at
-# orders 2-4, and the order-2 residual form on each split
+# the ten (form, partition) cells of the study matrix, each at orders 2-4,
+# and the order-2 residual form on each split
 LEDGER_CASES = [
     (*cell, order)
-    for cell in [("orig", "none", "full"), ("tran", "none", "full"),
-                 *(("tran", p, "block") for p in PARTITION_NAMES), *(("part", p, "full") for p in PARTITION_NAMES)]
+    for cell in [("orig", "none"), ("tran", "none"),
+                 *(("tran", p) for p in PARTITION_NAMES), *(("part", p) for p in PARTITION_NAMES)]
     for order in (2, 3, 4)
-] + [("residual", p, "full", 2) for p in PARTITION_NAMES]
+] + [("residual", p, 2) for p in PARTITION_NAMES]
 
 
 class TestAccuracyLedger:
@@ -569,12 +569,11 @@ class TestAccuracyLedger:
     PRODUCT_C = 1.0
     ROW_C = 1.0
 
-    @pytest.mark.parametrize("form, partition, jacobian, order", LEDGER_CASES,
+    @pytest.mark.parametrize("form, partition, order", LEDGER_CASES,
                              ids=["-".join(map(str, case)) for case in LEDGER_CASES])
-    def test_products_and_rows_within_their_tolerances(self, form, partition, jacobian, order, monkeypatch):
+    def test_products_and_rows_within_their_tolerances(self, form, partition, order, monkeypatch):
         residual_form = form == "residual"
-        cfg = RunConfig(grid=8, form="part" if residual_form else form, partition=partition, jacobian=jacobian,
-                        order=order)
+        cfg = RunConfig(grid=8, form="part" if residual_form else form, partition=partition, order=order)
         _, prob, stepper, u0 = build_study(cfg)
         products, terms = [], []
         phi, apply = coeffexpr.phi_times_vector, steppers._apply_coeff
