@@ -7,6 +7,7 @@ import subprocess
 import re
 import sys
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,28 @@ class TestDerivedJacobian:
         form, partition = cell
         cfg = config_from(tmp_path, "--form", form, "--partition", partition)
         assert (cfg.label(), cfg.as_metadata()["jacobian"]) == self.CELL_LABELS[cell]
+
+    def test_jacobian_is_no_setting(self):
+        # neither a field, a constructor argument nor assignable
+        assert "jacobian" not in {f.name for f in fields(RunConfig)}
+        with pytest.raises(TypeError):
+            RunConfig(jacobian="block")
+        cfg = RunConfig(form="tran", partition="species")
+        with pytest.raises(AttributeError):
+            cfg.jacobian = "full"
+        assert cfg.jacobian == "block"
+
+    @pytest.mark.parametrize("cell", list(CELL_LABELS), ids=["-".join(cell) for cell in CELL_LABELS])
+    def test_run_writes_the_cell_label_and_jacobian(self, cell, tmp_path, capsys):
+        # `pexprk run` on the cell's form and partition alone writes its
+        # label and jacobian comments into the study CSV
+        form, partition = cell
+        out = tmp_path / "study.csv"
+        argv = ["run", "--grid", "8", "--form", form, "--partition", partition, "--steps", "1", "--out", str(out)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        rows, metadata = parse_csv(out)
+        assert len(rows) == 1 and not rows[0].failed
+        assert (metadata["label"], metadata["jacobian"]) == self.CELL_LABELS[cell]
 
     def test_tran_on_physics_gives_the_rows_of_tran_on_none(self):
         # the physics split's two implicit parts sum to the full Jacobian

@@ -576,6 +576,16 @@ class TestUnpartitioned:
         coupling[m.cells:, m.cells:] = 0.0
         assert np.max(np.abs((full - block) - coupling)) <= 1e-10
 
+    def test_unsplit_system_freezes_the_full_jacobian(self):
+        # no partition is the one-part row of the splits: its implicit part
+        # is the whole system, so its operator is gs_full_jacobian's, byte for byte
+        m = gs_default(n=16)
+        prob = gs_unpartitioned(m)
+        assert prob.partitions == 1
+        for u in reference_states(m):
+            assert_csr_equal(prob.operator_builders[0](u).matrix, gs_full_jacobian(m, u).matrix)
+            assert prob.f_parts[0](u).tobytes() == gs_rhs(m, u).tobytes()
+
 
 class TestPickling:
     @pytest.mark.parametrize(
