@@ -4,15 +4,18 @@
     pexprk check-order  stiff order-condition residuals for a catalog method
     pexprk dump-tableau coefficient expressions in stable text form
 
-Exit codes: 0 on success, 2 for configuration errors, 3 for numerical
-failures (reference gate violation or a study with no surviving rows).
+`pexprk run` takes its settings from flags alone; one left out keeps
+RunConfig's default.  A shorthand (--paper-scale, --steps-pow2) excludes its
+long form (--grid, --steps).
+
+Exit codes: 0 on success, 2 for configuration and usage errors, 3 for
+numerical failures (reference gate violation or a study with no surviving
+rows).
 """
 
 import argparse
-import json
 import resource
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .harness import (
@@ -25,8 +28,6 @@ from .harness import (
 )
 from .problems import PAPER_SCALE_GRID, PARTITION_NAMES
 from .tableaux import check_order_conditions, dump_tableau, tableau, transformed
-
-_UNSET = object()
 
 
 def _parse_pair(text: str, what: str, cast):
@@ -51,20 +52,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a convergence study and emit CSV")
-    run.add_argument("--config", help="JSON file mirroring the flags; flags override it")
-    run.add_argument("--grid", type=int, default=_UNSET)
-    run.add_argument("--partition", default=_UNSET, choices=("none",) + PARTITION_NAMES)
-    run.add_argument("--order", type=int, default=_UNSET, choices=[2, 3, 4])
-    run.add_argument("--form", default=_UNSET, choices=FORMS)
-    run.add_argument("--tspan", default=_UNSET, help="t0:tf")
-    run.add_argument("--steps-pow2", default=_UNSET,
-                     help="j0:j1, shorthand for --steps 2^j0,...,2^j1")
-    run.add_argument("--steps", default=_UNSET, help="comma-separated step counts")
-    run.add_argument("--krylov-tol", type=float, default=_UNSET)
-    run.add_argument("--krylov-mmax", type=int, default=_UNSET)
-    run.add_argument("--out", default=_UNSET, help="CSV output path")
-    run.add_argument("--paper-scale", action="store_const", const=True, default=_UNSET,
-                     help=f"shorthand for --grid {PAPER_SCALE_GRID}")
+    # unset flags stay None, so RunConfig supplies its own defaults
+    grid = run.add_mutually_exclusive_group()
+    grid.add_argument("--grid", type=int)
+    grid.add_argument("--paper-scale", dest="grid", action="store_const", const=PAPER_SCALE_GRID,
+                      help=f"shorthand for --grid {PAPER_SCALE_GRID}")
+    run.add_argument("--partition", choices=("none",) + PARTITION_NAMES)
+    run.add_argument("--order", type=int, choices=[2, 3, 4])
+    run.add_argument("--form", choices=FORMS)
+    run.add_argument("--tspan", help="t0:tf")
+    steps = run.add_mutually_exclusive_group()
+    steps.add_argument("--steps-pow2", help="j0:j1, shorthand for --steps 2^j0,...,2^j1")
+    steps.add_argument("--steps", help="comma-separated step counts")
+    run.add_argument("--krylov-tol", type=float)
+    run.add_argument("--krylov-mmax", type=int)
+    run.add_argument("--out", help="CSV output path")
 
     check = sub.add_parser("check-order", help="stiff order-condition residuals")
     check.add_argument("--order", type=int, required=True, choices=[2, 3, 4])
@@ -79,60 +81,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FIELDS = {f.name for f in fields(RunConfig)}
-
-
-def _field_values(values: dict, source: str) -> dict:
-    """One source's settings as RunConfig fields.  The shorthands tspan,
-    paper_scale and steps_pow2 write (t0, tf), grid and steps, which the same
-    source may not set to anything else."""
-    if "tspan" in values and values.keys() & {"t0", "tf"}:
-        raise ConfigError(f"{source} sets both tspan and t0/tf")
-    out = {}
-    for key, value in values.items():
-        if key == "tspan":
-            out["t0"], out["tf"] = _parse_pair(str(value), "tspan", float)
-        elif key == "steps":
-            out["steps"] = tuple(value) if isinstance(value, list) else _parse_steps(str(value))
-        elif key not in _FIELDS | {"paper_scale", "steps_pow2"}:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        else:
-            out[key] = value
-    paper_scale = out.pop("paper_scale", False)
-    if not isinstance(paper_scale, bool):
-        raise ConfigError(f"paper-scale must be true or false, got {paper_scale!r}")
-    if paper_scale and out.setdefault("grid", PAPER_SCALE_GRID) != PAPER_SCALE_GRID:
-        raise ConfigError(f"{source} sets both paper-scale and grid {out['grid']!r}")
-    if "steps_pow2" in out:
-        if "steps" in out:
-            raise ConfigError(f"{source} sets both steps and steps-pow2")
-        j0, j1 = _parse_pair(str(out.pop("steps_pow2")), "steps-pow2", int)
+def _config_from_args(args) -> RunConfig:
+    values = {key: value for key, value in vars(args).items() if value is not None}
+    del values["command"]
+    if "tspan" in values:
+        values["t0"], values["tf"] = _parse_pair(values.pop("tspan"), "tspan", float)
+    if "steps" in values:
+        values["steps"] = _parse_steps(values["steps"])
+    if "steps_pow2" in values:
+        j0, j1 = _parse_pair(values.pop("steps_pow2"), "steps-pow2", int)
         if not 1 <= j0 <= j1:
             raise ConfigError(f"steps-pow2 needs 1 <= j0 <= j1, got {j0}:{j1}")
-        out["steps"] = tuple(2**j for j in range(j0, j1 + 1))
-    return out
-
-
-def _config_from_args(args) -> RunConfig:
-    values = {}
-    if args.config:
-        try:
-            with open(args.config) as handle:
-                raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        raw = {key.replace("-", "_"): value for key, value in raw.items()}
-        values.update(_field_values(raw, "the config file"))
-    flags = {key: value for key, value in vars(args).items()
-             if value is not _UNSET and key not in ("command", "config")}
-    values.update(_field_values(flags, "the command line"))  # flags override the file
+        values["steps"] = tuple(2**j for j in range(j0, j1 + 1))
     cfg = RunConfig(**values)
     cfg.validate()
     # checked before the study runs, not when its CSV is written at the end
-    if cfg.out and (not isinstance(cfg.out, str) or Path(cfg.out).is_dir()
-                    or not Path(cfg.out).parent.is_dir()):
+    if cfg.out and (Path(cfg.out).is_dir() or not Path(cfg.out).parent.is_dir()):
         raise ConfigError(f"out must be a file path in an existing directory, got {cfg.out!r}")
     return cfg
 

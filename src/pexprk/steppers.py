@@ -379,7 +379,6 @@ def pexprk_stepper(order: int) -> Stepper:
 @dataclass
 class IntegrationResult:
     state: np.ndarray
-    steps: int
     stats: KrylovStats = field(default_factory=KrylovStats)
 
 
@@ -411,7 +410,7 @@ def integrate_fixed(
             raise IntegrationFailure(f"step {step_index + 1}/{n_steps}: {exc}") from exc
         if not np.all(np.isfinite(u)):
             raise IntegrationFailure(f"step {step_index + 1}/{n_steps}: state diverged (non-finite)")
-    return IntegrationResult(state=u, steps=n_steps, stats=ctx.stats)
+    return IntegrationResult(state=u, stats=ctx.stats)
 
 
 def unpartitioned_problem(dim, f, jacobian_builder) -> SplitProblem:

@@ -308,7 +308,7 @@ class TestIntegrateFixed:
         res = integrate_fixed(pexprk_stepper(2), prob, orc.u0, 0.0, 0.1, 1, TIGHT)
         direct = step_pexprk(tableau(2), prob, orc.u0, 0.1, TIGHT)
         assert np.array_equal(res.state, direct)
-        assert res.steps == 1 and res.stats.matvecs > 0
+        assert res.stats.matvecs > 0
 
     @pytest.mark.parametrize(
         "step, stepper, split",
