@@ -62,6 +62,12 @@ class TestRunConfig:
         expected = [0.131072, 0.065536, 0.032768, 0.016384, 0.008192, 0.004096]
         assert np.allclose([(cfg.tf - cfg.t0) / n for n in cfg.steps], expected, rtol=1e-15)
 
+    def test_explicit_steps_override(self):
+        # either step flag replaces RunConfig's default ladder; neither keeps it
+        assert config_from("--steps", "2,6,10").steps == (2, 6, 10)
+        assert config_from("--steps-pow2", "1:3").steps == (2, 4, 8)
+        assert config_from().steps == RunConfig().steps
+
     def test_label_convention(self):
         assert RunConfig(form="part", partition="species", order=3).label().startswith("pexprks_tran_order_3")
         assert RunConfig(form="orig", order=2).label().startswith("exprks_orig_order_2")
@@ -769,6 +775,16 @@ class TestCli:
         config = tmp_path / "cfg.json"
         config.write_text('{"grid": 8}')
         assert main("run", "--config", str(config)).returncode == 2
+
+    def test_wrongly_typed_config_value_exit_code(self, main):
+        # argparse types the plain flags; the run parses the step list itself
+        for flags, message in ((("--grid", "64.0"), "invalid int value"),
+                               (("--krylov-tol", "abc"), "invalid float value"),
+                               (("--steps", "2.5"), "configuration error"),
+                               (("--grid", "8", "--steps", "true,2"), "configuration error")):
+            proc = main("run", *flags)
+            assert proc.returncode == 2, flags
+            assert message in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "flags, message",
