@@ -96,7 +96,7 @@ def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(**values)
     cfg.validate()
     # checked before the study runs, not when its CSV is written at the end
-    if cfg.out and (Path(cfg.out).is_dir() or not Path(cfg.out).parent.is_dir()):
+    if cfg.out is not None and (Path(cfg.out).is_dir() or not Path(cfg.out).parent.is_dir()):
         raise ConfigError(f"out must be a file path in an existing directory, got {cfg.out!r}")
     return cfg
 
@@ -125,7 +125,7 @@ def _cmd_run(args) -> int:
     peak, child = (resource.getrusage(who).ru_maxrss / unit
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     print(f"# peak rss {peak:.1f} MiB, reference child {child:.1f} MiB")
-    if cfg.out:
+    if cfg.out is not None:
         emit_csv(result.rows, result.metadata, cfg.out)
         print(f"# wrote {cfg.out}")
     return 0

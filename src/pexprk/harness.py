@@ -13,8 +13,9 @@ an unpartitioned form freezes follows from them (``RunConfig.jacobian``).
 The two reference integrations run at the same time: the coarse one in a
 forked child process, the fine one in this process, each with numpy's
 OpenBLAS pinned to one thread (two processes at two threads each would
-fight over two cores).  The study rows integrate under the same pin, so
-neither the reference state nor a study row depends on
+fight over two cores).  The study rows integrate, and the gap and the
+gate's roundoff floor (BLAS norms) are computed, under the same pin, so
+neither the reference state, its gap, nor a study row depends on
 OPENBLAS_NUM_THREADS.  The child is forked after the problem and its cached
 Jacobian structure are built, so it shares them with this process and adds
 only the memory its own integration allocates.  Fork, unlike spawn, pickles
@@ -265,7 +266,8 @@ def _coarse_run(conn, *args):
 
 def _fine_and_coarse(stepper, problem, u0, t0, tf, n_fine, kcfg):
     """Integrations of n_fine steps, in this process, and n_fine / 2 steps, in
-    a forked child, at the same time.  A failure of the fine run is raised in
+    a forked child, at the same time.  The caller pins BLAS to one thread,
+    and the child inherits the pin.  A failure of the fine run is raised in
     preference to one of the coarse run; the child is always joined."""
     fork = multiprocessing.get_context("fork")
     receiver, sender = fork.Pipe(duplex=False)
@@ -273,20 +275,19 @@ def _fine_and_coarse(stepper, problem, u0, t0, tf, n_fine, kcfg):
                          name="pexprk-coarse-reference", daemon=True)
     unread = object()
     coarse = unread
-    with _one_blas_thread():
-        child.start()
-        sender.close()
+    child.start()
+    sender.close()
+    try:
+        fine = integrate_fixed(stepper, problem, u0, t0, tf, n_fine, kcfg)
         try:
-            fine = integrate_fixed(stepper, problem, u0, t0, tf, n_fine, kcfg)
-            try:
-                coarse = receiver.recv()
-            except EOFError:
-                coarse = None
-        finally:
-            receiver.close()
-            if coarse is unread:  # nothing will read what the child sends
-                child.terminate()
-            child.join()
+            coarse = receiver.recv()
+        except EOFError:
+            coarse = None
+    finally:
+        receiver.close()
+        if coarse is unread:  # nothing will read what the child sends
+            child.terminate()
+        child.join()
     if coarse is None:
         raise RuntimeError(f"the coarse reference run ended with exit code {child.exitcode} and sent no result")
     if isinstance(coarse, tuple):
@@ -314,15 +315,17 @@ def reference_solution(cfg: RunConfig, problem: SplitProblem | None = None, u0=N
     n_fine = max(cfg.steps) * REFERENCE_REFINEMENT
     kcfg = KrylovConfig(tol=REFERENCE_TOL, m_max=cfg.krylov_mmax)
     start = time.perf_counter()
-    try:
-        fine, coarse = _fine_and_coarse(ref_stepper, problem, u0, cfg.t0, cfg.tf, n_fine, kcfg)
-    except IntegrationFailure as exc:
-        raise NumericalFailure(f"reference integration failed: {exc}") from exc
-    wall_ms = (time.perf_counter() - start) * 1e3
+    with _one_blas_thread():  # both runs, and the gap's BLAS ddot
+        try:
+            fine, coarse = _fine_and_coarse(ref_stepper, problem, u0, cfg.t0, cfg.tf, n_fine, kcfg)
+        except IntegrationFailure as exc:
+            raise NumericalFailure(f"reference integration failed: {exc}") from exc
+        wall_ms = (time.perf_counter() - start) * 1e3
+        gap = discrete_l2(fine.state - coarse.state)
     fine.stats.merge(coarse.stats)  # both runs' work
     return ReferenceSolution(
         state=fine.state,
-        gap=discrete_l2(fine.state - coarse.state),
+        gap=gap,
         n_steps=n_fine,
         wall_ms=wall_ms,
         stats=fine.stats,
@@ -357,7 +360,8 @@ def run_convergence_study(cfg: RunConfig, reference: ReferenceSolution | None = 
         reference = reference_solution(cfg)
     kcfg = cfg.krylov()
     rows = []
-    with _one_blas_thread():  # as the reference: rows independent of the thread count
+    # as the reference: rows and the gate's floor independent of the thread count
+    with _one_blas_thread():
         for n_steps in cfg.steps:
             h = (cfg.tf - cfg.t0) / n_steps
             row = ConvergenceRow(h=h)
@@ -372,6 +376,7 @@ def run_convergence_study(cfg: RunConfig, reference: ReferenceSolution | None = 
                 row.message = str(exc)
             row.wall_ms = (time.perf_counter() - start) * 1e3
             rows.append(row)
+        floor = reference.roundoff_floor()
     estimate_order(rows)
 
     if all(row.failed for row in rows):
@@ -386,7 +391,7 @@ def run_convergence_study(cfg: RunConfig, reference: ReferenceSolution | None = 
     min_error = result.min_error()
     # a study this accurate can undercut the float64 roundoff drift between
     # the two reference runs; the gate only bites above that floor
-    gate = max(REFERENCE_GATE * min_error, reference.roundoff_floor())
+    gate = max(REFERENCE_GATE * min_error, floor)
     if not reference.gap < gate:
         raise NumericalFailure(
             f"reference self-consistency gate violated: gap {reference.gap:.3e} "

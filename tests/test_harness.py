@@ -496,7 +496,7 @@ class TestConcurrentReference:
             fine.stats.krylov_dim_total + coarse.stats.krylov_dim_total,
         )
 
-    def test_both_runs_at_one_blas_thread(self):
+    def test_both_runs_at_one_blas_thread(self, monkeypatch):
         threads = harness._openblas_threads()
         if threads is None:
             pytest.skip("numpy's OpenBLAS has no thread-count setter here")
@@ -507,13 +507,24 @@ class TestConcurrentReference:
             if get() != 1:
                 raise AssertionError(f"the {run} run has {get()} BLAS threads")
 
+        # discrete_l2 is a BLAS ddot, whose bits depend on the thread count
+        l2, l2_threads = harness.discrete_l2, []
+
+        def l2_spy(v):
+            l2_threads.append(get())
+            return l2(v)
+
         set_(2)
         try:
             two = get()
             reference_solution(PROBE_CFG, *probe_problem(f_fault=one_thread))
             assert get() == two
+            monkeypatch.setattr(harness, "discrete_l2", l2_spy)
+            run_convergence_study(RunConfig(grid=8, steps=(1,)))
+            assert get() == two
         finally:
             set_(before)
+        assert l2_threads == [1, 1, 1]  # the reference gap, the one row, the gate's floor
 
     @pytest.mark.parametrize(
         "failing, step", [({"fine"}, "1/32"), ({"coarse"}, "1/16"), ({"fine", "coarse"}, "1/32")],
@@ -693,21 +704,27 @@ class TestCli:
 
     def test_run_leaves_dense_reference_modules_unimported(self, tmp_path):
         # scipy.linalg serves only expm_dense and scipy.integrate only the test
-        # oracle; neither is on the run path, and both load at first call
+        # oracle; neither is on the run path, and both load at first call.
+        # Each module loads only what it uses: phi no scipy, tableaux neither
+        # the harness nor multiprocessing
         argv = ["run", "--grid", "8", "--partition", "species", "--order", "4", "--form", "part",
                 "--steps", "1,2", "--out", str(tmp_path / "study.csv")]
         proc = self.run_python("-c", (
             "import sys\n"
+            "import pexprk.phi\n"
+            "phi = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "import pexprk.tableaux\n"
+            "tableaux = [m for m in ('pexprk.harness', 'multiprocessing') if m in sys.modules]\n"
             "from pexprk import cli\n"
             f"code = cli.main({argv!r})\n"
-            "print(code, [m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules])\n"
+            "print(code, [m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules], phi, tableaux)\n"
         ))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert proc.stdout.splitlines()[-1] == "0 [] [] []"
 
     def test_run_out_into_missing_directory_fails_before_the_reference(self, tmp_path, main):
         missing = str(tmp_path / "missing" / "study.csv")
-        for where in (["--out", missing], ["--out", str(tmp_path)]):
+        for where in (["--out", missing], ["--out", str(tmp_path)], ["--out", ""]):
             proc = main("run", "--grid", "8", "--steps", "1,2", *where)
             assert proc.returncode == 2, where
             assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr

@@ -551,10 +551,34 @@ LEDGER_CASES = [
 ] + [("residual", p, 2) for p in PARTITION_NAMES]
 
 
+def fixed_dimension_product(ctx, L, k, tau, v, m):
+    """phi_k(tau L) v at Krylov dimension m (or the breakdown's), with no
+    error check, from ctx's own factorization of (L, v): the ledger's truth
+    at run scale.  The first m columns of a factorization do not depend on
+    how far it is built, so one factorization serves every product on v."""
+    state = ctx.arnoldi_state(L, v, m)
+    if state.vnorm == 0.0:
+        return np.zeros_like(v)
+    state.extend(m)
+    m = min(m, state.m)
+    w_red, _ = state.reduced_phi(k, tau, m)
+    return state.V[:, :m] @ (state.vnorm * w_red)
+
+
+def apply_tree(expr, v, phi_product):
+    """expr applied to v, with phi_product(k, c) = phi_k(c hL) v for each phi node."""
+    if isinstance(expr, Phi):
+        return phi_product(expr.k, expr.c)
+    if isinstance(expr, Scale):
+        return expr.r * apply_tree(expr.child, v, phi_product)
+    if isinstance(expr, Sum):
+        return sum(apply_tree(child, v, phi_product) for child in expr.children)
+    return expr.r * v  # a Const
+
+
 class TestAccuracyLedger:
-    """Every phi product of a two-step grid-8 integration against the dense
-    phi of its operator, and every row's summed residual-product error
-    against the row's leading term.
+    """Every phi product of an integration against its operator's phi, and
+    every row's summed residual-product error against the row's leading term.
 
     PRODUCT_C: a product stops once its phi_1-surrogate estimate, relative to
     the product, is at most the tolerance it was given; the surrogate is the
@@ -563,24 +587,24 @@ class TestAccuracyLedger:
     tolerance.  ROW_C: a residual product's tolerance aims its error at
     cfg.tol ||f_p(u_n)||, the error the row's phi_1 term is allowed, so a
     row's residual terms together should stay within that budget.  Both are
-    1; the largest ratios measured over these cases are 0.081 for products
-    and 0.035 for rows."""
+    1.  Over the two-step grid-8 cases, checked against dense phi, the
+    largest ratios measured are 0.081 for products and 0.035 for rows; over
+    the run-scale cases, checked against Krylov products of larger
+    dimension, they are given at RUN_SCALE_CASES."""
 
     PRODUCT_C = 1.0
     ROW_C = 1.0
 
-    @pytest.mark.parametrize("form, partition, order", LEDGER_CASES,
-                             ids=["-".join(map(str, case)) for case in LEDGER_CASES])
-    def test_products_and_rows_within_their_tolerances(self, form, partition, order, monkeypatch):
-        residual_form = form == "residual"
-        cfg = RunConfig(grid=8, form="part" if residual_form else form, partition=partition, order=order)
-        _, prob, stepper, u0 = build_study(cfg)
+    def ledger(self, monkeypatch, stepper, prob, u0, t0, tf, n_steps, kcfg):
+        """Integrates n_steps, returning every phi product as (L, k, tau, v,
+        tol, dim_used, approximation) and every coefficient application as
+        (where, expr, L, h, v, out)."""
         products, terms = [], []
         phi, apply = coeffexpr.phi_times_vector, steppers._apply_coeff
 
         def phi_spy(L, k, tau, v, kcfg, ctx=None, p=None):
             res = phi(L, k, tau, v, kcfg, ctx=ctx, p=p)
-            products.append((L, k, tau, v, kcfg.tol, res.approximation))
+            products.append((L, k, tau, v, kcfg.tol, res.dim_used, res.approximation))
             return res
 
         def apply_spy(expr, L, h, v, kcfg, ctx, where, phi_max):
@@ -591,22 +615,15 @@ class TestAccuracyLedger:
         monkeypatch.setattr(coeffexpr, "phi_times_vector", phi_spy)
         monkeypatch.setattr(steppers, "phi_times_vector", phi_spy)
         monkeypatch.setattr(steppers, "_apply_coeff", apply_spy)
-        integrate_fixed(step_pexprk2_residual if residual_form else stepper, prob, u0, cfg.t0, cfg.tf, 2,
-                        cfg.krylov())
+        integrate_fixed(stepper, prob, u0, t0, tf, n_steps, kcfg)
+        return products, terms
 
-        dense = {}  # per operator (held, so ids stay unique): its matrix
-
-        def exact(expr, L, h, v):
-            """expr(hL) v from one dense augmented exponential per phi node."""
-            if id(L) not in dense:
-                dense[id(L)] = (L, L.to_dense())
-            if isinstance(expr, Phi):
-                return phi_dense_times_vector(expr.k, expr.c * h * dense[id(L)][1], v)[-1]
-            if isinstance(expr, Scale):
-                return expr.r * exact(expr.child, L, h, v)
-            if isinstance(expr, Sum):
-                return sum(exact(child, L, h, v) for child in expr.children)
-            return expr.r * v  # a Const
+    def check(self, products, terms, kcfg, exact_product, exact_term, residual_form=False):
+        """Asserts each product within PRODUCT_C times its tolerance and each
+        row's residual terms within ROW_C kcfg.tol ||f_p(u_n)||, with
+        exact_product(L, k, tau, v, dim_used) and exact_term(expr, L, h, v)
+        as the truth.  Returns the rows, each as ||f_p(u_n)|| followed by
+        its residual terms' errors."""
 
         def norm(v):
             return float(np.linalg.norm(v))
@@ -615,15 +632,15 @@ class TestAccuracyLedger:
         # first vector on an operator is its f_p(u_n), and only the stage
         # residuals get the residual tolerance
         leading = {}
-        for L, k, tau, v, tol, approx in products:
+        for L, k, tau, v, tol, dim_used, approx in products:
             f_p = leading.setdefault(id(L), v)
             on_residual = k == 2 if residual_form else v is not f_p
-            want = steppers._residual_cfg(cfg.krylov(), steppers._scaled_norm(f_p), steppers._scaled_norm(v)).tol
-            assert tol == (want if on_residual else cfg.krylov_tol)
-            error = norm(approx - exact(Phi(k), L, tau, v))
+            want = steppers._residual_cfg(kcfg, steppers._scaled_norm(f_p), steppers._scaled_norm(v)).tol
+            assert tol == (want if on_residual else kcfg.tol)
+            error = norm(approx - exact_product(L, k, tau, v, dim_used))
             assert error <= self.PRODUCT_C * tol * norm(approx), (k, tau)
             if residual_form and k == 2:  # the update row's one residual term
-                assert error <= self.ROW_C * cfg.krylov_tol * norm(f_p)
+                assert error <= self.ROW_C * kcfg.tol * norm(f_p)
 
         # each row's residual terms together within C cfg.tol ||f_p(u_n)||
         rows, current = [], {}
@@ -633,10 +650,63 @@ class TestAccuracyLedger:
                 current[row] = [norm(v)]
                 rows.append(current[row])
             else:
-                current[row].append(norm(out - exact(expr, L, h, v)))
+                current[row].append(norm(out - exact_term(expr, L, h, v)))
         for f_norm, *errors in rows:
-            assert sum(errors) <= self.ROW_C * cfg.krylov_tol * f_norm
+            assert sum(errors) <= self.ROW_C * kcfg.tol * f_norm
+        return rows
+
+    @pytest.mark.parametrize("form, partition, order", LEDGER_CASES,
+                             ids=["-".join(map(str, case)) for case in LEDGER_CASES])
+    def test_products_and_rows_within_their_tolerances(self, form, partition, order, monkeypatch):
+        residual_form = form == "residual"
+        cfg = RunConfig(grid=8, form="part" if residual_form else form, partition=partition, order=order)
+        _, prob, stepper, u0 = build_study(cfg)
+        products, terms = self.ledger(monkeypatch, step_pexprk2_residual if residual_form else stepper,
+                                      prob, u0, cfg.t0, cfg.tf, 2, cfg.krylov())
+        dense = {}  # per operator (held, so ids stay unique): its matrix
+
+        def exact(expr, L, h, v):
+            """expr(hL) v from one dense augmented exponential per phi node."""
+            if id(L) not in dense:
+                dense[id(L)] = (L, L.to_dense())
+            return apply_tree(expr, v, lambda k, c: phi_dense_times_vector(k, c * h * dense[id(L)][1], v)[-1])
+
+        rows = self.check(products, terms, cfg.krylov(), lambda L, k, tau, v, m: exact(Phi(k), L, tau, v),
+                          exact, residual_form)
         assert residual_form or len(rows) == prob.partitions * tableau(order).s * 2
+
+    # the unsplit order-4 transformed step where its residual tolerances are
+    # loosest: (grid, T/h, steps, tol), and the largest product and row
+    # ratios measured.  The grid-64 reference's worst product is an
+    # f_p(u_n) one whose error, 1.8e-16 of the product, is its rounding; its
+    # worst residual product is at 1.3e-4
+    RUN_SCALE_CASES = [
+        (64, 2048, 6, 1e-13),   # the grid-64 reference; 0.0018 and 5.1e-5
+        (64, 64, 3, 1e-12),     # a grid-64 study row; 0.031 and 0.026
+        (160, 32, 3, 1e-13),    # the grid-160 reference; 0.011 and 0.015
+    ]
+
+    @pytest.mark.parametrize("grid, steps_per_span, n_steps, tol", RUN_SCALE_CASES,
+                             ids=[f"grid{g}-T/{d}" for g, d, _, _ in RUN_SCALE_CASES])
+    def test_run_scale_products_and_rows_within_their_tolerances(self, grid, steps_per_span, n_steps, tol,
+                                                                 monkeypatch):
+        # dense phi is out of reach here; the truth is the same product at 20
+        # more Krylov dimensions, and each residual term at dimension 30
+        cfg = RunConfig(grid=grid, form="tran", order=4, tf=n_steps * TIMESPAN / steps_per_span, krylov_tol=tol)
+        _, prob, stepper, u0 = build_study(cfg)
+        products, terms = self.ledger(monkeypatch, stepper, prob, u0, cfg.t0, cfg.tf, n_steps, cfg.krylov())
+
+        # products on one vector come one after another, so a context, which
+        # holds one (operator, vector) pair, builds each vector's truth once
+        product_ctx, term_ctx = EvalContext(), EvalContext()
+
+        def exact_term(expr, L, h, v):
+            return apply_tree(expr, v, lambda k, c: fixed_dimension_product(term_ctx, L, k, c * h, v, 30))
+
+        rows = self.check(
+            products, terms, cfg.krylov(),
+            lambda L, k, tau, v, m: fixed_dimension_product(product_ctx, L, k, tau, v, m + 20), exact_term)
+        assert len(rows) == tableau(4).s * n_steps
 
 
 class TestStabilityDiagnostic:
