@@ -299,11 +299,12 @@ def _fine_and_coarse(stepper, problem, u0, t0, tf, n_fine, kcfg):
 def reference_solution(cfg: RunConfig, problem: SplitProblem | None = None, u0=None) -> ReferenceSolution:
     """Fine-step reference at h_ref = (smallest study step) / 32.
 
-    Computed with the order-4 transformed method (full Jacobian) at
-    tolerance 1e-13 and validated against the run at 2 h_ref, which runs at
-    the same time in a forked child (module docstring); the study applies
-    the gate once its errors are known.  A single-partition problem and
-    initial state may be injected (used by tests with known solutions).
+    Computed with the order-4 transformed method (full Jacobian) at its own
+    Krylov settings, tolerance 1e-13 and m_max 100, whatever the study's,
+    and validated against the run at 2 h_ref, which runs at the same time in
+    a forked child (module docstring); the study applies the gate once its
+    errors are known.  A single-partition problem and initial state may be
+    injected (used by tests with known solutions).
     """
     if problem is None:
         model, u0 = study_model(cfg)
@@ -313,7 +314,7 @@ def reference_solution(cfg: RunConfig, problem: SplitProblem | None = None, u0=N
     problem.build_operators(u0)  # fills the problem's caches, which the child then shares
     ref_stepper = pexprk_stepper(4)
     n_fine = max(cfg.steps) * REFERENCE_REFINEMENT
-    kcfg = KrylovConfig(tol=REFERENCE_TOL, m_max=cfg.krylov_mmax)
+    kcfg = KrylovConfig(tol=REFERENCE_TOL)
     start = time.perf_counter()
     with _one_blas_thread():  # both runs, and the gap's BLAS ddot
         try:

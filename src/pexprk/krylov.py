@@ -60,9 +60,9 @@ There is no
 sub-stepping in tau: a product that does not converge by m_max is returned
 with ``converged=False``.  A non-finite vector, basis or approximation
 raises KrylovError; the estimate's norm is taken with scaling, so a finite
-result whose squared norm overflows still gets a finite estimate.  Matvecs
-are counted only by the operator's own tally (``op.matvecs``); the engine
-records solves and Krylov dimensions.
+result whose squared norm overflows still gets a finite estimate.  The
+engine counts solves, Krylov dimensions and the matvecs that grow a
+factorization; a stepper counts the applies it makes itself.
 
 An ``EvalContext`` is the workspace of one integration: it adds up the
 run's counters and holds one (operator, vector) pair at a time, with that
@@ -170,7 +170,7 @@ class KrylovResult:
 
 @dataclass
 class KrylovStats:
-    matvecs: int = 0  # the operators' tallies, added by each step
+    matvecs: int = 0  # operator applies: factorization growth and the steps' own
     krylov_dim_total: int = 0
     solves: int = 0
 
@@ -394,7 +394,9 @@ def phi_times_vector(
     converged = False
     m_used = 0
     for m_target in _check_schedule(cfg.m_max):
+        m_before = state.m
         state.extend(m_target)
+        ctx.stats.matvecs += state.m - m_before  # one apply per new basis column
         m_eval = min(m_target, state.m)
         if m_eval <= m_used:
             break  # the factorization cannot grow any further

@@ -2,12 +2,12 @@
 
 Carriers for the linear parts of split right-hand sides: zeros, and
 compressed-row matrices (``SparseOperator``) for everything matrix-backed,
-such as the discrete Laplacian and the partition operators of the
-benchmark.  There are no composites: a sum of sparse operators is assembled
-as one sparse matrix.  Operators are immutable after construction; the only
-mutable state is a per-operator matvec tally.  An operator may be declared
-``symmetric`` where it is built; the Krylov engine then runs the Lanczos
-recurrence on it, and only then.  The declaration is trusted, not checked.
+such as the diffusion matrix and the partition operators of the benchmark.
+There are no composites: a sum of sparse operators is assembled as one
+sparse matrix.  Operators are immutable: the code that applies one counts
+its matvecs.  An operator may be declared ``symmetric`` where it is built;
+the Krylov engine then runs the Lanczos recurrence on it, and only then.
+The declaration is trusted, not checked.
 """
 
 import numpy as np
@@ -19,13 +19,8 @@ class OperatorContractError(ValueError):
 
 
 class LinearOperator:
-    """Abstract matrix-free operator: a dimension plus apply-to-vector.
-
-    ``apply`` increments a per-operator matvec counter readable as
-    ``op.matvecs``.
-    In CPython the plain-int tally is safe under concurrent apply calls.
-    ``symmetric`` declares that the matrix equals its transpose.
-    """
+    """Abstract matrix-free operator: a dimension plus apply-to-vector;
+    ``symmetric`` declares that the matrix equals its transpose."""
 
     kind = "abstract"
     symmetric = False
@@ -34,11 +29,6 @@ class LinearOperator:
         if dim < 0:
             raise OperatorContractError(f"operator dimension must be >= 0, got {dim}")
         self.dim = dim
-        self._matvecs = 0
-
-    @property
-    def matvecs(self) -> int:
-        return self._matvecs
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """L v as a fresh array, which the caller may overwrite: the Krylov
@@ -48,7 +38,6 @@ class LinearOperator:
             raise OperatorContractError(
                 f"{self.kind} operator of dim {self.dim} applied to vector of shape {v.shape}"
             )
-        self._matvecs += 1
         return self._apply(v)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
@@ -88,23 +77,3 @@ class ZeroOperator(LinearOperator):
 
     def _apply(self, v):
         return np.zeros_like(v)
-
-
-def laplacian_2d_periodic(n: int, d: float) -> SparseOperator:
-    """Five-point Laplacian on an n x n periodic grid over the unit square.
-
-    Spacing is 1/n (cell centers), so the stencil carries a factor d * n**2.
-    Grid nodes are row-major: flat index = iy * n + ix.
-    """
-    if n < 3:
-        raise OperatorContractError(f"grid side must be >= 3, got {n}")
-    ring = scipy.sparse.diags(
-        [np.full(n - 1, 1.0), np.full(n, -2.0), np.full(n - 1, 1.0)], [-1, 0, 1], format="lil"
-    )
-    ring[0, n - 1] = 1.0
-    ring[n - 1, 0] = 1.0
-    ring = scipy.sparse.csr_matrix(ring)
-    eye = scipy.sparse.identity(n, format="csr")
-    lap = scipy.sparse.kron(eye, ring) + scipy.sparse.kron(ring, eye)
-    return SparseOperator(lap * (d * n * n), symmetric=True)
-

@@ -76,12 +76,12 @@ Each method is one step function.  With its tableau bound
 its partition operators frozen at u_n (``SplitProblem.build_operators``),
 never rebuilding them within stages, and adds its own counters to
 ctx.stats, matvecs included, so a direct call on a fresh context reports
-what the step adds to an integration's.  Its matvecs are the operators'
-tallies less their values when it built them, summed over distinct
-operators: a builder that returns the same operator every step reports each
-step's own count, and one operator that serves two partitions counts once.
-All phi applications run matrix-free through the Krylov engine, on the
-integration's one EvalContext (``krylov``).
+what the step adds to an integration's.  Each matvec is counted where it is
+made: the Krylov engine counts those that grow a factorization, and the step
+those it makes itself (L y_n and L Y_i in the original form, L_p X in the
+partitioned residual, L_p (U - u_n) in the residual form) through
+``_matvec``.  All phi applications run matrix-free through the Krylov
+engine, on the integration's one EvalContext (``krylov``).
 """
 
 import math
@@ -203,13 +203,13 @@ def _residual_cfg(cfg: KrylovConfig, f_norm: float, r_norm: float) -> KrylovConf
     return replace(cfg, tol=max(cfg.tol, min(cfg.tol * (f_norm / r_norm), _RESIDUAL_TOL_CAP)))
 
 
-def _matvecs(ops) -> int:
-    """The summed tallies of the distinct operators in ops: one operator that
-    serves two partitions counts once."""
-    return sum(op.matvecs for op in {id(op): op for op in ops}.values())
+def _matvec(L, v, ctx):
+    """L v, a matvec the step makes itself, counted in ctx.stats."""
+    ctx.stats.matvecs += 1
+    return L.apply(v)
 
 
-def _forward_substitution(t, ops, tally, fns, residual, supports, u_n, h, cfg, ctx):
+def _forward_substitution(t, ops, fns, residual, supports, u_n, h, cfg, ctx):
     """One step of the recursion in the module docstring, by vector, on the
     partition operators ops, with f_p(u_n) = fns[p] and r_{p,i} =
     residual(p, U_i, X_i^p), all on partition p's support.  A row's sum (a
@@ -218,13 +218,9 @@ def _forward_substitution(t, ops, tally, fns, residual, supports, u_n, h, cfg, c
     A stage residual that overflows fails the step, naming its stage and
     partition, without a floating-point warning.  The products on f_p(u_n)
     meet cfg.tol; those on r_{p,j} meet the tolerance of ``_residual_cfg``,
-    relative to the row's leading term, and a zero r_{p,j} takes no product.
-    The distinct operators' tallies less ``tally``, their sum when the step
-    built them, are the step's only matvec count (Krylov plus direct
-    applies) and are added to ctx.stats."""
+    relative to the row's leading term, and a zero r_{p,j} takes no product."""
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
-    ctx = ctx if ctx is not None else EvalContext()
     rows = [(t.c[i], t.a[i], f"stage {i + 1}", f"coefficient a[{i + 1}]") for i in range(1, t.s)]
     rows.append((1.0, t.b, "update", "weight b"))
     parts = range(len(ops))
@@ -261,7 +257,6 @@ def _forward_substitution(t, ops, tally, fns, residual, supports, u_n, h, cfg, c
     acc = np.zeros_like(u_n)
     for p in parts:
         acc[supports[p]] = acc[supports[p]] + x[p][-1]
-    ctx.stats.matvecs += _matvecs(ops) - tally
     return u_n + h * acc
 
 
@@ -275,16 +270,16 @@ def step_exprk_original(
 ) -> np.ndarray:
     if prob.partitions != 1:
         raise ValueError("the original form takes a single-partition problem")
+    ctx = ctx if ctx is not None else EvalContext()
     (L,) = ops = prob.build_operators(y_n)
-    tally = L.matvecs
     f = prob.f_parts[0]
     fn = f(y_n)
-    gn = fn - L.apply(y_n)
+    gn = fn - _matvec(L, y_n, ctx)
 
     def residual(p, y_i, x):
-        return f(y_i) - L.apply(y_i) - gn  # g(Y_i) - g(y_n), g = f - L y
+        return f(y_i) - _matvec(L, y_i, ctx) - gn  # g(Y_i) - g(y_n), g = f - L y
 
-    return _forward_substitution(t, ops, tally, [fn], residual, _FULL, y_n, h, cfg, ctx)
+    return _forward_substitution(t, ops, [fn], residual, _FULL, y_n, h, cfg, ctx)
 
 
 def step_pexprk(
@@ -295,17 +290,17 @@ def step_pexprk(
     cfg: KrylovConfig,
     ctx: EvalContext | None = None,
 ) -> np.ndarray:
+    ctx = ctx if ctx is not None else EvalContext()
     ops = prob.build_operators(u_n)
-    tally = _matvecs(ops)
     fns = [fp(u_n) for fp in prob.f_parts]
 
     def residual(p, u_i, x):
         r = prob.f_parts[p](u_i) - fns[p]
         if ops[p].kind != "zero":
-            r -= h * ops[p].apply(x)
+            r -= h * _matvec(ops[p], x, ctx)
         return r
 
-    return _forward_substitution(t, ops, tally, fns, residual, prob.supports, u_n, h, cfg, ctx)
+    return _forward_substitution(t, ops, fns, residual, prob.supports, u_n, h, cfg, ctx)
 
 
 def step_pexprk2_residual(
@@ -330,7 +325,6 @@ def step_pexprk2_residual(
         raise ValueError(f"step size must be positive, got {h}")
     ctx = ctx if ctx is not None else EvalContext()
     ops = prob.build_operators(u_n)
-    tally = _matvecs(ops)
     fns = [fp(u_n) for fp in prob.f_parts]
     supports = prob.supports
 
@@ -351,7 +345,7 @@ def step_pexprk2_residual(
         )
         residual = prob.f_parts[p](u_2) - fns[p]
         if ops[p].kind != "zero":
-            residual -= ops[p].apply(du[supports[p]])
+            residual -= _matvec(ops[p], du[supports[p]], ctx)
         out = out + h * crossed
         r_norm = _scaled_norm(residual)
         if r_norm:  # a zero residual adds nothing
@@ -359,7 +353,6 @@ def step_pexprk2_residual(
                 ops[p], 2, h, residual, _residual_cfg(cfg, _scaled_norm(fns[p]), r_norm), ctx,
                 f"update, residual term, partition {p + 1}",
             )
-    ctx.stats.matvecs += _matvecs(ops) - tally
     return out
 
 

@@ -484,7 +484,7 @@ class TestConcurrentReference:
         ref = reference_solution(cfg)
         model, u0 = study_model(cfg)
         problem = gs_unpartitioned(model)
-        kcfg = KrylovConfig(tol=harness.REFERENCE_TOL, m_max=cfg.krylov_mmax)
+        kcfg = KrylovConfig(tol=harness.REFERENCE_TOL)  # the reference's own settings
         with harness._one_blas_thread():
             fine, coarse = (integrate_fixed(pexprk_stepper(4), problem, u0, cfg.t0, cfg.tf, n, kcfg)
                             for n in (32, 16))
@@ -779,13 +779,17 @@ class TestCli:
         assert "configuration error" in proc.stderr
 
     def test_numerical_failure_exit_code(self, main):
-        # a Krylov cap far below what the problem needs fails every product
+        # a Krylov cap far below what the problem needs fails every study
+        # product; the reference keeps its own m_max and integrates, so the
+        # failure is the study's, named down to its partition
         proc = main(
             "run", "--grid", "16", "--partition", "physics", "--order", "2",
             "--form", "part", "--steps-pow2", "1:2", "--krylov-mmax", "2",
         )
         assert proc.returncode == 3
         assert "numerical failure" in proc.stderr
+        assert "every step size failed" in proc.stderr and "partition" in proc.stderr
+        assert "reference integration failed" not in proc.stderr
 
     def test_unknown_config_key_exit_code(self, tmp_path, main):
         # flags are the only source: there is no config file to read

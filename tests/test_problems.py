@@ -1,7 +1,7 @@
 import hashlib
 import math
 import pickle
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ import scipy.sparse
 
 from pexprk import problems
 from pexprk.krylov import KrylovConfig
-from pexprk.operators import SparseOperator, ZeroOperator, laplacian_2d_periodic
+from pexprk.operators import SparseOperator, ZeroOperator
 from pexprk.phi import expm_dense
 from pexprk.problems import (
     DESK_GRID,
@@ -51,10 +51,32 @@ def fd_jacobian(f, u, eps=1e-6):
     return out
 
 
+@lru_cache(maxsize=None)
+def stencil_entries(n):
+    """Independent oracle: the periodic five-point stencil on an n x n grid
+    with unit spacing and coefficient, assembled entry by entry, grid nodes
+    row-major (flat index iy * n + ix).  Read-only arrays of the entries'
+    rows, columns and values."""
+    entries = []
+    for iy in range(n):
+        for ix in range(n):
+            row = iy * n + ix
+            entries.append((row, row, -4.0))
+            for col in (iy * n + (ix + 1) % n, iy * n + (ix - 1) % n, ((iy + 1) % n) * n + ix, ((iy - 1) % n) * n + ix):
+                entries.append((row, col, 1.0))
+    arrays = tuple(np.array(column) for column in zip(*entries))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def reference_stencil(m, d):
-    """One species' periodic five-point stencil scaled by d / spacing**2: the
-    operator builder's unit-square stencil with its n**2 divided back out."""
-    return laplacian_2d_periodic(m.n, 1.0).matrix * (1 / m.n**2) * m.stencil_scale(d)
+    """One species' periodic five-point stencil scaled by d / spacing**2, as
+    CSR with sorted indices, from the entrywise oracle."""
+    rows, cols, values = stencil_entries(m.n)
+    stencil = scipy.sparse.csr_matrix((values * m.stencil_scale(d), (rows, cols)), shape=(m.cells, m.cells))
+    stencil.sort_indices()
+    return stencil
 
 
 def reference_jacobian_parts(m, u):
@@ -148,6 +170,63 @@ class TestModel:
             GrayScottModel(n=8, feed=-1.0)
 
 
+class TestDiffusionMatrix:
+    """``_diffusion_csr``: each species' stencil on the block diagonal."""
+
+    @pytest.mark.parametrize("n", [7, 8, 14, 27])
+    @pytest.mark.parametrize("spacing", ["unit", "1/n"])
+    def test_equals_entrywise_stencil_with_zero_row_sums(self, n, spacing):
+        # the stencil's integer entries scaled once: exact at every grid side,
+        # not only where 1/n**2 is a power of two
+        m = GrayScottModel(n=n, spacing=1.0 if spacing == "unit" else 1.0 / n)
+        got = _diffusion_csr(m)
+        want = scipy.sparse.block_diag([reference_stencil(m, m.d_a), reference_stencil(m, m.d_b)], format="csr")
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+        # each row's exact sum, which no rounding of the summation hides
+        assert all(math.fsum(row) == 0.0 for row in np.split(got.data, got.indptr[1:-1]))
+
+    def test_constant_vector_maps_to_zero(self):
+        # to the rounding of the row's running sum, on entries up to 8 * 3.7
+        m = GrayScottModel(n=5)
+        assert np.max(np.abs(_diffusion_csr(m) @ np.full(m.dim, 3.7))) <= 1e-13
+
+    def test_stencil_on_unit_vector(self):
+        m = GrayScottModel(n=4, spacing=0.25)
+        for species, d in enumerate((m.d_a, m.d_b)):
+            e0 = np.zeros(m.dim)
+            e0[species * m.cells] = 1.0
+            out = _diffusion_csr(m) @ e0
+            scale = d * 16  # d / dx^2
+            assert out[species * m.cells] == -4.0 * scale
+            for neighbor in [1, 3, 4, 12]:  # +x, -x (wrap), +y, -y (wrap)
+                assert out[species * m.cells + neighbor] == scale
+            assert np.count_nonzero(out) == 5
+
+    def test_matches_entrywise_reference(self):
+        m = GrayScottModel(n=5, d_a=1.3, d_b=0.7, spacing=0.5)
+        dense = np.zeros((m.cells, m.cells))
+        rows, cols, values = stencil_entries(m.n)
+        np.add.at(dense, (rows, cols), values)
+        zero = np.zeros_like(dense)
+        want = np.block([[dense * (1.3 / 0.25), zero], [zero, dense * (0.7 / 0.25)]])
+        assert np.array_equal(_diffusion_csr(m).toarray(), want)
+
+    def test_fourier_eigenvector(self):
+        n = 8
+        m = GrayScottModel(n=n, d_a=2.0, spacing=1.0 / n)
+        ix = np.tile(np.arange(n), n)  # varies along x within each row
+        v = np.concatenate([np.cos(2 * np.pi * ix / n), np.zeros(m.cells)])
+        lam = m.d_a * (2 * np.cos(2 * np.pi / n) - 2.0) * n * n
+        assert np.max(np.abs(_diffusion_csr(m) @ v - lam * v)) <= 1e-9 * abs(lam)
+
+    def test_small_grid_rejected(self):
+        # the five-point stencil needs three nodes a side: at n = 2 the
+        # periodic neighbours on either side coincide
+        with pytest.raises(ValueError, match="grid side must be >= 3"):
+            GrayScottModel(n=2)
+
+
 class TestInitialState:
     def test_formula_values_at_cell_centers(self):
         m = gs_default(n=4)
@@ -222,9 +301,7 @@ class TestPartitions:
         want, _ = reference_jacobian_parts(m, u0)
         for attr in ("data", "indices", "indptr"):
             assert getattr(first.matrix, attr).tobytes() == getattr(want, attr).tobytes()
-        # a new operator per step, so each step's matvec tally starts at zero
-        first.apply(u0)
-        assert second is not first and second.matvecs == 0
+        assert second is not first  # a new operator per step
 
     @pytest.mark.parametrize("name", ["species", "space", "physics", "imex"])
     def test_parts_sum_to_full_rhs(self, small_model, name):
@@ -333,15 +410,15 @@ class TestPartitions:
         # every part's and block's declaration is its matrix's byte symmetry
         m = GrayScottModel(n=n, spacing=1.0 if spacing == "unit" else 1.0 / n)
         for u in reference_states(m):
-            ops = [gs_full_jacobian(m, u), laplacian_2d_periodic(n, m.d_a)]
+            ops = [gs_full_jacobian(m, u)]
             for name in PARTITION_NAMES:
                 ops += [op for op in gs_partition(m, name).build_operators(u) if op.kind != "zero"]
                 ops += gs_unpartitioned(m, name).build_operators(u)
             declared = [op.symmetric for op in ops]
             assert declared == [byte_symmetric(op.matrix) for op in ops]
-            # the Laplacian, the species parts and block, the physics and imex
-            # diffusion and the imex block
-            assert sum(declared) == 7
+            # the species parts and block, the physics and imex diffusion and
+            # the imex block
+            assert sum(declared) == 6
 
     @pytest.mark.parametrize("name", ["species", "physics", "imex"])
     def test_stiff_lanczos_matches_arnoldi(self, name):

@@ -7,7 +7,7 @@ from pexprk import coeffexpr, steppers
 from pexprk.coeffexpr import Phi, Scale, Sum, eval_dense
 from pexprk.harness import RunConfig, build_study
 from pexprk.krylov import EvalContext, KrylovConfig, KrylovError, KrylovStats
-from pexprk.operators import SparseOperator, ZeroOperator
+from pexprk.operators import LinearOperator, SparseOperator, ZeroOperator
 from pexprk.phi import expm_dense, phi_dense_times_vector, phi_scalar
 from pexprk.problems import (
     PARTITION_NAMES,
@@ -51,9 +51,27 @@ def step_transformed(t, L, f, y, h, cfg):
 
 
 def frozen(prob, ops):
-    """prob with its operators fixed to the pre-built ops, so the caller can
-    read their tallies and identities after a step."""
+    """prob with its operators fixed to the pre-built ops, so the caller
+    knows their identities."""
     return SplitProblem(prob.dim, prob.f_parts, tuple(lambda u, op=op: op for op in ops), supports=prob.supports)
+
+
+@pytest.fixture
+def applies(monkeypatch):
+    """The operators that LinearOperator.apply is called on, in call order.
+    Each call must leave the operator's attributes as they were."""
+    seen = []
+    apply = LinearOperator.apply
+
+    def spy(op, v):
+        before = dict(vars(op))
+        out = apply(op, v)
+        assert vars(op).keys() == before.keys() and all(vars(op)[k] is before[k] for k in before)
+        seen.append(op)
+        return out
+
+    monkeypatch.setattr(LinearOperator, "apply", spy)
+    return seen
 
 
 def dense_partitioned_step(tt, mats, f_parts, y, h):
@@ -163,7 +181,7 @@ class TestPartitionedForm:
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     @pytest.mark.parametrize("shape", ["implicit", "imex", "explicit"])
-    def test_forward_substitution_matches_transformed_trees(self, order, shape):
+    def test_forward_substitution_matches_transformed_trees(self, order, shape, applies):
         # two partitions with non-commuting operators (the linear term and
         # the Jacobian of the remainder); imex zeroes the second, explicit both
         orc = oracle_semilinear(10, seed=19)
@@ -178,11 +196,10 @@ class TestPartitionedForm:
         h = 0.04
         ops = prob.build_operators(orc.u0)
         got = step_pexprk(tableau(order), frozen(prob, ops), orc.u0, h, TIGHT)
-        # densified from fresh operators: to_dense advances the matvec tally
-        mats = [op.to_dense() for op in prob.build_operators(orc.u0)]
+        assert all(op.kind != "zero" for op in applies)  # a zero operator takes no matvec
+        mats = [op.to_dense() for op in ops]
         want = dense_partitioned_step(transformed(order), mats, base.f_parts, orc.u0, h)
         assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
-        assert all(op.matvecs == 0 for op in ops if op.kind == "zero")
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_all_zero_operators_degenerate_to_classical(self, order):
@@ -239,7 +256,7 @@ class TestPartitionedForm:
         b = step_pexprk2_residual(prob, orc.u0, h, TIGHT)
         assert np.linalg.norm(a - b) <= 1e-13
 
-    def test_residual_form_never_applies_a_zero_operator(self):
+    def test_residual_form_never_applies_a_zero_operator(self, applies):
         # an explicitly treated partition's L_p (U - u_n) is zero and takes no matvec
         model = gs_default(n=8)
         prob = gs_partition(model, "imex")
@@ -247,7 +264,7 @@ class TestPartitionedForm:
         ops = prob.build_operators(u0)
         assert [op.kind for op in ops] == ["sparse", "zero"]
         step_pexprk2_residual(frozen(prob, ops), u0, 1e-3, TIGHT)
-        assert ops[1].matvecs == 0 and ops[0].matvecs > 0
+        assert ops[1] not in applies and ops[0] in applies
 
     @pytest.mark.parametrize("name", ["species", "space"])
     def test_residual_form_on_disjoint_supports(self, name):
@@ -321,8 +338,8 @@ class TestIntegrateFixed:
         ids=["orig-full", "tran-full", "part-species", "residual-species"],
     )
     def test_direct_step_reports_the_integration_counters(self, step, stepper, split):
-        # each step builds its own operators and writes its own matvec tally,
-        # so a direct call counts what an integration step counts
+        # each step builds its own operators and adds its own counters, so a
+        # direct call counts what an integration step counts
         model = gs_default(n=8)
         prob = gs_unpartitioned(model) if split is None else gs_partition(model, split)
         u0, h, cfg = gs_initial(model), 0.01, KrylovConfig()
@@ -361,9 +378,9 @@ class TestIntegrateFixed:
         "stepper", [original_stepper(3), pexprk_stepper(3), step_pexprk2_residual], ids=["orig", "part", "residual"]
     )
     def test_shared_operator_reports_each_steps_matvecs(self, stepper):
-        # a step counts the applies made since it built its operators, so a
-        # builder that returns one operator every step reports what a builder
-        # of a fresh operator per step does
+        # a step counts the applies it makes, so a builder that returns one
+        # operator every step reports what a builder of a fresh operator per
+        # step does
         rng = np.random.default_rng(0)
         a = rng.normal(size=(9, 9)) / 3.0 - 2.0 * np.eye(9)
         u0 = rng.uniform(-1, 1, size=9)
@@ -378,8 +395,8 @@ class TestIntegrateFixed:
 
     @pytest.mark.parametrize("stepper", [pexprk_stepper(3), step_pexprk2_residual], ids=["part", "residual"])
     def test_operator_serving_two_partitions_counts_once(self, stepper):
-        # a step sums the tallies of its distinct operators, so one operator
-        # built for both halves of a split reports what two operators do
+        # each apply counts once, so one operator built for both halves of a
+        # split reports what two operators do
         rng = np.random.default_rng(0)
         a = rng.normal(size=(9, 9)) / 3.0 - 2.0 * np.eye(9)
         u0 = rng.uniform(-1, 1, size=9)
@@ -389,6 +406,42 @@ class TestIntegrateFixed:
                 for builders in ([lambda u: one] * 2, [lambda u: SparseOperator(a / 2)] * 2)]
         assert np.array_equal(runs[0].state, runs[1].state)
         assert runs[0].stats == runs[1].stats and runs[0].stats.matvecs > 0
+
+    @pytest.mark.parametrize(
+        "stepper, case",
+        [
+            (original_stepper(4), "full"),
+            (pexprk_stepper(4), "full"),
+            (pexprk_stepper(4), "species"),
+            (step_pexprk2_residual, "species"),
+            (original_stepper(3), "shared-operator"),
+            (pexprk_stepper(3), "shared-operators"),
+            (step_pexprk2_residual, "shared-operators"),
+            (pexprk_stepper(3), "one-operator-two-partitions"),
+            (step_pexprk2_residual, "one-operator-two-partitions"),
+        ],
+        ids=["orig-full", "tran-full", "part-species", "residual-species", "orig-shared-operator",
+             "part-shared-operators", "residual-shared-operators", "part-one-operator-two-partitions",
+             "residual-one-operator-two-partitions"],
+    )
+    def test_matvecs_count_every_apply(self, stepper, case, applies):
+        # every apply, in the Krylov engine or in the step itself, is counted
+        # once, by the code that makes it, and leaves its operator as it was;
+        # the last five cases take the builders of the two tests above
+        if case in ("full", "species"):
+            model = gs_default(n=8)
+            u0, tf = gs_initial(model), 0.02
+            prob = gs_unpartitioned(model) if case == "full" else gs_partition(model, case)
+        else:
+            rng = np.random.default_rng(0)
+            a = rng.normal(size=(9, 9)) / 3.0 - 2.0 * np.eye(9)
+            u0, tf = rng.uniform(-1, 1, size=9), 1.0
+            mats = {"shared-operator": [a], "shared-operators": [np.tril(a), np.triu(a, 1)]}.get(case, [a / 2] * 2)
+            shared = [lambda u, op=SparseOperator(mat): op for mat in mats]
+            builders = [shared[0]] * 2 if case == "one-operator-two-partitions" else shared
+            prob = SplitProblem(9, [lambda u, mat=mat: mat @ u for mat in mats], builders)
+        res = integrate_fixed(stepper, prob, u0, 0.0, tf, 2, KrylovConfig())
+        assert len(applies) == res.stats.matvecs > 0
 
     @pytest.mark.parametrize("make", [original_stepper, pexprk_stepper])
     def test_linear_many_steps_exact(self, make):
