@@ -374,6 +374,8 @@ def phi_times_vector(
     Each reduced evaluation computes phi_1 .. phi_p (p >= k, default k) of
     the reduced matrix and keeps them on the shared Arnoldi state, so that
     solves of other indices up to p on (L, v) at the same tau reuse them.
+    At tau = 0, or on an operator with no entries (``L.zero``), the product
+    is phi_k(0) v = v / k!, with no Krylov dimension and no matvec.
     """
     if k < 1:
         raise ValueError(f"phi index must be >= 1 for the Krylov route, got {k}")
@@ -381,7 +383,7 @@ def phi_times_vector(
     v = np.asarray(v, dtype=float)
     if v.shape != (L.dim,):
         raise ValueError(f"vector of shape {v.shape} does not match operator dim {L.dim}")
-    if tau == 0.0 or L.kind == "zero":
+    if tau == 0.0 or L.zero:
         w = v / math.factorial(k)
         return _record(ctx, KrylovResult(w, 0, 0.0, True))
 

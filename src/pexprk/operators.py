@@ -1,13 +1,16 @@
-"""Matrix-free linear operators.
+"""Linear operators.
 
-Carriers for the linear parts of split right-hand sides: zeros, and
-compressed-row matrices (``SparseOperator``) for everything matrix-backed,
-such as the diffusion matrix and the partition operators of the benchmark.
-There are no composites: a sum of sparse operators is assembled as one
-sparse matrix.  Operators are immutable: the code that applies one counts
-its matvecs.  An operator may be declared ``symmetric`` where it is built;
-the Krylov engine then runs the Lanczos recurrence on it, and only then.
-The declaration is trusted, not checked.
+The linear part of each piece of a split right-hand side is one type,
+``LinearOperator``: a square compressed-row matrix, such as the diffusion
+matrix and the partition operators of the benchmark.  There are no
+composites: a sum of operators is assembled as one sparse matrix.  A matrix
+with no entries is the zero operator of an explicitly treated partition;
+its ``zero`` flag, set at construction, lets the Krylov engine take
+phi_k(0) v = v / k! and the steppers skip its matvecs.  Operators are
+immutable: the code that applies one counts its matvecs.  An operator may
+be declared ``symmetric`` where it is built; the Krylov engine then runs
+the Lanczos recurrence on it, and only then.  The declaration is trusted,
+not checked.
 """
 
 import numpy as np
@@ -19,61 +22,27 @@ class OperatorContractError(ValueError):
 
 
 class LinearOperator:
-    """Abstract matrix-free operator: a dimension plus apply-to-vector;
-    ``symmetric`` declares that the matrix equals its transpose."""
+    """A square CSR matrix; O(nnz) apply.  ``symmetric=True`` declares the
+    matrix equal to its transpose (the caller's guarantee); ``zero`` holds
+    when the matrix stores no entries."""
 
-    kind = "abstract"
-    symmetric = False
-
-    def __init__(self, dim: int):
-        if dim < 0:
-            raise OperatorContractError(f"operator dimension must be >= 0, got {dim}")
-        self.dim = dim
+    def __init__(self, matrix, symmetric: bool = False):
+        matrix = scipy.sparse.csr_matrix(matrix)
+        if matrix.shape[0] != matrix.shape[1]:
+            raise OperatorContractError(f"operator needs a square matrix, got {matrix.shape}")
+        self.matrix = matrix
+        self.dim = matrix.shape[0]
+        self.symmetric = symmetric
+        self.zero = matrix.nnz == 0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """L v as a fresh array, which the caller may overwrite: the Krylov
         engine orthogonalizes it in place."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim,):
-            raise OperatorContractError(
-                f"{self.kind} operator of dim {self.dim} applied to vector of shape {v.shape}"
-            )
-        return self._apply(v)
-
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+            raise OperatorContractError(f"operator of dim {self.dim} applied to vector of shape {v.shape}")
+        return self.matrix @ v
 
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense matrix (tests and small diagnostics only)."""
-        out = np.empty((self.dim, self.dim))
-        e = np.zeros(self.dim)
-        for j in range(self.dim):
-            e[j] = 1.0
-            out[:, j] = self.apply(e)
-            e[j] = 0.0
-        return out
-
-
-class SparseOperator(LinearOperator):
-    """Compressed-sparse-row operator; O(nnz) apply.  ``symmetric=True``
-    declares the matrix equal to its transpose (the caller's guarantee)."""
-
-    kind = "sparse"
-
-    def __init__(self, matrix, symmetric: bool = False):
-        matrix = scipy.sparse.csr_matrix(matrix)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise OperatorContractError(f"sparse operator needs a square matrix, got {matrix.shape}")
-        super().__init__(matrix.shape[0])
-        self.matrix = matrix
-        self.symmetric = symmetric
-
-    def _apply(self, v):
-        return self.matrix @ v
-
-
-class ZeroOperator(LinearOperator):
-    kind = "zero"
-
-    def _apply(self, v):
-        return np.zeros_like(v)
+        return self.matrix.toarray()

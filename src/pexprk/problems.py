@@ -19,13 +19,14 @@ part explicit; the unsplit system is the one-part case.  One routine builds
 each object from the table.  ``_part_rhs`` gives a part's right-hand side
 on its support, run by run: each run lies in one species and reads its rows
 of the one diffusion matrix as a view.  ``_operator`` gives the operator of
-any set of parts at a state (zero for an explicit part), numbered over the
-union of their supports, from the full Jacobian's cached structure
-(``_gathered``); ``_assemble`` fills in its reaction values per state.  So
-each part's Krylov solves run in its own variables, ``gs_rhs`` and
-``gs_full_jacobian`` are the unsplit case, and ``gs_unpartitioned`` freezes
-the union of a split's implicit parts: a partition's block Jacobian, or the
-full Jacobian for the unsplit system.  Every builder is a
+any set of parts at a state (a matrix with no entries for an explicit
+part), numbered over the union of their supports, from the full Jacobian's
+cached structure (``_gathered``); ``_assemble`` fills in its reaction
+values per state.  So each part's Krylov solves run in its own variables,
+``gs_rhs`` and ``gs_full_jacobian`` are the unsplit case, and
+``gs_unpartitioned`` freezes the union of a split's implicit parts: a
+partition's block Jacobian, or the full Jacobian for the unsplit system.
+Every builder is a
 ``functools.partial`` of a module function, so every Gray-Scott problem
 pickles.  An operator is declared symmetric, and so runs Lanczos, unless it
 holds a cross-species reaction entry (-2ab or b^2).
@@ -37,8 +38,8 @@ from functools import lru_cache, partial
 import numpy as np
 import scipy.sparse
 
-from .operators import SparseOperator, ZeroOperator
-from .steppers import SplitProblem, unpartitioned_problem
+from .operators import LinearOperator
+from .steppers import SplitProblem
 
 TIMESPAN = 0.262144          # benchmark integration window [0, T]
 PAPER_SCALE_GRID = 300       # full-scale grid side
@@ -203,7 +204,7 @@ def _assemble(m: GrayScottModel, entries: tuple, u: np.ndarray):
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
-def gs_full_jacobian(m: GrayScottModel, u: np.ndarray) -> SparseOperator:
+def gs_full_jacobian(m: GrayScottModel, u: np.ndarray) -> LinearOperator:
     return _operator(m, None, (0,), u)
 
 
@@ -317,19 +318,20 @@ def _gathered(m: GrayScottModel, name, parts: tuple):
     terms = {term for _, carried, _ in chosen for term in carried}
     whole = all(isinstance(support, slice) and support == slice(None) for support, _, _ in chosen)
     if whole and terms == {"diffusion"}:  # one matrix, which no state changes
-        return lambda u: SparseOperator(_diffusion_csr(m), True)
+        return lambda u: LinearOperator(_diffusion_csr(m), True)
     entries = _jacobian_structure(m) if whole and terms == set(_BOTH) else _gather(m, chosen)
     symmetric = not any(np.arange(m.cells)[c].size for c in entries[4][1:3])
-    return lambda u: SparseOperator(_assemble(m, entries, u), symmetric)
+    return lambda u: LinearOperator(_assemble(m, entries, u), symmetric)
 
 
 def _operator(m: GrayScottModel, name, parts: tuple, u: np.ndarray):
     """The operator of split ``name``'s parts ``parts`` frozen at u, numbered
-    over the union of their supports; zero, of its support's size, for an
-    explicit part (which is built alone)."""
+    over the union of their supports; for an explicit part (which is built
+    alone), a matrix of its support's size with no entries."""
     support, _, implicit = _parts(m, name)[parts[0]]
     if not implicit:
-        return ZeroOperator(len(range(m.dim)[support]) if isinstance(support, slice) else support.size)
+        size = len(range(m.dim)[support]) if isinstance(support, slice) else support.size
+        return LinearOperator(scipy.sparse.csr_matrix((size, size)))
     return _gathered(m, name, parts)(u)
 
 
@@ -344,7 +346,6 @@ def gs_partition(m: GrayScottModel, name: str) -> SplitProblem:
     and operator on its support, in the support's own variables."""
     parts = _parts(m, _known(name))
     return SplitProblem(
-        m.dim,
         [partial(_part_rhs, m, name, p) for p in range(len(parts))],
         [partial(_operator, m, name, (p,)) for p in range(len(parts))],
         supports=[support for support, _, _ in parts],
@@ -359,7 +360,7 @@ def gs_unpartitioned(m: GrayScottModel, partition: str | None = None) -> SplitPr
     """
     parts = _parts(m, partition if partition is None else _known(partition))
     chosen = tuple(p for p, (_, _, implicit) in enumerate(parts) if implicit)
-    return unpartitioned_problem(m.dim, partial(gs_rhs, m), partial(_operator, m, partition, chosen))
+    return SplitProblem((partial(gs_rhs, m),), (partial(_operator, m, partition, chosen),))
 
 
 @dataclass
@@ -382,28 +383,28 @@ class SemilinearOracle:
     def f(self, u):
         return self.matrix @ u + self.g(u)
 
-    def jacobian(self, u) -> SparseOperator:
-        return SparseOperator(self.matrix + self.eps * np.diag(np.cos(u)))
+    def jacobian(self, u) -> LinearOperator:
+        return LinearOperator(self.matrix + self.eps * np.diag(np.cos(u)))
 
     def problem(self) -> SplitProblem:
-        return unpartitioned_problem(self.dim, self.f, self.jacobian)
+        return SplitProblem((self.f,), (self.jacobian,))
 
     def split_linear_nonlinear(self) -> SplitProblem:
         """Two-way split: the linear term and the smooth remainder."""
         return SplitProblem(
-            self.dim,
             (lambda u: self.matrix @ u, self.g),
             (
-                lambda u: SparseOperator(self.matrix),
-                lambda u: SparseOperator(scipy.sparse.diags(self.eps * np.cos(u)), symmetric=True),
+                lambda u: LinearOperator(self.matrix),
+                lambda u: LinearOperator(scipy.sparse.diags(self.eps * np.cos(u)), symmetric=True),
             ),
         )
 
     def split_all_explicit(self) -> SplitProblem:
-        """Two-way split with both operators zero (fully explicit treatment)."""
+        """Two-way split whose operators have no entries (fully explicit
+        treatment)."""
         base = self.split_linear_nonlinear()
-        zero = lambda u: ZeroOperator(self.dim)  # noqa: E731
-        return SplitProblem(self.dim, base.f_parts, (zero, zero))
+        zero = lambda u: LinearOperator(scipy.sparse.csr_matrix((self.dim, self.dim)))  # noqa: E731
+        return SplitProblem(base.f_parts, (zero, zero))
 
     def reference(self, t: float) -> np.ndarray:
         import scipy.integrate  # here, not at module level: only this test oracle integrates

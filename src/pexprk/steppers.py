@@ -23,9 +23,10 @@ differing only in the stage residual r_{p,j}:
 ``step_exprk_original``   P = 1 (a single-partition problem) and
     r_j = g(Y_j) - g(y_n), one matvec L Y_j;
 ``step_pexprk``           r_{p,j} = f_p(U_j) - f_p(u_n) - h L_p X_j^p.  A zero
-    operator (an explicitly treated partition) skips the L_p X matvec and
-    reduces to the classical Runge-Kutta method; with P = 1 this is the
-    unpartitioned transformed method.
+    operator (an explicitly treated partition: a matrix with no entries,
+    ``LinearOperator.zero``) skips the L_p X matvec, its phi products are
+    v / k!, and the partition reduces to the classical Runge-Kutta method;
+    with P = 1 this is the unpartitioned transformed method.
 
 A partition p may own only part of the state, its support S_p
 (``SplitProblem.supports``): f_p and L_p then act on S_p's variables alone,
@@ -117,11 +118,12 @@ class SplitProblem:
     ``slice(None)``, the whole state).  ``f_parts[p]`` maps the full state to
     the rows of f_p on its support, and ``operator_builders[p]`` maps a state
     u_n to the frozen linear operator L_p of that partition on its support
-    (possibly a zero operator for explicitly treated partitions).  f_p is zero
-    off its support, and the full right-hand side is the sum of the parts.
+    (a matrix with no entries, the zero operator, for an explicitly treated
+    partition).  f_p is zero off its support, and the full right-hand side is
+    the sum of the parts.  A single-partition problem serves the
+    unpartitioned forms.
     """
 
-    dim: int
     f_parts: tuple
     operator_builders: tuple
     supports: tuple | None = None
@@ -296,7 +298,7 @@ def step_pexprk(
 
     def residual(p, u_i, x):
         r = prob.f_parts[p](u_i) - fns[p]
-        if ops[p].kind != "zero":
+        if not ops[p].zero:
             r -= h * _matvec(ops[p], x, ctx)
         return r
 
@@ -344,7 +346,7 @@ def step_pexprk2_residual(
             ops[1 - p], 1, h, stage_terms[p][other], cfg, ctx, f"update, cross term, partition {p + 1}"
         )
         residual = prob.f_parts[p](u_2) - fns[p]
-        if ops[p].kind != "zero":
+        if not ops[p].zero:
             residual -= _matvec(ops[p], du[supports[p]], ctx)
         out = out + h * crossed
         r_norm = _scaled_norm(residual)
@@ -406,21 +408,17 @@ def integrate_fixed(
     return IntegrationResult(state=u, stats=ctx.stats)
 
 
-def unpartitioned_problem(dim, f, jacobian_builder) -> SplitProblem:
-    """Single-partition wrapper so the uniform steppers cover all forms."""
-    return SplitProblem(dim=dim, f_parts=(f,), operator_builders=(jacobian_builder,))
-
-
 def stability_matrix_spectral_radius(L1, L2, h: float) -> float:
     """Spectral radius of e^{h L1} + e^{h L2} - I, the two-partition
     exponential-Euler propagation matrix; a radius <= 1 + eps is the proxy
-    for power-boundedness.  Dense diagnostic for small operators only.
+    for power-boundedness.  Dense diagnostic for small operators only: the
+    dimension is checked before either operator is materialized.
     """
-    m1 = L1.to_dense() if isinstance(L1, LinearOperator) else np.asarray(L1, dtype=float)
-    m2 = L2.to_dense() if isinstance(L2, LinearOperator) else np.asarray(L2, dtype=float)
-    if m1.shape != m2.shape or m1.shape[0] != m1.shape[1]:
-        raise ValueError("operators must be square and of equal dimension")
-    if m1.shape[0] > 200:
+    L1, L2 = (L if isinstance(L, LinearOperator) else LinearOperator(np.asarray(L, dtype=float))
+              for L in (L1, L2))
+    if L1.dim != L2.dim:
+        raise ValueError("operators must be of equal dimension")
+    if L1.dim > 200:
         raise ValueError("stability diagnostic is restricted to dimension <= 200")
-    m = expm_dense(h * m1) + expm_dense(h * m2) - np.eye(m1.shape[0])
+    m = expm_dense(h * L1.to_dense()) + expm_dense(h * L2.to_dense()) - np.eye(L1.dim)
     return float(np.max(np.abs(np.linalg.eigvals(m))))

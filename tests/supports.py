@@ -5,7 +5,7 @@ before they ran in their own variables."""
 import numpy as np
 import scipy.sparse
 
-from pexprk.operators import SparseOperator
+from pexprk.operators import LinearOperator
 from pexprk.steppers import SplitProblem
 
 
@@ -32,17 +32,16 @@ def embedded_problem(prob):
     zero off their supports and operators embedded with their declarations."""
 
     def f_part(f, support):
-        return lambda u: embed(prob.dim, support, f(u))
+        return lambda u: embed(len(u), support, f(u))
 
     def builder(build, support):
         def embedded(u):
             op = build(u)
-            return SparseOperator(embedded_matrix(prob.dim, support, op), op.symmetric)
+            return LinearOperator(embedded_matrix(len(u), support, op), op.symmetric)
 
         return embedded
 
     return SplitProblem(
-        prob.dim,
         tuple(map(f_part, prob.f_parts, prob.supports)),
         tuple(map(builder, prob.operator_builders, prob.supports)),
     )

@@ -32,10 +32,10 @@ from pexprk.harness import (
     study_model,
 )
 from pexprk.krylov import EvalContext, KrylovConfig
-from pexprk.operators import SparseOperator
+from pexprk.operators import LinearOperator
 from pexprk.phi import expm_dense
 from pexprk.problems import PAPER_SCALE_GRID, PARTITION_NAMES, gs_rhs, gs_unpartitioned
-from pexprk.steppers import integrate_fixed, pexprk_stepper, step_pexprk2_residual, unpartitioned_problem
+from pexprk.steppers import SplitProblem, integrate_fixed, pexprk_stepper, step_pexprk2_residual
 
 
 def make_rows(errors, h0=0.5):
@@ -303,7 +303,7 @@ class TestStudy:
         rng = np.random.default_rng(14)
         a = rng.normal(size=(12, 12)) / 3.0 - 1.5 * np.eye(12)
         u0 = rng.uniform(-1, 1, size=12)
-        prob = unpartitioned_problem(12, lambda u: a @ u, lambda u: SparseOperator(a))
+        prob = SplitProblem((lambda u: a @ u,), (lambda u: LinearOperator(a),))
         cfg = RunConfig(grid=8, t0=0.0, tf=1.0, steps=(2, 4, 8))
         ref = reference_solution(cfg, problem=prob, u0=u0)
         exact = expm_dense(a) @ u0
@@ -353,14 +353,13 @@ class TestStudy:
     def test_zero_krylov_dims_for_all_explicit(self):
         # an imex-style run where even the diffusion operator is zeroed
         from pexprk.problems import gs_default, gs_initial, gs_partition
-        from pexprk.operators import ZeroOperator
         from pexprk.steppers import SplitProblem, integrate_fixed, pexprk_stepper
         from pexprk.krylov import KrylovConfig
 
         m = gs_default(n=8)
         base = gs_partition(m, "physics")
         prob = SplitProblem(
-            m.dim, base.f_parts, tuple(lambda u: ZeroOperator(m.dim) for _ in range(2))
+            base.f_parts, tuple(lambda u: LinearOperator(np.zeros((m.dim, m.dim))) for _ in range(2))
         )
         res = integrate_fixed(
             pexprk_stepper(2), prob, gs_initial(m), 0.0, 0.01, 4, KrylovConfig()
@@ -460,9 +459,9 @@ def probe_problem(nan_operator_in=(), f_fault=None):
         return a @ u
 
     def build(u):
-        return SparseOperator(a * np.nan if run() in nan_operator_in else a)
+        return LinearOperator(a * np.nan if run() in nan_operator_in else a)
 
-    return unpartitioned_problem(12, f, build), rng.uniform(-1, 1, size=12)
+    return SplitProblem((f,), (build,)), rng.uniform(-1, 1, size=12)
 
 
 PROBE_CFG = RunConfig(grid=8, t0=0.0, tf=1.0, steps=(1,))  # 32 fine and 16 coarse steps

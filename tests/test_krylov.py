@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -16,7 +17,7 @@ from pexprk.krylov import (
     default_check_schedule,
     phi_times_vector,
 )
-from pexprk.operators import SparseOperator, ZeroOperator
+from pexprk.operators import LinearOperator
 from pexprk.phi import phi_dense_times_vector, phi_scalar
 from pexprk.problems import TIMESPAN, GrayScottModel, gs_full_jacobian, gs_initial, gs_partition, gs_rhs
 
@@ -34,8 +35,8 @@ def symmetric_stable(rng, n, spread=20.0):
 
 
 def declared_symmetric(a):
-    """A SparseOperator declared symmetric on an exactly symmetric copy of a."""
-    return SparseOperator(0.5 * (a + a.T), symmetric=True)
+    """A LinearOperator declared symmetric on an exactly symmetric copy of a."""
+    return LinearOperator(0.5 * (a + a.T), symmetric=True)
 
 
 def dense_phi_reference(k, tau, a, v):
@@ -99,7 +100,7 @@ class TestKrylovConfig:
 class TestPhiTimesVector:
     def test_scaled_identity_converges_at_m1(self):
         cfg = KrylovConfig(tol=1e-12, m_max=20)
-        op = SparseOperator(scipy.sparse.diags(np.full(10, -3.0)), symmetric=True)
+        op = LinearOperator(scipy.sparse.diags(np.full(10, -3.0)), symmetric=True)
         rng = np.random.default_rng(0)
         v = rng.uniform(-1, 1, size=10)
         for k in [1, 2, 4]:
@@ -109,20 +110,24 @@ class TestPhiTimesVector:
 
     def test_zero_vector_short_circuits(self):
         cfg = KrylovConfig()
-        op = SparseOperator(np.eye(4))
+        op = LinearOperator(np.eye(4))
         ctx = EvalContext()
         res = phi_times_vector(op, 1, 0.5, np.zeros(4), cfg, ctx=ctx)
         assert res.converged and res.dim_used == 0 and ctx.stats.matvecs == 0
         assert np.array_equal(res.approximation, np.zeros(4))
 
-    def test_zero_operator_short_circuits(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), scipy.sparse.csr_matrix((4, 4))], ids=["dense", "csr"])
+    def test_zero_operator_short_circuits(self, k, matrix):
+        # a matrix that stores no entries: phi_k(0) v = v / k!, exactly
         cfg = KrylovConfig()
         v = np.arange(1.0, 5.0)
-        op = ZeroOperator(4)
+        op = LinearOperator(matrix)
         ctx = EvalContext()
-        res = phi_times_vector(op, 2, 0.3, v, cfg, ctx=ctx)
-        assert res.converged and res.dim_used == 0 and ctx.stats.matvecs == 0
-        assert np.allclose(res.approximation, v / 2.0)
+        res = phi_times_vector(op, k, 0.3, v, cfg, ctx=ctx)
+        assert op.zero and res.converged and res.dim_used == 0
+        assert ctx.stats.matvecs == 0 and ctx.stats.krylov_dim_total == 0
+        assert np.array_equal(res.approximation, v / math.factorial(k))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_dense_reference_40x40(self, k):
@@ -130,7 +135,7 @@ class TestPhiTimesVector:
         a = stable_dense(rng, 40)
         v = rng.uniform(-1, 1, size=40)
         cfg = KrylovConfig(tol=1e-10, m_max=60)
-        res = phi_times_vector(SparseOperator(a), k, 0.1, v, cfg)
+        res = phi_times_vector(LinearOperator(a), k, 0.1, v, cfg)
         ref = dense_phi_reference(k, 0.1, a, v)
         assert res.converged
         err = np.linalg.norm(res.approximation - ref) / np.linalg.norm(res.approximation)
@@ -140,7 +145,7 @@ class TestPhiTimesVector:
         # v supported on one 3x3 block: exact at M = 3 via lucky breakdown
         rng = np.random.default_rng(5)
         blocks = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(3)]
-        op = SparseOperator(scipy.linalg.block_diag(*blocks))
+        op = LinearOperator(scipy.linalg.block_diag(*blocks))
         v = np.zeros(9)
         v[3:6] = rng.uniform(-1, 1, size=3)
         cfg = KrylovConfig(tol=1e-12, m_max=30)
@@ -150,7 +155,7 @@ class TestPhiTimesVector:
         assert np.linalg.norm(res.approximation - ref) <= 1e-11 * np.linalg.norm(ref)
 
     def test_lucky_breakdown_diagonal(self):
-        op = SparseOperator(scipy.sparse.diags(np.full(6, -2.5)), symmetric=True)
+        op = LinearOperator(scipy.sparse.diags(np.full(6, -2.5)), symmetric=True)
         v = np.ones(6)
         res = phi_times_vector(op, 1, 1.0, v, KrylovConfig(tol=1e-12, m_max=10))
         assert res.converged and res.dim_used == 1 and res.est_error == 0.0
@@ -162,7 +167,7 @@ class TestPhiTimesVector:
         ref = dense_phi_reference(1, 0.5, a, v)
         errs = []
         for tol in [1e-4, 1e-6, 1e-8, 1e-10, 1e-12]:
-            res = phi_times_vector(SparseOperator(a), 1, 0.5, v, KrylovConfig(tol=tol, m_max=40))
+            res = phi_times_vector(LinearOperator(a), 1, 0.5, v, KrylovConfig(tol=tol, m_max=40))
             errs.append(np.linalg.norm(res.approximation - ref))
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse + 1e-15
@@ -171,7 +176,7 @@ class TestPhiTimesVector:
         rng = np.random.default_rng(8)
         a = stable_dense(rng, 40, shift=1.0) * 500.0
         v = rng.uniform(-1, 1, size=40)
-        res = phi_times_vector(SparseOperator(a), 1, 1.0, v, KrylovConfig(tol=1e-12, m_max=5))
+        res = phi_times_vector(LinearOperator(a), 1, 1.0, v, KrylovConfig(tol=1e-12, m_max=5))
         assert not res.converged
         assert res.dim_used == 5
         assert res.est_error > 1e-12
@@ -180,7 +185,7 @@ class TestPhiTimesVector:
         rng = np.random.default_rng(21)
         a = stable_dense(rng, 35)
         v = rng.uniform(-1, 1, size=35)
-        op = SparseOperator(a)
+        op = LinearOperator(a)
         ctx = EvalContext()
         res = phi_times_vector(op, 1, 0.4, v, KrylovConfig(tol=1e-8, m_max=30), ctx=ctx)
         state = ctx.arnoldi_state(op, v, 30)
@@ -194,9 +199,9 @@ class TestPhiTimesVector:
 
     def test_rejects_k0_and_mismatch(self):
         with pytest.raises(ValueError):
-            phi_times_vector(ZeroOperator(3), 0, 1.0, np.zeros(3), KrylovConfig())
+            phi_times_vector(LinearOperator(np.zeros((3, 3))), 0, 1.0, np.zeros(3), KrylovConfig())
         with pytest.raises(ValueError):
-            phi_times_vector(ZeroOperator(3), 1, 1.0, np.zeros(4), KrylovConfig())
+            phi_times_vector(LinearOperator(np.zeros((3, 3))), 1, 1.0, np.zeros(4), KrylovConfig())
 
 
 class TestSurrogateErrorEstimate:
@@ -211,7 +216,7 @@ class TestSurrogateErrorEstimate:
             rng = np.random.default_rng(seed)
             a = stable_dense(rng, n)
             v = rng.uniform(-1, 1, size=n)
-            state = _ArnoldiState(SparseOperator(a), v, n - 1)
+            state = _ArnoldiState(LinearOperator(a), v, n - 1)
             state.extend(n - 1)
             refs = {k: dense_phi_reference(k, tau, a, v) for k in checked}
             for m in range(2, state.m):
@@ -255,7 +260,7 @@ class TestOrthogonality:
     def case(name):
         if name == "dense":
             rng = np.random.default_rng(2)
-            return SparseOperator(stable_dense(rng, 200)), rng.uniform(-1, 1, size=200)
+            return LinearOperator(stable_dense(rng, 200)), rng.uniform(-1, 1, size=200)
         kind, n, spacing = name.split("-", 2)
         return gray_scott_operator(kind, int(n), spacing)
 
@@ -323,7 +328,7 @@ class TestLanczos:
         rng = np.random.default_rng(3)
         a = symmetric_stable(rng, 60)
         lanczos_op = declared_symmetric(a)
-        arnoldi_op = SparseOperator(lanczos_op.matrix)
+        arnoldi_op = LinearOperator(lanczos_op.matrix)
         v = rng.uniform(-1, 1, size=60)
         cfg = KrylovConfig(tol=1e-12, m_max=60)
         ctx = EvalContext()
@@ -344,7 +349,7 @@ class TestLanczos:
         # the declaration alone picks the path, at every m including m = 1
         rng = np.random.default_rng(4)
         declared = declared_symmetric(symmetric_stable(rng, 50))
-        undeclared = SparseOperator(declared.matrix)
+        undeclared = LinearOperator(declared.matrix)
         v = rng.uniform(-1, 1, size=50)
         cfg = KrylovConfig(tol=1e-12, m_max=50)
         ctx = EvalContext()
@@ -361,7 +366,7 @@ class TestLanczos:
         # v in a 3-dimensional invariant subspace: exact at m = 3
         a = np.diag([-1.0, -1.0, -2.0, -2.0, -3.0, -3.0])
         v = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-        op = SparseOperator(a, symmetric=True)
+        op = LinearOperator(a, symmetric=True)
         res = phi_times_vector(op, 1, 1.0, v, KrylovConfig(tol=1e-12, m_max=6))
         assert res.converged and res.dim_used == 3 and res.est_error == 0.0
         want = np.array([phi_scalar(1, lam) for lam in np.diag(a)]) * v
@@ -369,7 +374,7 @@ class TestLanczos:
 
     def test_non_finite_recurrence_raises(self):
         # ||L v||^2 overflows: beta is not finite
-        op = SparseOperator(np.diag([1e200, -1e200]), symmetric=True)
+        op = LinearOperator(np.diag([1e200, -1e200]), symmetric=True)
         with np.errstate(over="ignore"), pytest.raises(KrylovError):
             phi_times_vector(op, 1, 1.0, np.ones(2), KrylovConfig())
 
@@ -391,7 +396,7 @@ class TestReducedPhiColumns:
         # on a species block (n = 256) the undeclared copy breaks down at m = n
         m_max = op.dim if split == "species" else 64
         lanczos = _ArnoldiState(op, v, m_max)
-        arnoldi = _ArnoldiState(SparseOperator(op.matrix), v, m_max)
+        arnoldi = _ArnoldiState(LinearOperator(op.matrix), v, m_max)
         lanczos.extend(m_max)
         arnoldi.extend(m_max)
         assert arnoldi.m == m_max and arnoldi.breakdown == (split == "species")
@@ -414,7 +419,7 @@ class TestReducedPhiColumns:
         assert len(lanczos._eig) == len(dims) and len(lanczos._phi) == 2 * len(dims)
 
     def test_overflowing_phi_raises(self):
-        state = _ArnoldiState(SparseOperator(np.diag([800.0, -1.0]), symmetric=True), np.ones(2), 2)
+        state = _ArnoldiState(LinearOperator(np.diag([800.0, -1.0]), symmetric=True), np.ones(2), 2)
         state.extend(2)
         with pytest.raises(KrylovError, match=r"phi evaluation overflowed \(spectral radius 800\)"):
             state.reduced_phi(1, 1.0, 2)
@@ -432,7 +437,7 @@ class TestOverflowingNorm:
         lam = np.linspace(-1.0, 1.0, 30)
         a = (q * lam) @ q.T
         v = q @ np.ones(30) / np.sqrt(30)
-        op = declared_symmetric(a) if symmetric else SparseOperator(a)
+        op = declared_symmetric(a) if symmetric else LinearOperator(a)
         return op, v, q, lam
 
     @pytest.mark.parametrize("m_max", [10, 30])
@@ -470,7 +475,7 @@ class TestSharedFactorization:
     def test_cache_reuses_matvecs_and_matches_fresh(self):
         rng = np.random.default_rng(99)
         a = stable_dense(rng, 30)
-        op = SparseOperator(a)
+        op = LinearOperator(a)
         v = rng.uniform(-1, 1, size=30)
         cfg = KrylovConfig(tol=1e-10, m_max=40)
 
@@ -495,7 +500,7 @@ class TestSharedFactorization:
         # evaluate each (tau, m) they visit once, and agree with p = k solves
         rng = np.random.default_rng(5)
         a = symmetric_stable(rng, 40) if symmetric else stable_dense(rng, 40)
-        op = declared_symmetric(a) if symmetric else SparseOperator(a)
+        op = declared_symmetric(a) if symmetric else LinearOperator(a)
         v = rng.uniform(-1, 1, size=40)
         cfg = KrylovConfig(tol=1e-12, m_max=40)
         fresh = {(k, tau): phi_times_vector(op, k, tau, v, cfg).approximation
@@ -518,7 +523,7 @@ class TestSharedFactorization:
 
     def test_direct_call_evaluates_its_own_index(self, monkeypatch):
         rng = np.random.default_rng(6)
-        op = SparseOperator(stable_dense(rng, 20))
+        op = LinearOperator(stable_dense(rng, 20))
         seen = []
         original = krylov.phi_cols_e1
         monkeypatch.setattr(krylov, "phi_cols_e1", lambda p, z: seen.append(p) or original(p, z))
@@ -529,7 +534,7 @@ class TestSharedFactorization:
         # phi of a block-diagonal operator acts block by block
         rng = np.random.default_rng(11)
         mats = [rng.uniform(-1, 1, size=(4, 4)) for _ in range(3)]
-        op = SparseOperator(scipy.linalg.block_diag(*mats))
+        op = LinearOperator(scipy.linalg.block_diag(*mats))
         v = rng.uniform(-1, 1, size=12)
         h = 0.6
         cfg = KrylovConfig(tol=1e-13, m_max=30)
@@ -550,7 +555,7 @@ class TestWorkspace:
 
     def problem(self, seed=7, n=30):
         rng = np.random.default_rng(seed)
-        return SparseOperator(stable_dense(rng, n)), rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
+        return LinearOperator(stable_dense(rng, n)), rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
 
     def test_second_h_equals_a_fresh_product(self):
         op, v, _ = self.problem()

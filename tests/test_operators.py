@@ -2,33 +2,51 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from pexprk.operators import OperatorContractError, SparseOperator, ZeroOperator
+from pexprk.operators import LinearOperator, OperatorContractError
 
 
 def sample_operators(rng):
     a = rng.uniform(-1, 1, size=(4, 4))
     return [
-        SparseOperator(a),
-        SparseOperator(scipy.sparse.diags(rng.uniform(-2, 2, size=4)), symmetric=True),
-        ZeroOperator(4),
+        LinearOperator(a),
+        LinearOperator(scipy.sparse.diags(rng.uniform(-2, 2, size=4)), symmetric=True),
+        LinearOperator(np.zeros((4, 4))),
     ]
 
 
 class TestApplyContract:
     def test_zero_operator(self):
         v = np.arange(3.0)
-        assert np.array_equal(ZeroOperator(3).apply(v), np.zeros(3))
+        assert np.array_equal(LinearOperator(np.zeros((3, 3))).apply(v), np.zeros(3))
 
     def test_diagonal(self):
         d = np.array([1.0, -2.0, 0.5])
         v = np.array([3.0, 4.0, 5.0])
-        assert np.allclose(SparseOperator(scipy.sparse.diags(d), symmetric=True).apply(v), d * v)
+        assert np.allclose(LinearOperator(scipy.sparse.diags(d), symmetric=True).apply(v), d * v)
+
+    @pytest.mark.parametrize(
+        "matrix, zero",
+        [
+            (np.zeros((3, 3)), True),
+            (scipy.sparse.csr_matrix((3, 3)), True),
+            (np.eye(3), False),
+            # stored entries count, whatever their values
+            (scipy.sparse.csr_matrix((np.zeros(3), np.arange(3), np.arange(4)), shape=(3, 3)), False),
+        ],
+        ids=["dense-zeros", "csr-no-entries", "identity", "csr-stored-zeros"],
+    )
+    def test_zero_when_no_entries_are_stored(self, matrix, zero):
+        assert LinearOperator(matrix).zero is zero
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(OperatorContractError, match="square"):
+            LinearOperator(np.zeros((2, 3)))
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(OperatorContractError):
-            SparseOperator(np.eye(3)).apply(np.zeros(4))
+            LinearOperator(np.eye(3)).apply(np.zeros(4))
 
-    def test_linearity_all_kinds(self):
+    def test_linearity(self):
         rng = np.random.default_rng(3)
         for op in sample_operators(rng):
             u = rng.uniform(-1, 1, size=op.dim)

@@ -7,7 +7,7 @@ from pexprk import coeffexpr, steppers
 from pexprk.coeffexpr import Phi, Scale, Sum, eval_dense
 from pexprk.harness import RunConfig, build_study
 from pexprk.krylov import EvalContext, KrylovConfig, KrylovError, KrylovStats
-from pexprk.operators import LinearOperator, SparseOperator, ZeroOperator
+from pexprk.operators import LinearOperator
 from pexprk.phi import expm_dense, phi_dense_times_vector, phi_scalar
 from pexprk.problems import (
     PARTITION_NAMES,
@@ -29,7 +29,6 @@ from pexprk.steppers import (
     step_pexprk,
     step_pexprk2_residual,
     stability_matrix_spectral_radius,
-    unpartitioned_problem,
 )
 from pexprk.tableaux import tableau, transformed
 
@@ -42,18 +41,18 @@ from supports import embedded_problem
 
 def step_original(t, L, f, y, h, cfg):
     """One original-form step on the single-partition problem (L, f)."""
-    return step_exprk_original(t, unpartitioned_problem(L.dim, f, lambda u: L), y, h, cfg)
+    return step_exprk_original(t, SplitProblem((f,), (lambda u: L,)), y, h, cfg)
 
 
 def step_transformed(t, L, f, y, h, cfg):
     """One step of the unpartitioned transformed method: step_pexprk with P = 1."""
-    return step_pexprk(t, unpartitioned_problem(L.dim, f, lambda u: L), y, h, cfg)
+    return step_pexprk(t, SplitProblem((f,), (lambda u: L,)), y, h, cfg)
 
 
 def frozen(prob, ops):
     """prob with its operators fixed to the pre-built ops, so the caller
     knows their identities."""
-    return SplitProblem(prob.dim, prob.f_parts, tuple(lambda u, op=op: op for op in ops), supports=prob.supports)
+    return SplitProblem(prob.f_parts, tuple(lambda u, op=op: op for op in ops), supports=prob.supports)
 
 
 @pytest.fixture
@@ -107,7 +106,7 @@ class TestOriginalForm:
     def test_scalar_affine_exact(self):
         # u' = lam*u + 1 has one-step solution e^{lam h} u0 + h phi_1(lam h)
         lam, h, u0 = -2.0, 0.1, 1.0
-        L = SparseOperator([[lam]], symmetric=True)
+        L = LinearOperator([[lam]], symmetric=True)
         f = lambda u: lam * u + 1.0  # noqa: E731
         got = step_original(tableau(2), L, f, np.array([u0]), h, TIGHT)
         expected = math.exp(lam * h) * u0 + h * phi_scalar(1, lam * h)
@@ -120,7 +119,7 @@ class TestOriginalForm:
         a -= (np.max(np.real(np.linalg.eigvals(a))) + 1.0) * np.eye(10)
         y0 = rng.uniform(-1, 1, size=10)
         h = 0.3
-        L = SparseOperator(a)
+        L = LinearOperator(a)
         got = step_original(tableau(order), L, lambda u: a @ u, y0, h, TIGHT)
         assert np.allclose(got, expm_dense(h * a) @ y0, rtol=1e-11, atol=1e-13)
 
@@ -133,7 +132,7 @@ class TestOriginalForm:
 
     def test_rejects_bad_h(self):
         with pytest.raises(ValueError):
-            step_original(tableau(2), ZeroOperator(1), lambda u: u, np.zeros(1), 0.0, TIGHT)
+            step_original(tableau(2), LinearOperator(np.zeros((1, 1))), lambda u: u, np.zeros(1), 0.0, TIGHT)
 
     def test_rejects_a_split_problem(self):
         orc = oracle_semilinear(5, seed=1)
@@ -157,14 +156,14 @@ class TestTransformedEquivalence:
         rng = np.random.default_rng(23)
         a = rng.normal(size=(8, 8)) / 3.0 - 2.0 * np.eye(8)
         y0 = rng.uniform(-1, 1, size=8)
-        got = step_transformed(tableau(order), SparseOperator(a), lambda u: a @ u, y0, 0.4, TIGHT)
+        got = step_transformed(tableau(order), LinearOperator(a), lambda u: a @ u, y0, 0.4, TIGHT)
         assert np.allclose(got, expm_dense(0.4 * a) @ y0, rtol=1e-11, atol=1e-13)
 
     def test_zero_operator_degenerates_to_classical(self):
         orc = oracle_semilinear(9, seed=5)
         h = 0.02
         for order in (2, 3, 4):
-            got = step_transformed(tableau(order), ZeroOperator(9), orc.f, orc.u0, h, TIGHT)
+            got = step_transformed(tableau(order), LinearOperator(np.zeros((9, 9))), orc.f, orc.u0, h, TIGHT)
             ref = classical_rk_step(order, orc.f, orc.u0, h)
             assert np.linalg.norm(got - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
 
@@ -186,17 +185,17 @@ class TestPartitionedForm:
         # the Jacobian of the remainder); imex zeroes the second, explicit both
         orc = oracle_semilinear(10, seed=19)
         base = orc.split_linear_nonlinear()
-        zero = lambda u: ZeroOperator(orc.dim)  # noqa: E731
+        zero = lambda u: LinearOperator(np.zeros((orc.dim, orc.dim)))  # noqa: E731
         builders = {
             "implicit": base.operator_builders,
             "imex": (base.operator_builders[0], zero),
             "explicit": (zero, zero),
         }[shape]
-        prob = SplitProblem(orc.dim, base.f_parts, builders)
+        prob = SplitProblem(base.f_parts, builders)
         h = 0.04
         ops = prob.build_operators(orc.u0)
         got = step_pexprk(tableau(order), frozen(prob, ops), orc.u0, h, TIGHT)
-        assert all(op.kind != "zero" for op in applies)  # a zero operator takes no matvec
+        assert not any(op.zero for op in applies)  # a zero operator takes no matvec
         mats = [op.to_dense() for op in ops]
         want = dense_partitioned_step(transformed(order), mats, base.f_parts, orc.u0, h)
         assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
@@ -218,10 +217,9 @@ class TestPartitionedForm:
         u0 = np.array([1.0, -0.7])
         h = 0.2
         prob = SplitProblem(
-            2,
             (lambda u: l1 * u, lambda u: l2 * u),
-            (lambda u: SparseOperator(np.diag(l1), symmetric=True),
-             lambda u: SparseOperator(np.diag(l2), symmetric=True)),
+            (lambda u: LinearOperator(np.diag(l1), symmetric=True),
+             lambda u: LinearOperator(np.diag(l2), symmetric=True)),
         )
         got = step_pexprk(tableau(2), prob, u0, h, TIGHT)
         phi1 = lambda z: phi_scalar(1, z)  # noqa: E731
@@ -256,14 +254,16 @@ class TestPartitionedForm:
         b = step_pexprk2_residual(prob, orc.u0, h, TIGHT)
         assert np.linalg.norm(a - b) <= 1e-13
 
-    def test_residual_form_never_applies_a_zero_operator(self, applies):
-        # an explicitly treated partition's L_p (U - u_n) is zero and takes no matvec
+    @pytest.mark.parametrize("step", [step_pexprk2_residual, pexprk_stepper(2)], ids=["residual", "partitioned"])
+    def test_never_applies_a_zero_operator(self, step, applies):
+        # an explicitly treated partition's operator, a matrix with no
+        # entries, takes no matvec: not on L_p (U - u_n), nor on L_p X
         model = gs_default(n=8)
         prob = gs_partition(model, "imex")
         u0 = gs_initial(model)
         ops = prob.build_operators(u0)
-        assert [op.kind for op in ops] == ["sparse", "zero"]
-        step_pexprk2_residual(frozen(prob, ops), u0, 1e-3, TIGHT)
+        assert [op.zero for op in ops] == [False, True]
+        step(frozen(prob, ops), u0, 1e-3, TIGHT, EvalContext())
         assert ops[1] not in applies and ops[0] in applies
 
     @pytest.mark.parametrize("name", ["species", "space"])
@@ -386,9 +386,9 @@ class TestIntegrateFixed:
         u0 = rng.uniform(-1, 1, size=9)
         mats = [np.tril(a), np.triu(a, 1)] if stepper is step_pexprk2_residual else [a]
         f_parts = [lambda u, mat=mat: mat @ u for mat in mats]
-        shared = [lambda u, op=SparseOperator(mat): op for mat in mats]
-        fresh = [lambda u, mat=mat: SparseOperator(mat) for mat in mats]
-        runs = [integrate_fixed(stepper, SplitProblem(9, f_parts, builders), u0, 0.0, 1.0, 4, TIGHT)
+        shared = [lambda u, op=LinearOperator(mat): op for mat in mats]
+        fresh = [lambda u, mat=mat: LinearOperator(mat) for mat in mats]
+        runs = [integrate_fixed(stepper, SplitProblem(f_parts, builders), u0, 0.0, 1.0, 4, TIGHT)
                 for builders in (shared, fresh)]
         assert np.array_equal(runs[0].state, runs[1].state)
         assert runs[0].stats == runs[1].stats and runs[0].stats.matvecs > 0
@@ -401,9 +401,9 @@ class TestIntegrateFixed:
         a = rng.normal(size=(9, 9)) / 3.0 - 2.0 * np.eye(9)
         u0 = rng.uniform(-1, 1, size=9)
         f_parts = [lambda u: (a / 2) @ u] * 2
-        one = SparseOperator(a / 2)
-        runs = [integrate_fixed(stepper, SplitProblem(9, f_parts, builders), u0, 0.0, 1.0, 4, TIGHT)
-                for builders in ([lambda u: one] * 2, [lambda u: SparseOperator(a / 2)] * 2)]
+        one = LinearOperator(a / 2)
+        runs = [integrate_fixed(stepper, SplitProblem(f_parts, builders), u0, 0.0, 1.0, 4, TIGHT)
+                for builders in ([lambda u: one] * 2, [lambda u: LinearOperator(a / 2)] * 2)]
         assert np.array_equal(runs[0].state, runs[1].state)
         assert runs[0].stats == runs[1].stats and runs[0].stats.matvecs > 0
 
@@ -437,9 +437,9 @@ class TestIntegrateFixed:
             a = rng.normal(size=(9, 9)) / 3.0 - 2.0 * np.eye(9)
             u0, tf = rng.uniform(-1, 1, size=9), 1.0
             mats = {"shared-operator": [a], "shared-operators": [np.tril(a), np.triu(a, 1)]}.get(case, [a / 2] * 2)
-            shared = [lambda u, op=SparseOperator(mat): op for mat in mats]
+            shared = [lambda u, op=LinearOperator(mat): op for mat in mats]
             builders = [shared[0]] * 2 if case == "one-operator-two-partitions" else shared
-            prob = SplitProblem(9, [lambda u, mat=mat: mat @ u for mat in mats], builders)
+            prob = SplitProblem([lambda u, mat=mat: mat @ u for mat in mats], builders)
         res = integrate_fixed(stepper, prob, u0, 0.0, tf, 2, KrylovConfig())
         assert len(applies) == res.stats.matvecs > 0
 
@@ -448,7 +448,7 @@ class TestIntegrateFixed:
         rng = np.random.default_rng(31)
         a = rng.normal(size=(9, 9)) / 3.0 - 1.5 * np.eye(9)
         u0 = rng.uniform(-1, 1, size=9)
-        prob = unpartitioned_problem(9, lambda u: a @ u, lambda u: SparseOperator(a))
+        prob = SplitProblem((lambda u: a @ u,), (lambda u: LinearOperator(a),))
         res = integrate_fixed(make(3), prob, u0, 0.0, 1.0, 5, TIGHT)
         assert np.allclose(res.state, expm_dense(a) @ u0, rtol=1e-10, atol=1e-13)
 
@@ -468,9 +468,8 @@ class TestIntegrateFixed:
         # overflowing stage residual fails the step, and no warning escapes
         a = np.diag([-1e80, -2e80])
         prob = SplitProblem(
-            2,
             (lambda u: a @ u,),
-            (lambda u: ZeroOperator(2),),
+            (lambda u: LinearOperator(np.zeros((2, 2))),),
         )
         with pytest.raises(IntegrationFailure, match=r"^step 2/3: stage 2, partition 1: non-finite stage residual$"):
             integrate_fixed(pexprk_stepper(2), prob, np.ones(2), 0.0, 1.0, 3, TIGHT)
@@ -484,7 +483,7 @@ class TestIntegrateFixed:
         # both forms run one core, so their failures name stage and partition alike
         for step in (step_transformed, step_original):
             with pytest.raises(StepFailure, match=r"^stage 2, partition 1, phi_1 term: .*did not converge"):
-                step(tableau(2), SparseOperator(a), lambda u: a @ u, u0, 0.5, cfg)
+                step(tableau(2), LinearOperator(a), lambda u: a @ u, u0, 0.5, cfg)
 
     @pytest.mark.parametrize(
         "coefficient, p, label",
@@ -564,8 +563,8 @@ class TestResidualTolerance:
         # the phi_1 terms on f(y_n), one per distinct abscissa
         rng = np.random.default_rng(4)
         a = rng.normal(size=(10, 10)) / 3.0 - 2.0 * np.eye(10)
-        L = SparseOperator(a)
-        prob = unpartitioned_problem(10, lambda u: L.matrix @ u, lambda u: L)
+        L = LinearOperator(a)
+        prob = SplitProblem((lambda u: L.matrix @ u,), (lambda u: L,))
         vectors = []  # every vector a factorization starts from
         arnoldi_state = EvalContext.arnoldi_state
 
@@ -586,7 +585,7 @@ class TestResidualTolerance:
         # residual is exactly zero, so a step makes the two stage and the two
         # cross products only
         c = np.random.default_rng(5).uniform(size=4)
-        prob = SplitProblem(8, (lambda u: c,) * 2, (lambda u: ZeroOperator(4),) * 2,
+        prob = SplitProblem((lambda u: c,) * 2, (lambda u: LinearOperator(np.zeros((4, 4))),) * 2,
                             supports=(slice(0, 4), slice(4, 8)))
         ctx = EvalContext()
         got = step_pexprk2_residual(prob, np.zeros(8), 0.5, TIGHT, ctx)
@@ -781,6 +780,15 @@ class TestStabilityDiagnostic:
 
     def test_accepts_operators(self):
         got = stability_matrix_spectral_radius(
-            SparseOperator([[-2.0]], symmetric=True), ZeroOperator(1), 0.5
+            LinearOperator([[-2.0]], symmetric=True), LinearOperator(np.zeros((1, 1))), 0.5
         )
         assert got == pytest.approx(math.exp(-1.0), abs=1e-12)
+
+    def test_rejects_a_large_operator_before_materializing_it(self, monkeypatch):
+        dense = []
+        to_dense = LinearOperator.to_dense
+        monkeypatch.setattr(LinearOperator, "to_dense", lambda op: dense.append(op) or to_dense(op))
+        big = LinearOperator(np.eye(201))
+        with pytest.raises(ValueError, match="dimension <= 200"):
+            stability_matrix_spectral_radius(big, big, 0.1)
+        assert not dense

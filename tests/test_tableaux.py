@@ -20,7 +20,7 @@ from pexprk.coeffexpr import (
     scale,
 )
 from pexprk.krylov import KrylovConfig
-from pexprk.operators import SparseOperator, ZeroOperator
+from pexprk.operators import LinearOperator
 from pexprk.phi import phi_scalar
 from pexprk.tableaux import (
     check_order_conditions,
@@ -92,7 +92,7 @@ class TestExpressions:
 class TestEvalCoeff:
     def test_const_identity(self):
         v = np.arange(4.0)
-        out = eval_coeff(Const(1.0), ZeroOperator(4), 0.1, v, KrylovConfig())
+        out = eval_coeff(Const(1.0), LinearOperator(np.zeros((4, 4))), 0.1, v, KrylovConfig())
         assert np.array_equal(out, v)
 
     @pytest.mark.parametrize(
@@ -110,7 +110,7 @@ class TestEvalCoeff:
         # the expanded transformed trees are evaluated only at scalars and dense matrices
         v = np.arange(1.0, 5.0)
         with pytest.raises(error, match=match):
-            eval_coeff(build(), SparseOperator(-np.eye(4), symmetric=True), 0.1, v, KrylovConfig())
+            eval_coeff(build(), LinearOperator(-np.eye(4), symmetric=True), 0.1, v, KrylovConfig())
 
 
 class TestCatalog:
