@@ -26,6 +26,7 @@ from .harness import (
     emit_csv,
     run_convergence_study,
 )
+from .phi import MAX_DENSE_DIM
 from .problems import PAPER_SCALE_GRID, PARTITION_NAMES
 from .tableaux import check_order_conditions, dump_tableau, tableau, transformed
 
@@ -132,8 +133,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check_order(args) -> int:
-    if args.size < 1:
-        raise ConfigError(f"size must be >= 1, got {args.size}")
+    if not 1 <= args.size <= MAX_DENSE_DIM:
+        raise ConfigError(f"size must be in [1, {MAX_DENSE_DIM}], got {args.size}")
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     t = tableau(args.order)

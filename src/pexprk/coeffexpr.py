@@ -9,13 +9,12 @@ A coefficient is an expression tree over the node set
     Prod(f, g)   f(z) * g(z), composition order preserved
     ZMul(e)      z * e(z)
 
-Trees can be evaluated three ways: at a real scalar z, at a small dense
-matrix Z, or -- the production path -- applied to a vector through the
-matrix-free Krylov engine without ever materializing phi of the operator.
-Only Butcher-form coefficients are applied that way: Phi, Const, Scale and
-Sum, the nodes of the a_ij/b_j and of the steppers' phi_1 terms.  Prod and
-ZMul, which the expanded transformed trees add, are evaluated only at
-scalars and dense matrices (``dump-tableau`` and the tests' dense oracle).
+Trees can be evaluated two ways: at a small dense matrix Z, or -- the
+production path -- applied to a vector through the matrix-free Krylov
+engine without ever materializing phi of the operator.  Only Butcher-form
+coefficients are applied that way: Phi, Const, Scale and Sum, the nodes of
+the a_ij/b_j and of the steppers' phi_1 terms.  Prod and ZMul, which the
+expanded transformed trees add, are evaluated only at dense matrices.
 Derived trees are built by the constructors ``scale``, ``add``, ``mul`` and
 ``zmul``, which fold as they build: zero terms and factors vanish, constant
 factors and nested scales multiply out, unit scales and one-term sums drop,
@@ -29,7 +28,7 @@ import numpy as np
 
 from .krylov import EvalContext, KrylovConfig, phi_times_vector, require_converged
 from .operators import LinearOperator
-from .phi import phi_dense_matrices, phi_scalar
+from .phi import phi_dense_matrices
 
 
 class CoefficientExpr:
@@ -160,23 +159,6 @@ def mul(left, right) -> CoefficientExpr:
 def zmul(e) -> CoefficientExpr:
     """z * e (ZERO for a zero e)."""
     return ZERO if is_zero(e) else ZMul(e)
-
-
-def eval_scalar(expr: CoefficientExpr, z: float) -> float:
-    """Evaluate the coefficient at a real scalar argument."""
-    if isinstance(expr, Phi):
-        return phi_scalar(expr.k, expr.c * z)
-    if isinstance(expr, Const):
-        return expr.r
-    if isinstance(expr, Scale):
-        return expr.r * eval_scalar(expr.child, z)
-    if isinstance(expr, Sum):
-        return sum(eval_scalar(ch, z) for ch in expr.children)
-    if isinstance(expr, Prod):
-        return eval_scalar(expr.left, z) * eval_scalar(expr.right, z)
-    if isinstance(expr, ZMul):
-        return z * eval_scalar(expr.child, z)
-    raise TypeError(f"not a coefficient expression: {expr!r}")
 
 
 def eval_dense(expr: CoefficientExpr, z_mat: np.ndarray, memo: dict | None = None) -> np.ndarray:

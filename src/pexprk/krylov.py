@@ -117,7 +117,8 @@ class KrylovError(RuntimeError):
     product that did not converge where its caller needs it to."""
 
 
-def default_check_schedule(m_max: int) -> list[int]:
+@lru_cache(maxsize=8)
+def check_schedule(m_max: int) -> tuple[int, ...]:
     """Error-check indices with roughly cost-doubling spacing.
 
     Counting from m=1, the next index is the smallest m whose O(m^3)
@@ -137,18 +138,13 @@ def default_check_schedule(m_max: int) -> list[int]:
             m += 1
         schedule.append(m)
         total += m**3
-    return schedule[1:] or schedule
-
-
-@lru_cache(maxsize=8)
-def _check_schedule(m_max: int) -> tuple[int, ...]:
-    return tuple(default_check_schedule(m_max))
+    return tuple(schedule[1:] or schedule)
 
 
 @dataclass
 class KrylovConfig:
     """Relative tolerance and largest Krylov dimension; the error checks run
-    at ``default_check_schedule(m_max)``."""
+    at ``check_schedule(m_max)``."""
 
     tol: float = 1e-12
     m_max: int = 100
@@ -395,7 +391,7 @@ def phi_times_vector(
     est = math.inf
     converged = False
     m_used = 0
-    for m_target in _check_schedule(cfg.m_max):
+    for m_target in check_schedule(cfg.m_max):
         m_before = state.m
         state.extend(m_target)
         ctx.stats.matvecs += state.m - m_before  # one apply per new basis column

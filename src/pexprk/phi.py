@@ -5,25 +5,23 @@ phi_0(z) = exp(z) and, for k >= 1,
     phi_k(z) = sum_{i>=0} z^i / (k + i)!,
     phi_{k+1}(z) = (phi_k(z) - 1/k!) / z,      phi_k(0) = 1/k!.
 
-Everything above (Krylov engine, coefficient evaluation, order-condition
-checks) is validated against this layer, so it favours accuracy over speed.
-Small dense arguments only; large operators go through the Krylov engine.
-phi_k(A) v, k = 1..p, comes from one augmented exponential (``_augmented``):
-validated in ``phi_dense_times_vector``, lean for v = e_1 in ``phi_cols_e1``.
+Small dense arguments only; large operators go through the Krylov engine,
+whose reduced-space evaluations are ``phi_cols_e1`` (phi_k(A) e_1, k = 1..p,
+from one augmented exponential, ``_augmented``) and ``phi_array`` (phi_k at
+the entries of a vector).  ``phi_dense_matrices`` gives whole matrices
+phi_k(A) for the order-condition checks.
 """
 
-import decimal
 import math
 
 import numpy as np
 
 MAX_PHI_INDEX = 8
+# the largest matrix side the dense diagnostics (the stability diagnostic,
+# check-order) take: their exponentials cost O(n^2) memory and O(n^3) time,
+# and check-order's phi_4 borders its matrix to 5n on a side
+MAX_DENSE_DIM = 200
 
-# Below this magnitude the truncated float series is within two ulps; above
-# it the residual form, evaluated in decimal arithmetic with enough digits to
-# absorb its cancellation, is correctly rounded.
-_SERIES_CUTOFF = 0.5
-_SERIES_TERMS = 25
 # phi_array sums the series for phi_k up to |z| = 1 + k, where 40 terms
 # leave a truncation error far below rounding for every k <= MAX_PHI_INDEX.
 # Column k - 1 of _SERIES_COEFFS holds 1 / (k + i)!, i = 0..39; of
@@ -46,36 +44,6 @@ def _check_square(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return a
-
-
-def phi_scalar(k: int, z: float) -> float:
-    """Evaluate phi_k(z) for a real scalar z: correctly rounded for |z| >= 0.5,
-    within two ulps below."""
-    if not isinstance(k, (int, np.integer)) or k < 0 or k > MAX_PHI_INDEX:
-        raise ValueError(f"phi index must be an integer in [0, {MAX_PHI_INDEX}], got {k}")
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"phi argument must be finite, got {z}")
-    if k == 0:
-        try:
-            return math.exp(z)
-        except OverflowError:
-            raise PhiEvaluationError(f"phi_0({z!r}) overflows") from None
-    if abs(z) < _SERIES_CUTOFF:
-        acc = 0.0
-        for i in reversed(range(_SERIES_TERMS)):
-            acc = acc * z + 1.0 / math.factorial(k + i)
-        return acc
-    # (e^z - sum_{j<k} z^j / j!) / z^k; Decimal(z) is exact, and 60 digits
-    # leave over 50 after the worst cancellation (|z| = 0.5, k = 8)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        x = decimal.Decimal(z)
-        partial = sum(x**j / math.factorial(j) for j in range(k))
-        out = float((x.exp() - partial) / x**k)
-    if not math.isfinite(out):
-        raise PhiEvaluationError(f"phi_{k}({z!r}) overflows")
-    return out
 
 
 def expm_dense(a: np.ndarray) -> np.ndarray:
@@ -107,19 +75,6 @@ def _augmented(p: int, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     for i in range(p - 1):
         aug[n + i, n + i + 1] = 1.0
     return aug
-
-
-def phi_dense_times_vector(p: int, a: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
-    """Columns phi_k(A) v for k = 1..p via one validated augmented exponential."""
-    a = _check_square(a)
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
-    n = a.shape[0]
-    v = np.asarray(v, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"vector length {v.shape} does not match matrix dimension {n}")
-    e = expm_dense(_augmented(p, a, v))
-    return [e[:n, n + j].copy() for j in range(p)]
 
 
 # degree-13 diagonal Pade approximant with norm-based scaling; the hot
@@ -168,9 +123,9 @@ def _expm_pade13(a):
 
 
 def phi_cols_e1(p: int, a: np.ndarray) -> np.ndarray:
-    """Lean variant of phi_dense_times_vector for v = e_1: an (n, p) array of
-    columns phi_k(A) e_1, k = 1..p; raises PhiEvaluationError on an argument
-    of non-finite 1-norm or on overflow, and performs no other validation."""
+    """An (n, p) array of columns phi_k(A) e_1, k = 1..p, from one augmented
+    exponential; raises PhiEvaluationError on an argument of non-finite
+    1-norm or on overflow, and performs no other validation."""
     n = a.shape[0]
     cols = _expm_pade13(_augmented(p, a, np.eye(1, n)[0]))[:n, n:]
     if not np.all(np.isfinite(cols)):

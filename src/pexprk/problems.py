@@ -7,8 +7,7 @@ periodic unit square,
     b_t = d_b lap(b) + a b^2 - (f + k) b
 
 discretized with the five-point stencil; the state is species-major (all of
-a-bar, then all of b-bar, each row-major over the grid).  A small dense
-semilinear problem with a smooth nonlinearity serves as the test oracle.
+a-bar, then all of b-bar, each row-major over the grid).
 
 Every split of the right-hand side is a row of ``_SPLITS``: per part, its
 support (the state indices it owns), the terms it carries (diffusion,
@@ -23,10 +22,9 @@ any set of parts at a state (a matrix with no entries for an explicit
 part), numbered over the union of their supports, from the full Jacobian's
 cached structure (``_gathered``); ``_assemble`` fills in its reaction
 values per state.  So each part's Krylov solves run in its own variables,
-``gs_rhs`` and ``gs_full_jacobian`` are the unsplit case, and
-``gs_unpartitioned`` freezes the union of a split's implicit parts: a
-partition's block Jacobian, or the full Jacobian for the unsplit system.
-Every builder is a
+``gs_rhs`` is the unsplit case, and ``gs_unpartitioned`` freezes the union
+of a split's implicit parts: a partition's block Jacobian, or the full
+Jacobian for the unsplit system.  Every builder is a
 ``functools.partial`` of a module function, so every Gray-Scott problem
 pickles.  An operator is declared symmetric, and so runs Lanczos, unless it
 holds a cross-species reaction entry (-2ab or b^2).
@@ -204,10 +202,6 @@ def _assemble(m: GrayScottModel, entries: tuple, u: np.ndarray):
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
-def gs_full_jacobian(m: GrayScottModel, u: np.ndarray) -> LinearOperator:
-    return _operator(m, None, (0,), u)
-
-
 # Every split as data, per part: its support, the state indices it owns ("all",
 # species "a" or "b", or the "lower" or "upper" half of the grid); the terms it
 # carries; whether its operator is implicit (else zero).  None is the unsplit system.
@@ -361,72 +355,3 @@ def gs_unpartitioned(m: GrayScottModel, partition: str | None = None) -> SplitPr
     parts = _parts(m, partition if partition is None else _known(partition))
     chosen = tuple(p for p, (_, _, implicit) in enumerate(parts) if implicit)
     return SplitProblem((partial(gs_rhs, m),), (partial(_operator, m, partition, chosen),))
-
-
-@dataclass
-class SemilinearOracle:
-    """Small dense semilinear test problem u' = L u + eps * sin(u).
-
-    The linear part is a random dense matrix with spectrum shifted into the
-    left half-plane; the reference solution comes from a high-order adaptive
-    integration at tight tolerance, independent of the exponential steppers.
-    """
-
-    dim: int
-    matrix: np.ndarray
-    eps: float
-    u0: np.ndarray
-
-    def g(self, u):
-        return self.eps * np.sin(u)
-
-    def f(self, u):
-        return self.matrix @ u + self.g(u)
-
-    def jacobian(self, u) -> LinearOperator:
-        return LinearOperator(self.matrix + self.eps * np.diag(np.cos(u)))
-
-    def problem(self) -> SplitProblem:
-        return SplitProblem((self.f,), (self.jacobian,))
-
-    def split_linear_nonlinear(self) -> SplitProblem:
-        """Two-way split: the linear term and the smooth remainder."""
-        return SplitProblem(
-            (lambda u: self.matrix @ u, self.g),
-            (
-                lambda u: LinearOperator(self.matrix),
-                lambda u: LinearOperator(scipy.sparse.diags(self.eps * np.cos(u)), symmetric=True),
-            ),
-        )
-
-    def split_all_explicit(self) -> SplitProblem:
-        """Two-way split whose operators have no entries (fully explicit
-        treatment)."""
-        base = self.split_linear_nonlinear()
-        zero = lambda u: LinearOperator(scipy.sparse.csr_matrix((self.dim, self.dim)))  # noqa: E731
-        return SplitProblem(base.f_parts, (zero, zero))
-
-    def reference(self, t: float) -> np.ndarray:
-        import scipy.integrate  # here, not at module level: only this test oracle integrates
-
-        sol = scipy.integrate.solve_ivp(
-            lambda _t, u: self.f(u),
-            (0.0, t),
-            self.u0,
-            method="DOP853",
-            rtol=1e-13,
-            atol=1e-13,
-            dense_output=False,
-        )
-        if not sol.success:
-            raise RuntimeError(f"reference integration failed: {sol.message}")
-        return sol.y[:, -1]
-
-
-def oracle_semilinear(dim: int, seed: int, eps: float = 0.1) -> SemilinearOracle:
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(dim, dim)) / np.sqrt(dim)
-    shift = np.max(np.real(np.linalg.eigvals(raw))) + 1.0
-    matrix = raw - shift * np.eye(dim)
-    u0 = rng.uniform(-1.0, 1.0, size=dim)
-    return SemilinearOracle(dim=dim, matrix=matrix, eps=eps, u0=u0)

@@ -95,7 +95,7 @@ import numpy as np
 from .coeffexpr import Phi, eval_coeff, is_zero
 from .krylov import EvalContext, KrylovConfig, KrylovError, KrylovStats, phi_times_vector, require_converged
 from .operators import LinearOperator
-from .phi import PhiEvaluationError, expm_dense
+from .phi import MAX_DENSE_DIM, PhiEvaluationError, expm_dense
 from .tableaux import ExprkTableau, tableau
 
 
@@ -418,7 +418,7 @@ def stability_matrix_spectral_radius(L1, L2, h: float) -> float:
               for L in (L1, L2))
     if L1.dim != L2.dim:
         raise ValueError("operators must be of equal dimension")
-    if L1.dim > 200:
-        raise ValueError("stability diagnostic is restricted to dimension <= 200")
+    if L1.dim > MAX_DENSE_DIM:
+        raise ValueError(f"stability diagnostic is restricted to dimension <= {MAX_DENSE_DIM}")
     m = expm_dense(h * L1.to_dense()) + expm_dense(h * L2.to_dense()) - np.eye(L1.dim)
     return float(np.max(np.abs(np.linalg.eigvals(m))))

@@ -44,6 +44,7 @@ from .coeffexpr import (
     scale,
     zmul,
 )
+from .phi import MAX_DENSE_DIM
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,8 @@ def check_order_conditions(
 ) -> dict[str, float]:
     """Max-norm residuals of the stiff order conditions on random matrices.
 
-    Draws dense L, J, K with entries in [-1, 1] (h = 1) and evaluates every
+    Draws dense n x n matrices L, J, K, 1 <= n <= MAX_DENSE_DIM, with
+    entries in [-1, 1] (h = 1) and evaluates every
     condition of order <= up_to.  The stage defects are
 
         psi_{i,j} = sum_{k=2}^{j-1} a_{j,k}(hL) c_k^{i-1}/(i-1)! - c_j^i phi_i(c_j hL)
@@ -237,8 +239,8 @@ def check_order_conditions(
     """
     if up_to > 4:
         raise ValueError("conditions are tabulated up to order four")
-    if n < 1:
-        raise ValueError(f"matrix size must be >= 1, got {n}")
+    if not 1 <= n <= MAX_DENSE_DIM:
+        raise ValueError(f"matrix size must be in [1, {MAX_DENSE_DIM}], got {n}")
     rng = np.random.default_rng(seed)
     L = rng.uniform(-1, 1, size=(n, n))
     J = rng.uniform(-1, 1, size=(n, n))

@@ -16,19 +16,16 @@ import time
 import numpy as np
 import pytest
 
-from classical_rk import classical_rk_step
-
 from pexprk.harness import RunConfig, reference_solution, run_convergence_study
 from pexprk.krylov import KrylovConfig, phi_times_vector
 from pexprk.operators import LinearOperator
-from pexprk.phi import expm_dense, phi_dense_times_vector
+from pexprk.phi import expm_dense
 from pexprk.problems import (
     TIMESPAN,
     gs_default,
     gs_initial,
     gs_partition,
     gs_unpartitioned,
-    oracle_semilinear,
 )
 from pexprk.steppers import (
     SplitProblem,
@@ -41,6 +38,8 @@ from pexprk.steppers import (
     original_stepper,
 )
 from pexprk.tableaux import check_order_conditions, tableau
+
+from oracles import classical_rk_step, oracle_semilinear, phi_dense_times_vector
 
 
 def report(criterion, ok, detail=""):
@@ -124,7 +123,7 @@ class TestCriterion2OrderConditions:
 
     def test_weak_conditions_hold_at_origin(self):
         # documents what the higher-order methods do satisfy instead
-        from pexprk.coeffexpr import eval_scalar
+        from oracles import eval_scalar
 
         for order, labels in WEAK_CONDITIONS.items():
             t = tableau(order)

@@ -702,10 +702,10 @@ class TestCli:
         assert len(rows) == 2 and metadata["partition"] == "physics"
 
     def test_run_leaves_dense_reference_modules_unimported(self, tmp_path):
-        # scipy.linalg serves only expm_dense and scipy.integrate only the test
-        # oracle; neither is on the run path, and both load at first call.
-        # Each module loads only what it uses: phi no scipy, tableaux neither
-        # the harness nor multiprocessing
+        # scipy.linalg serves only expm_dense, which loads it at first call,
+        # and scipy.integrate and decimal only the test oracles; none is on
+        # the run path.  Each module loads only what it uses: phi no scipy,
+        # tableaux neither the harness nor multiprocessing
         argv = ["run", "--grid", "8", "--partition", "species", "--order", "4", "--form", "part",
                 "--steps", "1,2", "--out", str(tmp_path / "study.csv")]
         proc = self.run_python("-c", (
@@ -716,7 +716,7 @@ class TestCli:
             "tableaux = [m for m in ('pexprk.harness', 'multiprocessing') if m in sys.modules]\n"
             "from pexprk import cli\n"
             f"code = cli.main({argv!r})\n"
-            "print(code, [m for m in ('scipy.linalg', 'scipy.integrate') if m in sys.modules], phi, tableaux)\n"
+            "print(code, [m for m in ('scipy.linalg', 'scipy.integrate', 'decimal') if m in sys.modules], phi, tableaux)\n"
         ))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 [] [] []"
@@ -765,7 +765,9 @@ class TestCli:
         assert proc.stderr == f"numerical failure: reference integration failed: step 1/32: {failure}\n"
 
     @pytest.mark.parametrize(
-        "flags", [("--size", "0"), ("--size", "-1"), ("--seed", "-1")], ids=["size-0", "size-neg", "seed-neg"]
+        "flags",
+        [("--size", "0"), ("--size", "-1"), ("--size", "201"), ("--seed", "-1")],
+        ids=["size-0", "size-neg", "size-over-limit", "seed-neg"],
     )
     def test_check_order_bad_input_exit_code(self, flags, main):
         proc = main("check-order", "--order", "2", *flags)

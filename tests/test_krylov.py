@@ -14,12 +14,13 @@ from pexprk.krylov import (
     KrylovConfig,
     KrylovError,
     _ArnoldiState,
-    default_check_schedule,
+    check_schedule,
     phi_times_vector,
 )
 from pexprk.operators import LinearOperator
-from pexprk.phi import phi_dense_times_vector, phi_scalar
-from pexprk.problems import TIMESPAN, GrayScottModel, gs_full_jacobian, gs_initial, gs_partition, gs_rhs
+from pexprk.problems import TIMESPAN, GrayScottModel, gs_initial, gs_partition, gs_rhs
+
+from oracles import gs_full_jacobian, phi_dense_times_vector, phi_scalar
 
 
 def stable_dense(rng, n, shift=2.0):
@@ -59,14 +60,14 @@ def gray_scott_operator(kind, n, spacing, part=0):
 class TestCheckSchedule:
     def test_m_max_4(self):
         # the m=1 check is skipped: nothing short of a breakdown stops there
-        assert default_check_schedule(4) == [2, 3, 4]
-        assert default_check_schedule(2) == [2]
+        assert check_schedule(4) == (2, 3, 4)
+        assert check_schedule(2) == (2,)
 
     def test_m_max_1(self):
-        assert default_check_schedule(1) == [1]
+        assert check_schedule(1) == (1,)
 
     def test_m_max_30_shape(self):
-        sched = default_check_schedule(30)
+        sched = check_schedule(30)
         assert sched[0] == 2 and sched[-1] == 30
         assert all(b > a for a, b in zip(sched, sched[1:]))
         # tail spacing approaches the cost-doubling ratio 2^(1/3)
@@ -76,7 +77,7 @@ class TestCheckSchedule:
 
     def test_rule_is_cost_doubling(self):
         # counted from m=1, the index the schedule skips
-        sched = [1] + default_check_schedule(50)
+        sched = (1,) + check_schedule(50)
         total = 0
         for prev, nxt in zip(sched, sched[1:]):
             total += prev**3
@@ -86,7 +87,7 @@ class TestCheckSchedule:
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            default_check_schedule(0)
+            check_schedule(0)
 
 
 class TestKrylovConfig:

@@ -15,10 +15,10 @@ from pexprk.phi import (
     phi_array,
     phi_cols_e1,
     phi_dense_matrices,
-    phi_dense_times_vector,
-    phi_scalar,
 )
-from pexprk.problems import TIMESPAN, GrayScottModel, gs_full_jacobian, gs_initial, gs_partition, gs_rhs
+from pexprk.problems import TIMESPAN, GrayScottModel, gs_initial, gs_partition, gs_rhs
+
+from oracles import gs_full_jacobian, phi_dense_times_vector, phi_scalar
 
 
 def phi_series_scalar(k, z, terms=30):

@@ -24,19 +24,18 @@ from pexprk.problems import (
     _parts,
     _row_blocks,
     gs_default,
-    gs_full_jacobian,
     gs_initial,
     gs_partition,
     gs_rhs,
     gs_space_permutation,
     gs_unpartitioned,
-    oracle_semilinear,
 )
 from pexprk.harness import RunConfig, build_study
 from pexprk.krylov import EvalContext, phi_times_vector
 from pexprk.steppers import SplitProblem, integrate_fixed, pexprk_stepper, step_pexprk
 from pexprk.tableaux import tableau
 
+from oracles import gs_full_jacobian, oracle_semilinear
 from supports import embed, embedded_matrix, support_size
 
 

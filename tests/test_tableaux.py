@@ -14,14 +14,12 @@ from pexprk.coeffexpr import (
     add,
     eval_coeff,
     eval_dense,
-    eval_scalar,
     max_phi_index,
     mul,
     scale,
 )
 from pexprk.krylov import KrylovConfig
 from pexprk.operators import LinearOperator
-from pexprk.phi import phi_scalar
 from pexprk.tableaux import (
     check_order_conditions,
     dump_tableau,
@@ -32,6 +30,8 @@ from pexprk.tableaux import (
     transform,
     transformed,
 )
+
+from oracles import eval_scalar, phi_scalar
 
 C23 = 2.0 / 3.0
 
@@ -348,8 +348,9 @@ class TestOrderConditions:
         b = check_order_conditions(tableau_order3(), up_to=3, n=6, seed=9)
         assert a == b
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_rejects_empty_matrices(self, n):
+    @pytest.mark.parametrize("n", [0, -1, 201])
+    def test_rejects_sizes_out_of_range(self, n):
+        # 201 is past the dense limit, MAX_DENSE_DIM = 200
         with pytest.raises(ValueError, match="matrix size"):
             check_order_conditions(tableau_order2(), up_to=2, n=n)
 
