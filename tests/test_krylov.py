@@ -89,6 +89,12 @@ class TestCheckSchedule:
         with pytest.raises(ValueError):
             check_schedule(0)
 
+    def test_cached_and_immutable(self):
+        # every caller shares the cached value, so it must be a tuple
+        sched = check_schedule(30)
+        assert isinstance(sched, tuple)
+        assert check_schedule(30) is sched
+
 
 class TestKrylovConfig:
     @pytest.mark.parametrize("tol", [0.0, -1e-12, np.inf, np.nan])

@@ -20,6 +20,7 @@ from pexprk.coeffexpr import (
 )
 from pexprk.krylov import KrylovConfig
 from pexprk.operators import LinearOperator
+from pexprk.phi import MAX_DENSE_DIM
 from pexprk.tableaux import (
     check_order_conditions,
     dump_tableau,
@@ -348,11 +349,20 @@ class TestOrderConditions:
         b = check_order_conditions(tableau_order3(), up_to=3, n=6, seed=9)
         assert a == b
 
-    @pytest.mark.parametrize("n", [0, -1, 201])
-    def test_rejects_sizes_out_of_range(self, n):
-        # 201 is past the dense limit, MAX_DENSE_DIM = 200
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_empty_matrices(self, n):
         with pytest.raises(ValueError, match="matrix size"):
             check_order_conditions(tableau_order2(), up_to=2, n=n)
+
+    def test_rejects_size_past_the_dense_limit(self):
+        with pytest.raises(ValueError, match=rf"matrix size must be in \[1, {MAX_DENSE_DIM}\]"):
+            check_order_conditions(tableau_order2(), up_to=2, n=MAX_DENSE_DIM + 1)
+
+    def test_accepts_the_dense_limit(self):
+        # the limit is inclusive
+        res = check_order_conditions(tableau_order2(), up_to=2, n=MAX_DENSE_DIM)
+        assert set(res) == {"1", "2a", "2b"}
+        assert all(v <= 1e-12 for v in res.values()), res
 
 
 class TestDump:
