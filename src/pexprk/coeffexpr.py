@@ -33,10 +33,8 @@ from .phi import phi_dense_matrices
 
 class CoefficientExpr:
     """Base node; subclasses are frozen dataclasses, so they compare and hash
-    structurally and serve as their own memo keys."""
-
-    def __str__(self):
-        raise NotImplementedError
+    structurally and serve as their own memo keys, and each defines its own
+    prefix-notation ``__str__``."""
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import LinearOperator
-from .phi import phi_array, phi_cols_e1
+from .phi import MAX_PHI_INDEX, phi_array, phi_cols_e1
 
 
 def _gs_pass(basis, w):
@@ -371,10 +371,15 @@ def phi_times_vector(
     the reduced matrix and keeps them on the shared Arnoldi state, so that
     solves of other indices up to p on (L, v) at the same tau reuse them.
     At tau = 0, or on an operator with no entries (``L.zero``), the product
-    is phi_k(0) v = v / k!, with no Krylov dimension and no matvec.
+    is phi_k(0) v = v / k!, with no Krylov dimension and no matvec.  Both
+    recurrences take k and p up to MAX_PHI_INDEX, the largest index
+    ``phi_array`` is tabulated for.
     """
     if k < 1:
         raise ValueError(f"phi index must be >= 1 for the Krylov route, got {k}")
+    top = max(k, p or k)
+    if top > MAX_PHI_INDEX:
+        raise ValueError(f"phi index must be <= MAX_PHI_INDEX = {MAX_PHI_INDEX}, got {top}")
     ctx = ctx if ctx is not None else EvalContext()
     v = np.asarray(v, dtype=float)
     if v.shape != (L.dim,):

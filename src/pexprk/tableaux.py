@@ -228,8 +228,8 @@ def check_order_conditions(
     """Max-norm residuals of the stiff order conditions on random matrices.
 
     Draws dense n x n matrices L, J, K, 1 <= n <= MAX_DENSE_DIM, with
-    entries in [-1, 1] (h = 1) and evaluates every
-    condition of order <= up_to.  The stage defects are
+    entries in [-1, 1] (h = 1) and evaluates every condition of order
+    <= up_to, 1 <= up_to <= 4, and no other.  The stage defects are
 
         psi_{i,j} = sum_{k=2}^{j-1} a_{j,k}(hL) c_k^{i-1}/(i-1)! - c_j^i phi_i(c_j hL)
 
@@ -237,8 +237,8 @@ def check_order_conditions(
     both use the abscissa-scaled arguments under which the catalog methods
     are self-consistent.
     """
-    if up_to > 4:
-        raise ValueError("conditions are tabulated up to order four")
+    if not 1 <= up_to <= 4:
+        raise ValueError(f"conditions are tabulated for orders 1 to 4, got up_to={up_to}")
     if not 1 <= n <= MAX_DENSE_DIM:
         raise ValueError(f"matrix size must be in [1, {MAX_DENSE_DIM}], got {n}")
     rng = np.random.default_rng(seed)
@@ -267,16 +267,17 @@ def check_order_conditions(
     jmg = J - L
     residuals = {}
     residuals["1"] = sum(b) - ev(Phi(1, 1.0))
-    residuals["2a"] = sum(b[j] * c[j] for j in range(1, s)) - ev(Phi(2, 1.0))
-    residuals["2b"] = max(
-        (
-            np.max(np.abs(
-                sum(a[i][j] for j in range(i) if a[i][j] is not None)
-                - c[i] * ev(Phi(1, c[i]))
-            ))
-            for i in range(1, s)
-        ),
-    )
+    if up_to >= 2:
+        residuals["2a"] = sum(b[j] * c[j] for j in range(1, s)) - ev(Phi(2, 1.0))
+        residuals["2b"] = max(
+            (
+                np.max(np.abs(
+                    sum(a[i][j] for j in range(i) if a[i][j] is not None)
+                    - c[i] * ev(Phi(1, c[i]))
+                ))
+                for i in range(1, s)
+            ),
+        )
     if up_to >= 3:
         residuals["3a"] = sum(b[j] * (c[j] ** 2 / 2.0) for j in range(1, s)) - ev(Phi(3, 1.0))
         residuals["3b"] = sum(b[j] @ jmg @ psi(2, j) for j in range(1, s))

@@ -78,6 +78,7 @@ class TestRunConfig:
             dict(partition="rows"),
             dict(order=5),
             dict(form="part"),  # partition defaults to none
+            dict(form="x"),
             dict(form="orig", partition="species"),
             dict(tf=0.0),
             dict(krylov_tol=-1.0),
@@ -140,18 +141,6 @@ class TestDerivedJacobian:
         ("part", "physics"): ("pexprks_tran_order_2_full_jacobian", "full"),
         ("part", "imex"): ("pexprks_tran_order_2_full_jacobian", "full"),
     }
-
-    def test_jacobian_flag_is_rejected(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            _build_parser().parse_args(["run", "--form", "tran", "--partition", "species", "--jacobian", "block"])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --jacobian block" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("cell", list(CELL_LABELS), ids=["-".join(cell) for cell in CELL_LABELS])
-    def test_label_and_metadata_of_the_cell(self, cell):
-        form, partition = cell
-        cfg = config_from("--form", form, "--partition", partition)
-        assert (cfg.label(), cfg.as_metadata()["jacobian"]) == self.CELL_LABELS[cell]
 
     def test_jacobian_is_no_setting(self):
         # neither a field, a constructor argument nor assignable
@@ -267,6 +256,12 @@ class TestCsv:
         assert lines[-1] == "h,error_l2,observed_order,matvecs,krylov_dims,wall_ms"
         assert any(line.startswith("# seed = 0") for line in lines)
         assert any(line.startswith("# generated_at") for line in lines)
+        # comments alone are no rows; another header is no study CSV
+        path.write_text("# seed = 0\n\n")
+        assert parse_csv(path) == ([], {"seed": "0"})
+        path.write_text("h,error\n0.1,1e-3\n")
+        with pytest.raises(ValueError, match="unexpected CSV columns"):
+            parse_csv(path)
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +304,9 @@ class TestStudy:
         exact = expm_dense(a) @ u0
         assert discrete_l2(ref.state - exact) <= 1e-11
         assert ref.n_steps == 8 * 32
+        # an injected problem brings its initial state
+        with pytest.raises(ValueError, match="needs an initial state"):
+            reference_solution(cfg, problem=prob)
 
     @pytest.mark.parametrize("grid", [8, 16, 32, 64])
     def test_reference_lies_within_its_gap_of_dop853(self, grid):
@@ -525,6 +523,14 @@ class TestConcurrentReference:
             set_(before)
         assert l2_threads == [1, 1, 1]  # the reference gap, the one row, the gate's floor
 
+    def test_without_an_openblas_setter_the_runs_leave_blas_alone(self, monkeypatch):
+        # where numpy bundles no OpenBLAS with a thread-count setter, the
+        # reference runs at whatever thread count BLAS has, to the same state
+        want = reference_solution(PROBE_CFG, *probe_problem())
+        monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
+        got = reference_solution(PROBE_CFG, *probe_problem())
+        assert got.state.tobytes() == want.state.tobytes() and repr(got.gap) == repr(want.gap)
+
     @pytest.mark.parametrize(
         "failing, step", [({"fine"}, "1/32"), ({"coarse"}, "1/16"), ({"fine", "coarse"}, "1/32")],
         ids=["fine", "coarse", "both"],
@@ -678,6 +684,63 @@ class TestCli:
 
         return call
 
+    # every usage and configuration error: (id, argv, what stderr says);
+    # {tmp} is the test's temporary directory, which holds cfg.json
+    EXIT_2 = [
+        ("part-without-partition", ("run", "--form", "part"), "configuration error"),
+        ("part-none", ("run", "--form", "part", "--partition", "none"), "configuration error"),
+        ("orig-species", ("run", "--form", "orig", "--partition", "species"), "configuration error"),
+        ("orig-space", ("run", "--form", "orig", "--partition", "space"), "configuration error"),
+        ("odd-grid-space-part", ("run", "--grid", "33", "--partition", "space", "--form", "part", "--steps", "1"),
+         "even grid side"),
+        ("odd-grid-space-tran", ("run", "--grid", "33", "--partition", "space", "--form", "tran", "--steps", "1"),
+         "even grid side"),
+        # a shorthand with its long form is an argparse usage error, even
+        # where both name the same grid
+        ("paper-scale-grid", ("run", "--paper-scale", "--grid", "32"), "not allowed with argument"),
+        ("paper-scale-grid-300", ("run", "--paper-scale", "--grid", "300"), "not allowed with argument"),
+        ("steps-twice", ("run", "--steps", "1", "--steps-pow2", "1:3"), "not allowed with argument"),
+        ("steps-pow2-from-0", ("run", "--steps-pow2", "0:3"), "configuration error"),
+        # argparse types the plain flags; the run parses the step list and
+        # the time span itself
+        ("grid-float", ("run", "--grid", "64.0"), "invalid int value"),
+        ("tol-text", ("run", "--krylov-tol", "abc"), "invalid float value"),
+        ("steps-float", ("run", "--steps", "2.5"), "configuration error"),
+        ("steps-bool", ("run", "--grid", "8", "--steps", "true,2"), "configuration error"),
+        ("tspan-one-value", ("run", "--tspan", "1"), "two values separated by ':'"),
+        ("tspan-text", ("run", "--tspan", "a:1"), "bad tspan 'a:1'"),
+        ("tol-inf", ("run", "--grid", "8", "--steps", "1,2", "--krylov-tol", "inf"), "must be finite"),
+        ("tol-nan", ("run", "--grid", "8", "--steps", "1,2", "--krylov-tol", "nan"), "must be finite"),
+        ("tf-inf", ("run", "--grid", "8", "--steps", "1,2", "--tspan", "0:inf"), "must be finite"),
+        ("t0-nan", ("run", "--grid", "8", "--steps", "1,2", "--tspan", "nan:1"), "must be finite"),
+        # the out path is checked before the study runs
+        ("out-missing-dir", ("run", "--grid", "8", "--steps", "1,2", "--out", "{tmp}/missing/study.csv"),
+         "configuration error"),
+        ("out-dir", ("run", "--grid", "8", "--steps", "1,2", "--out", "{tmp}"), "configuration error"),
+        ("out-empty", ("run", "--grid", "8", "--steps", "1,2", "--out", ""), "configuration error"),
+        # flags are the only source: there is no config file to read, and no
+        # --jacobian, which the form and the partition decide
+        ("config-file", ("run", "--config", "{tmp}/cfg.json"), "unrecognized arguments: --config"),
+        ("jacobian-flag", ("run", "--form", "tran", "--partition", "species", "--jacobian", "block"),
+         "unrecognized arguments: --jacobian block"),
+        ("size-0", ("check-order", "--order", "2", "--size", "0"), "configuration error"),
+        ("size-neg", ("check-order", "--order", "2", "--size", "-1"), "configuration error"),
+        ("size-over-limit", ("check-order", "--order", "2", "--size", "201"), "configuration error"),
+        ("seed-neg", ("check-order", "--order", "2", "--seed", "-1"), "configuration error"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", [case[1:] for case in EXIT_2], ids=[case[0] for case in EXIT_2])
+    def test_usage_or_configuration_error_exits_2(self, argv, message, main, tmp_path, monkeypatch):
+        # with its message and no traceback, and a run computes no reference
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference was computed")
+
+        monkeypatch.setattr(harness, "reference_solution", no_reference)
+        (tmp_path / "cfg.json").write_text('{"grid": 8}')
+        proc = main(*(arg.format(tmp=tmp_path) for arg in argv))
+        assert proc.returncode == 2
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
     def test_check_order_subcommand(self):
         proc = self.run_cli("check-order", "--order", "2", "--size", "6", "--seed", "3")
         assert proc.returncode == 0
@@ -721,28 +784,6 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 [] [] []"
 
-    def test_run_out_into_missing_directory_fails_before_the_reference(self, tmp_path, main):
-        missing = str(tmp_path / "missing" / "study.csv")
-        for where in (["--out", missing], ["--out", str(tmp_path)], ["--out", ""]):
-            proc = main("run", "--grid", "8", "--steps", "1,2", *where)
-            assert proc.returncode == 2, where
-            assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
-            assert "reference gap" not in proc.stdout
-
-    @pytest.mark.parametrize(
-        "flags",
-        [("--krylov-tol", "inf"), ("--krylov-tol", "nan"), ("--tspan", "0:inf"), ("--tspan", "nan:1")],
-        ids=["tol-inf", "tol-nan", "tf-inf", "t0-nan"],
-    )
-    def test_non_finite_setting_fails_before_the_reference(self, flags, main, monkeypatch):
-        def no_reference(*args, **kwargs):
-            raise AssertionError("the reference was computed")
-
-        monkeypatch.setattr(harness, "reference_solution", no_reference)
-        proc = main("run", "--grid", "8", "--steps", "1,2", *flags)
-        assert proc.returncode == 2, flags
-        assert "must be finite" in proc.stderr and "Traceback" not in proc.stderr
-
     def test_overflowing_reduced_argument_names_the_failed_step(self, main):
         # tau H overflows at h = 1e308: a phi failure (exit 3), not a crash,
         # and no RuntimeWarning (filterwarnings = error turns one into a failure)
@@ -764,21 +805,6 @@ class TestCli:
         assert proc.returncode == 3
         assert proc.stderr == f"numerical failure: reference integration failed: step 1/32: {failure}\n"
 
-    @pytest.mark.parametrize(
-        "flags",
-        [("--size", "0"), ("--size", "-1"), ("--size", "201"), ("--seed", "-1")],
-        ids=["size-0", "size-neg", "size-over-limit", "seed-neg"],
-    )
-    def test_check_order_bad_input_exit_code(self, flags, main):
-        proc = main("check-order", "--order", "2", *flags)
-        assert proc.returncode == 2, flags
-        assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
-
-    def test_config_error_exit_code(self, main):
-        proc = main("run", "--form", "part")  # partition missing
-        assert proc.returncode == 2
-        assert "configuration error" in proc.stderr
-
     def test_numerical_failure_exit_code(self, main):
         # a Krylov cap far below what the problem needs fails every study
         # product; the reference keeps its own m_max and integrates, so the
@@ -792,42 +818,7 @@ class TestCli:
         assert "every step size failed" in proc.stderr and "partition" in proc.stderr
         assert "reference integration failed" not in proc.stderr
 
-    def test_unknown_config_key_exit_code(self, tmp_path, main):
-        # flags are the only source: there is no config file to read
-        config = tmp_path / "cfg.json"
-        config.write_text('{"grid": 8}')
-        assert main("run", "--config", str(config)).returncode == 2
-
-    def test_wrongly_typed_config_value_exit_code(self, main):
-        # argparse types the plain flags; the run parses the step list itself
-        for flags, message in ((("--grid", "64.0"), "invalid int value"),
-                               (("--krylov-tol", "abc"), "invalid float value"),
-                               (("--steps", "2.5"), "configuration error"),
-                               (("--grid", "8", "--steps", "true,2"), "configuration error")):
-            proc = main("run", *flags)
-            assert proc.returncode == 2, flags
-            assert message in proc.stderr and "Traceback" not in proc.stderr
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (("--form", "part", "--partition", "none"), "configuration error"),
-            (("--form", "orig", "--partition", "species"), "configuration error"),
-            (("--form", "orig", "--partition", "space"), "configuration error"),
-            # a shorthand with its long form is an argparse usage error
-            (("--paper-scale", "--grid", "32"), "not allowed with argument"),
-            (("--steps", "1", "--steps-pow2", "1:3"), "not allowed with argument"),
-            (("--steps-pow2", "0:3"), "configuration error"),
-        ],
-        ids=["part-none", "orig-species", "orig-space", "paper-scale-grid", "steps-twice",
-             "steps-pow2-from-0"],
-    )
-    def test_ignored_or_doubly_set_flag_exit_code(self, flags, message, main):
-        proc = main("run", *flags)
-        assert proc.returncode == 2, flags
-        assert message in proc.stderr and "Traceback" not in proc.stderr
-
-    def test_paper_scale_sets_grid_300(self, tmp_path, main):
+    def test_paper_scale_sets_grid_300(self, tmp_path):
         # the alias writes the grid; metadata records the grid that runs
         cfg = config_from("--paper-scale", "--form", "part", "--partition", "species")
         assert cfg.grid == PAPER_SCALE_GRID == 300
@@ -837,14 +828,6 @@ class TestCli:
         _, metadata = parse_csv(out)
         assert metadata["grid"] == "300" and metadata["steps"] == "[2, 4, 8, 16, 32, 64]"
         assert "paper_scale" not in metadata and "steps_pow2" not in metadata
-        # the alias excludes --grid, even one that names the same grid
-        assert main("run", "--paper-scale", "--grid", "300").returncode == 2
-
-    def test_odd_grid_space_split_exit_code(self, main):
-        for form in (["--form", "part"], ["--form", "tran"]):
-            proc = main("run", "--grid", "33", "--partition", "space", *form, "--steps", "1")
-            assert proc.returncode == 2, form
-            assert "even grid side" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_tspan_and_steps_parsing(self, tmp_path, main):
         out = tmp_path / "study.csv"

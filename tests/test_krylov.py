@@ -18,6 +18,7 @@ from pexprk.krylov import (
     phi_times_vector,
 )
 from pexprk.operators import LinearOperator
+from pexprk.phi import MAX_PHI_INDEX
 from pexprk.problems import TIMESPAN, GrayScottModel, gs_initial, gs_partition, gs_rhs
 
 from oracles import gs_full_jacobian, phi_dense_times_vector, phi_scalar
@@ -97,11 +98,13 @@ class TestCheckSchedule:
 
 
 class TestKrylovConfig:
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, np.inf, np.nan])
-    def test_rejects_tolerance_not_positive_and_finite(self, tol):
-        # an infinite tol would pass every product at its first check
-        with pytest.raises(ValueError, match="tol"):
-            KrylovConfig(tol=tol)
+    @pytest.mark.parametrize("field, value", [("tol", 0.0), ("tol", -1e-12), ("tol", np.inf), ("tol", np.nan),
+                                              ("m_max", 0)])
+    def test_rejects_settings_out_of_range(self, field, value):
+        # tol positive and finite (an infinite tol would pass every product
+        # at its first check), m_max at least 1
+        with pytest.raises(ValueError, match=field):
+            KrylovConfig(**{field: value})
 
 
 class TestPhiTimesVector:
@@ -135,18 +138,6 @@ class TestPhiTimesVector:
         assert op.zero and res.converged and res.dim_used == 0
         assert ctx.stats.matvecs == 0 and ctx.stats.krylov_dim_total == 0
         assert np.array_equal(res.approximation, v / math.factorial(k))
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_dense_reference_40x40(self, k):
-        rng = np.random.default_rng(1234 + k)
-        a = stable_dense(rng, 40)
-        v = rng.uniform(-1, 1, size=40)
-        cfg = KrylovConfig(tol=1e-10, m_max=60)
-        res = phi_times_vector(LinearOperator(a), k, 0.1, v, cfg)
-        ref = dense_phi_reference(k, 0.1, a, v)
-        assert res.converged
-        err = np.linalg.norm(res.approximation - ref) / np.linalg.norm(res.approximation)
-        assert err <= 1e-8
 
     def test_invariant_subspace_exact(self):
         # v supported on one 3x3 block: exact at M = 3 via lucky breakdown
@@ -204,6 +195,24 @@ class TestPhiTimesVector:
         denom = np.linalg.norm(lhs)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * denom
 
+    def test_phi_index_limit_on_both_recurrences(self):
+        # phi_array, which the Lanczos path reads, is tabulated up to
+        # MAX_PHI_INDEX: both paths give that index, and reject the next as
+        # k or as p
+        d = -np.linspace(0.5, 5.0, 10)
+        v = np.linspace(1.0, 2.0, 10)
+        ops = LinearOperator(np.diag(d), symmetric=True), LinearOperator(np.diag(d))
+        cfg = KrylovConfig(tol=1e-12, m_max=10)
+        want = np.array([phi_scalar(MAX_PHI_INDEX, 0.5 * x) for x in d]) * v
+        rejected = f"must be <= MAX_PHI_INDEX = {MAX_PHI_INDEX}, got {MAX_PHI_INDEX + 1}"
+        for op in ops:
+            res = phi_times_vector(op, MAX_PHI_INDEX, 0.5, v, cfg)
+            assert res.converged
+            assert np.linalg.norm(res.approximation - want) <= 1e-12 * np.linalg.norm(want), op.symmetric
+            for k, p in ((MAX_PHI_INDEX + 1, None), (1, MAX_PHI_INDEX + 1)):
+                with pytest.raises(ValueError, match=rejected):
+                    phi_times_vector(op, k, 0.5, v, cfg, p=p)
+
     def test_rejects_k0_and_mismatch(self):
         with pytest.raises(ValueError):
             phi_times_vector(LinearOperator(np.zeros((3, 3))), 0, 1.0, np.zeros(3), KrylovConfig())
@@ -213,18 +222,29 @@ class TestPhiTimesVector:
 
 class TestSurrogateErrorEstimate:
     """The phi_1 surrogate estimate against the true error of phi_k, k = 1..3,
-    on the Arnoldi path; ``TestLanczos`` covers declared-symmetric operators."""
+    on both recurrences: Arnoldi on a dense nonsymmetric matrix, Lanczos on a
+    declared-symmetric one."""
 
-    @pytest.mark.parametrize("n", [40], ids=["expm-path"])
-    def test_estimate_bounds_true_error(self, n):
+    @pytest.mark.parametrize("recurrence, n, m_max",
+                             [("arnoldi", 40, 39), ("lanczos", 40, 39), ("lanczos", 200, 80)],
+                             ids=["arnoldi-40", "lanczos-40", "lanczos-200"])
+    def test_estimate_bounds_true_error(self, recurrence, n, m_max):
         tau = 0.5
         checked = {1: 0, 2: 0, 3: 0}
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            a = stable_dense(rng, n)
+            if recurrence == "arnoldi":
+                op = LinearOperator(stable_dense(rng, n))
+            else:
+                op = declared_symmetric(symmetric_stable(rng, n))
+            a = op.matrix.toarray()
             v = rng.uniform(-1, 1, size=n)
-            state = _ArnoldiState(LinearOperator(a), v, n - 1)
-            state.extend(n - 1)
+            state = _ArnoldiState(op, v, m_max)
+            state.extend(m_max)
+            if recurrence == "lanczos":
+                # H is filled as an exactly symmetric tridiagonal
+                t = state.H[: state.m, : state.m]
+                assert np.array_equal(t, t.T) and np.array_equal(t, np.triu(np.tril(t, 1), -1))
             refs = {k: dense_phi_reference(k, tau, a, v) for k in checked}
             for m in range(2, state.m):
                 for k, ref in refs.items():
@@ -236,9 +256,10 @@ class TestSurrogateErrorEstimate:
                     # estimate of the truncation error does not bound
                     assert true <= max(est, 1e-13), (seed, m, k, true, est)
                     checked[k] += est >= 1e-12
-            assert not state._eig  # every evaluation took the augmented exponential
+            # Arnoldi takes the augmented exponential at every m, Lanczos an
+            # eigendecomposition of its tridiagonal
+            assert set(state._eig) == (set(range(2, state.m)) if recurrence == "lanczos" else set())
         assert min(checked.values()) >= 10, checked
-
 
     @pytest.mark.parametrize("spacing", ["unit", "1/n"])
     @pytest.mark.parametrize("kind, part", [("full", 0), ("space", 0), ("space", 1)],
@@ -304,32 +325,6 @@ class TestOrthogonality:
 
 class TestLanczos:
     """Declared-symmetric operators run the three-term recurrence."""
-
-    @pytest.mark.parametrize("n, m_max", [(40, 39), (200, 80)])
-    def test_surrogate_estimate_bounds_true_error(self, n, m_max):
-        tau = 0.5
-        checked = {1: 0, 2: 0, 3: 0}
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            op = declared_symmetric(symmetric_stable(rng, n))
-            a = op.matrix.toarray()
-            v = rng.uniform(-1, 1, size=n)
-            state = _ArnoldiState(op, v, m_max)
-            state.extend(m_max)
-            t = state.H[: state.m, : state.m]
-            # H is filled as an exactly symmetric tridiagonal
-            assert np.array_equal(t, t.T) and np.array_equal(t, np.triu(np.tril(t, 1), -1))
-            refs = {k: dense_phi_reference(k, tau, a, v) for k in checked}
-            for m in range(2, state.m):
-                assert state._eigendecomposition(m) is not None
-                for k, ref in refs.items():
-                    w_red, est = state.reduced_phi(k, tau, m)
-                    if est > 1e-6:
-                        continue
-                    true = np.linalg.norm(state.vnorm * (state.V[:, :m] @ w_red) - ref) / np.linalg.norm(ref)
-                    assert true <= max(est, 1e-13), (seed, m, k, true, est)
-                    checked[k] += est >= 1e-12
-        assert min(checked.values()) >= 10, checked
 
     def test_lanczos_relation_and_agreement_with_arnoldi(self):
         rng = np.random.default_rng(3)

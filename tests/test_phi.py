@@ -157,9 +157,11 @@ class TestExpmDense:
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(PhiEvaluationError):
             expm_dense(np.diag([1e6, 1e6]))
 
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
+    def test_rejects_a_nonsquare_or_non_finite_matrix(self):
+        with pytest.raises(ValueError, match="square"):
             expm_dense(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="non-finite entries"):
+            expm_dense(np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
 class TestPhiDenseTimesE1:
@@ -337,6 +339,10 @@ class TestPhiDenseMatrices:
         mats = phi_dense_matrices(4, a)
         for k in range(1, 5):
             assert np.max(np.abs(mats[k - 1] - phi_series_matrix(k, a, terms=41))) <= 1e-13
+
+    def test_rejects_p_below_one(self):
+        with pytest.raises(ValueError, match="need p >= 1, got 0"):
+            phi_dense_matrices(0, np.eye(2))
 
     def test_consistent_with_e1_columns(self):
         rng = np.random.default_rng(5)

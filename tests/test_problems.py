@@ -313,58 +313,9 @@ class TestPartitions:
             total = sum(embed(m.dim, s, f(u)) for f, s in zip(prob.f_parts, prob.supports))
             assert np.linalg.norm(total - full) <= 1e-13 * np.linalg.norm(full)
 
-    def test_species_operators_match_finite_differences(self, small_model, random_state):
-        m = small_model
-        prob = gs_partition(m, "species")
-        for p, support in enumerate(prob.supports):
-            analytic = embedded_matrix(m.dim, support, prob.operator_builders[p](random_state)).toarray()
-            numeric = fd_jacobian(lambda u: embed(m.dim, support, prob.f_parts[p](u)), random_state)
-            # the species operator keeps only the own-species block
-            mask = np.zeros((m.dim, m.dim))
-            sl = slice(0, m.cells) if p == 0 else slice(m.cells, m.dim)
-            mask[sl, sl] = 1.0
-            assert np.max(np.abs(analytic - numeric * mask)) <= 1e-6
-
-    def test_species_block_sum_matches_jacobian_diagonal(self, small_model, random_state):
-        m = small_model
-        prob = gs_partition(m, "species")
-        total = sum(
-            embedded_matrix(m.dim, support, build(random_state)).toarray()
-            for build, support in zip(prob.operator_builders, prob.supports)
-        )
-        full = fd_jacobian(lambda u: gs_rhs(m, u), random_state)
-        blocked = np.zeros_like(full)
-        blocked[: m.cells, : m.cells] = full[: m.cells, : m.cells]
-        blocked[m.cells:, m.cells:] = full[m.cells:, m.cells:]
-        assert np.max(np.abs(total - blocked)) <= 1e-6
-
-    def test_species_operator_annihilates_other_block(self, small_model, random_state):
-        m = small_model
-        prob = gs_partition(m, "species")
-        v = np.zeros(m.dim)
-        v[m.cells:] = 1.0  # supported on the b-field
-        op = prob.operator_builders[0](random_state)
-        assert op.dim == m.cells  # the a-variables alone
-        out = embedded_matrix(m.dim, prob.supports[0], op) @ v
-        assert np.max(np.abs(out)) == 0.0
-
     def test_space_permutation_is_bijection(self, small_model):
         perm = gs_space_permutation(small_model)
         assert np.array_equal(np.sort(perm), np.arange(small_model.dim))
-
-    def test_space_operators_are_jacobian_subblocks(self, small_model, random_state):
-        m = small_model
-        perm = gs_space_permutation(m)
-        jac = gs_full_jacobian(m, random_state).to_dense()
-        permuted = jac[np.ix_(perm, perm)]
-        half = m.dim // 2
-        prob = gs_partition(m, "space")
-        for p, window in enumerate([slice(0, half), slice(half, m.dim)]):
-            dense = embedded_matrix(m.dim, prob.supports[p], prob.operator_builders[p](random_state)).toarray()
-            idx = perm[window]
-            expected = np.zeros_like(dense)
-            expected[np.ix_(idx, idx)] = permuted[window, window]
-            assert np.max(np.abs(dense - expected)) <= 1e-10
 
     @pytest.mark.parametrize("n", [16, 160])
     def test_space_operators_equal_masked_full_jacobian(self, n):

@@ -22,6 +22,8 @@ from pexprk.krylov import KrylovConfig
 from pexprk.operators import LinearOperator
 from pexprk.phi import MAX_DENSE_DIM
 from pexprk.tableaux import (
+    ExprkTableau,
+    TransformedTableau,
     check_order_conditions,
     dump_tableau,
     tableau,
@@ -44,6 +46,7 @@ class TestExpressions:
         assert mul(Const(1.0), Phi(1)) == Phi(1)
         assert mul(Const(0.0), Phi(1)) == Const(0.0)
         assert scale(1.0, Phi(3)) == Phi(3)
+        assert scale(2.0, Const(3.0)) == Const(6.0)
 
     def test_structural_equality_and_keys(self):
         assert Phi(2, 0.5) == Phi(2, 0.5)
@@ -64,6 +67,8 @@ class TestExpressions:
             Phi(1, 0.0)
         with pytest.raises(ValueError):
             Phi(1, 1.5)
+        with pytest.raises(TypeError, match="not a coefficient expression"):
+            eval_dense(1.0, np.eye(2))
 
     def test_eval_scalar_composition(self):
         # z * phi_2(z) = phi_1(z) - 1
@@ -144,6 +149,10 @@ class TestCatalog:
                 0.25 * phi_scalar(2, 0.5 * z) - a52, rel=1e-13
             )
 
+
+    def test_rejects_an_order_outside_the_catalog(self):
+        with pytest.raises(ValueError, match="no catalog method of order 5"):
+            tableau(5)
 
     def test_largest_phi_index(self):
         assert [tableau(order).phi_max for order in (2, 3, 4)] == [2, 2, 3]
@@ -277,14 +286,28 @@ class TestTransform:
                 e_big[i * n:(i + 1) * n, j * n:(j + 1) * n] = eye - z @ blk_alpha
         assert np.max(np.abs(ipza @ e_big - np.eye(size * n))) <= 1e-12
 
-    def test_rejects_non_strictly_lower(self):
-        with pytest.raises(ValueError):
-            tableau_order2().__class__(
-                s=2, c=(0.0, 1.0),
-                a=((None, Phi(1)), (Phi(1), None)),
-                b=(Phi(1), Phi(2)),
-                design_order=2,
-            )
+    @pytest.mark.parametrize(
+        "kind, fields, match",
+        [
+            (ExprkTableau, dict(b=(Phi(1),)), "length s"),
+            (ExprkTableau, dict(c=(0.5, 1.0)), "first abscissa must be 0"),
+            (ExprkTableau, dict(a=((None,), (Phi(1), None))), "s x s"),
+            (ExprkTableau, dict(a=((None, Phi(1)), (Phi(1), None))), r"lower triangular \(a\[0\]\[1\]\)"),
+            (ExprkTableau, dict(a=((None, None), (None, None))), r"a\[1\]\[0\] must be present"),
+            (TransformedTableau, dict(alpha=((Phi(1), None), (Phi(1), None))), "first alpha row must vanish"),
+            (TransformedTableau, dict(alpha=((None, None), (Phi(1), Phi(1)))), r"lower triangular \(a\[1\]\[1\]\)"),
+        ],
+        ids=["length", "first-abscissa", "grid-not-square", "not-strictly-lower", "no-phi1-column",
+             "alpha-first-row", "alpha-not-strictly-lower"],
+    )
+    def test_rejects_malformed_tableaux(self, kind, fields, match):
+        # each field replaces its entry in a well-formed order-2 tableau
+        grid = "a" if kind is ExprkTableau else "alpha"
+        weights = "b" if kind is ExprkTableau else "beta"
+        well_formed = {"s": 2, "c": (0.0, 1.0), grid: ((None, None), (Phi(1), None)), weights: (Phi(1), Phi(2)),
+                       "design_order": 2}
+        with pytest.raises(ValueError, match=match):
+            kind(**{**well_formed, **fields})
 
     @pytest.mark.parametrize("c", [(0.0, 0.0), (0.0, 1.5)])
     def test_rejects_abscissa_outside_unit_interval(self, c):
@@ -308,29 +331,6 @@ class TestOrderConditions:
             assert set(res) == {"1", "2a", "2b"}
             assert all(v <= 1e-12 for v in res.values()), res
 
-    def test_order3_strict_conditions(self):
-        res = check_order_conditions(tableau_order3(), up_to=3, n=6, seed=1)
-        for label in ["1", "2a", "2b", "3b"]:
-            assert res[label] <= 1e-10, (label, res[label])
-
-    def test_order4_strict_conditions(self):
-        res = check_order_conditions(tableau_order4(), up_to=4, n=6, seed=2)
-        for label in ["1", "2a", "2b", "3a", "3b", "4c", "4d"]:
-            assert res[label] <= 1e-10, (label, res[label])
-
-    @pytest.mark.parametrize("order", [3, 4])
-    def test_weak_conditions_hold_at_origin(self, order):
-        # the catalog methods of order 3 and 4 satisfy these scalar
-        # conditions only in the weakened sense: exactly at z = 0
-        t = tableau(order)
-        weights_z0 = [eval_scalar(bj, 0.0) for bj in t.b]
-        if order == 3:
-            lhs = sum(w * c**2 / 2.0 for w, c in zip(weights_z0, t.c))
-            assert lhs == pytest.approx(1.0 / 6.0, abs=1e-14)  # phi_3(0)
-        else:
-            lhs = sum(w * c**3 / 6.0 for w, c in zip(weights_z0, t.c))
-            assert lhs == pytest.approx(1.0 / 24.0, abs=1e-14)  # phi_4(0)
-
     @pytest.mark.parametrize("order", [3, 4])
     def test_weak_conditions_fail_strictly(self, order):
         # documents that the strict residuals of the weakened conditions are
@@ -348,6 +348,20 @@ class TestOrderConditions:
         a = check_order_conditions(tableau_order3(), up_to=3, n=6, seed=9)
         b = check_order_conditions(tableau_order3(), up_to=3, n=6, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("up_to, labels", [
+        (1, ["1"]),
+        (2, ["1", "2a", "2b"]),
+        (3, ["1", "2a", "2b", "3a", "3b"]),
+        (4, ["1", "2a", "2b", "3a", "3b", "4a", "4b", "4c", "4d"]),
+    ])
+    def test_computes_only_the_conditions_up_to_the_order_asked(self, up_to, labels):
+        assert list(check_order_conditions(tableau_order4(), up_to=up_to)) == labels
+
+    @pytest.mark.parametrize("up_to", [0, -3, 5])
+    def test_rejects_up_to_outside_one_to_four(self, up_to):
+        with pytest.raises(ValueError, match=f"orders 1 to 4, got up_to={up_to}"):
+            check_order_conditions(tableau_order2(), up_to=up_to)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_empty_matrices(self, n):
