@@ -193,36 +193,36 @@ def eval_coeff(
     cfg: KrylovConfig,
     ctx: EvalContext | None = None,
     p: int | None = None,
+    memo: dict | None = None,
 ) -> np.ndarray:
     """Apply a Butcher-form expr(h L) to v matrix-free.
 
     Phi nodes go through the Krylov engine with tau = c * h, which evaluates
     phi_1 .. phi_p of each reduced matrix together (p defaults to each node's
     k).  A shared EvalContext serves (L, v) from one Arnoldi factorization
-    across phi indices, and memoizes subtree applications in the pair's memo
-    under (node, h, cfg.tol, cfg.m_max, p), everything the product depends on.
+    across phi indices.  A memo serves one (L, h, v, cfg, p), as eval_dense's
+    serves one Z: it holds each subtree's product under its node.
     """
     ctx = ctx if ctx is not None else EvalContext()
+    memo = {} if memo is None else memo
     v = np.asarray(v, dtype=float)  # one object, so the pair holds through the tree
-    memo = ctx.pair_memo(L, v)
-    key = (expr, h, cfg.tol, cfg.m_max, p)
-    out = memo.get(key)
+    out = memo.get(expr)
     if out is None:
-        out = memo[key] = _eval_coeff_node(expr, L, h, v, cfg, ctx, p)
+        out = memo[expr] = _eval_coeff_node(expr, L, h, v, cfg, ctx, p, memo)
     return out
 
 
-def _eval_coeff_node(expr, L, h, v, cfg, ctx, p):
+def _eval_coeff_node(expr, L, h, v, cfg, ctx, p, memo):
     if isinstance(expr, Phi):
         tau = expr.c * h
         return require_converged(phi_times_vector(L, expr.k, tau, v, cfg, ctx=ctx, p=p), expr.k, tau, cfg)
     if isinstance(expr, Const):
         return expr.r * v
     if isinstance(expr, Scale):
-        return expr.r * eval_coeff(expr.child, L, h, v, cfg, ctx, p)
+        return expr.r * eval_coeff(expr.child, L, h, v, cfg, ctx, p, memo)
     if isinstance(expr, Sum):
         acc = np.zeros_like(v)
         for ch in expr.children:
-            acc = acc + eval_coeff(ch, L, h, v, cfg, ctx, p)
+            acc = acc + eval_coeff(ch, L, h, v, cfg, ctx, p, memo)
         return acc
     raise TypeError(f"not applied matrix-free: {expr} (only Phi, Const, Scale, Sum)")

@@ -59,16 +59,17 @@ feeds, cfg.tol ||f_p(u_n)|| / ||r||, clamped (``steppers._residual_cfg``).
 There is no
 sub-stepping in tau: a product that does not converge by m_max is returned
 with ``converged=False``.  A non-finite vector, basis or approximation
-raises KrylovError; the estimate's norm is taken with scaling, so a finite
-result whose squared norm overflows still gets a finite estimate.  The
-engine counts solves, Krylov dimensions and the matvecs that grow a
-factorization; a stepper counts the applies it makes itself.
+raises KrylovError.  The vector's norm (``scaled_norm``) and the estimate's
+are taken with scaling, so every finite nonzero vector gets a factorization
+and a finite result whose squared norm overflows still gets a finite
+estimate.  The engine counts solves, Krylov dimensions and the matvecs that
+grow a factorization; a stepper counts the applies it makes itself.
 
 An ``EvalContext`` is the workspace of one integration: it adds up the
 run's counters and holds one (operator, vector) pair at a time, with that
-pair's factorization and coefficient memo.  The steppers apply every product
-on a Krylov vector while it is live and then release it (phipm's order), so
-one pair is all a step needs.
+pair's factorization.  The steppers apply every product on a Krylov vector
+while it is live and then release it (phipm's order), so one pair is all a
+step needs.
 """
 
 import math
@@ -103,6 +104,19 @@ def _dot(x, y) -> float:
 
 def _norm(w) -> float:
     return math.sqrt(_dot(w, w))
+
+
+def scaled_norm(v) -> float:
+    """||v|| with v first divided by the power of two 2^(e-1) <= max |v_i| < 2^e,
+    so that no square overflows or underflows to zero: finite wherever ||v||
+    is, and nonzero for every nonzero v.  The scaling is exact, so wherever
+    sqrt(v^T v) neither overflows nor underflows this equals ``_norm(v)`` bit
+    for bit.  0 for v = 0, and inf or NaN for a non-finite v."""
+    top = float(np.max(np.abs(v)))
+    if not 0.0 < top < math.inf:
+        return top
+    e = math.frexp(top)[1] - 1
+    return math.ldexp(_norm(np.ldexp(v, -e)), e)
 
 
 _BREAKDOWN_RTOL = 1e-14
@@ -181,32 +195,26 @@ class EvalContext:
     vector) pair at a time.
 
     It holds the pair's Arnoldi factorization, shared by every phi product on
-    the pair -- the basis is independent of the phi index and of tau -- and
-    its coefficient memo.  Asking for another pair drops the last one's
-    factorization and memo; holding the pair itself keeps its identity
-    unambiguous.  The stats add up over the context's lifetime.
+    the pair -- the basis is independent of the phi index and of tau.  Asking
+    for another pair drops the last one's factorization before the new one
+    is built; holding the pair itself keeps its identity unambiguous.  The
+    stats add up over the context's lifetime.
     """
 
     def __init__(self):
         self.stats = KrylovStats()
         self.clear()
 
-    def pair_memo(self, op: LinearOperator, v: np.ndarray) -> dict:
-        """The coefficient memo of (op, v), restarted for a new pair."""
+    def arnoldi_state(self, op: LinearOperator, v: np.ndarray, m_max: int) -> "_ArnoldiState":
         if self._op is not op or self._v is not v:
             self.clear()
+            self._state = _ArnoldiState(op, v, m_max)
             self._op, self._v = op, v
-        return self._memo
-
-    def arnoldi_state(self, op: LinearOperator, v: np.ndarray, m_max: int) -> "_ArnoldiState":
-        self.pair_memo(op, v)
-        self._state = self._state or _ArnoldiState(op, v, m_max)
         return self._state
 
     def clear(self):
-        """Drop the pair, its factorization and its memo; the stats stay."""
+        """Drop the pair and its factorization; the stats stay."""
         self._op = self._v = self._state = None
-        self._memo = {}
 
 
 class _ArnoldiState:
@@ -218,7 +226,7 @@ class _ArnoldiState:
         self.symmetric = op.symmetric
         self.n = op.dim
         self.m_max = min(m_max, self.n)
-        self.vnorm = _norm(v)
+        self.vnorm = scaled_norm(v)
         if not math.isfinite(self.vnorm):
             raise KrylovError(f"non-finite Krylov vector (norm {self.vnorm:.3g})")
         cap = min(16, self.n)
@@ -309,7 +317,7 @@ class _ArnoldiState:
         per m serves every tau: each (tau, m) then costs O(m^2 p) in
         _phi_columns instead of one augmented exponential.  numpy's eigh,
         not scipy's tridiagonal solver: the two wheels load separate
-        OpenBLAS builds (see phi._expm_pade13)."""
+        OpenBLAS builds (see phi.expm)."""
         if m not in self._eig:
             self._eig[m] = np.linalg.eigh(self.H[:m, :m])
         return self._eig[m]

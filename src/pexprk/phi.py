@@ -9,7 +9,8 @@ Small dense arguments only; large operators go through the Krylov engine,
 whose reduced-space evaluations are ``phi_cols_e1`` (phi_k(A) e_1, k = 1..p,
 from one augmented exponential, ``_augmented``) and ``phi_array`` (phi_k at
 the entries of a vector).  ``phi_dense_matrices`` gives whole matrices
-phi_k(A) for the order-condition checks.
+phi_k(A) for the order-condition checks.  ``expm`` is the one matrix
+exponential behind all of them but ``phi_array``.
 """
 
 import math
@@ -46,24 +47,6 @@ def _check_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def expm_dense(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a diagonal Pade approximant.
-
-    Delegates to scipy.linalg.expm (degree-13 approximant with norm-based
-    scaling); overflow or non-finite output is reported as an evaluation
-    failure rather than returned.
-    """
-    import scipy.linalg  # here, not at module level: `pexprk run` never calls it (see _expm_pade13)
-
-    a = _check_square(a)
-    e = scipy.linalg.expm(a)
-    if not np.all(np.isfinite(e)):
-        raise PhiEvaluationError(
-            f"matrix exponential produced non-finite entries (norm {np.linalg.norm(a, 1):.3g})"
-        )
-    return e
-
-
 def _augmented(p: int, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The bordered matrix [[A, v e_1^T], [0, J_p]], J_p the p x p nilpotent
     upper shift: its exponential holds phi_1(A) v ... phi_p(A) v in the
@@ -77,19 +60,20 @@ def _augmented(p: int, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return aug
 
 
-# degree-13 diagonal Pade approximant with norm-based scaling; the hot
-# reduced-space path.  It stays in numpy instead of calling scipy.linalg.expm:
-# the numpy and scipy wheels each load their own OpenBLAS (scipy_openblas64
-# 0.3.31 and scipy_openblas32 0.3.30), and on a 2-core Xeon with
-# OPENBLAS_NUM_THREADS=2, routing the reduced exponential through scipy took
-# the grid-160 benchmark reference from 4.4 to 22 s (at one thread, 3.5
-# against 3.2 s).  scipy.linalg, and with it scipy's OpenBLAS, loads only when
-# expm_dense is first called, which `pexprk run` never does.
-def _expm_pade13(a):
-    """Scaling-and-squaring exponential, lean path for the reduced-space
-    evaluations inside the Krylov engine.  Its one validation: an argument
-    whose 1-norm is not finite (overflowed or NaN) raises, since no scaling
-    can bring it into range."""
+# degree-13 diagonal Pade approximant with norm-based scaling (Higham, SIAM
+# J. Matrix Anal. Appl. 26(4), 2005), the one matrix exponential: the hot
+# reduced-space path and the dense diagnostics alike.  It stays in numpy
+# instead of calling scipy's expm: the numpy and scipy wheels each load
+# their own OpenBLAS (scipy_openblas64 0.3.31 and scipy_openblas32 0.3.30),
+# and on a 2-core Xeon with OPENBLAS_NUM_THREADS=2, routing the reduced
+# exponential through scipy took the grid-160 benchmark reference from 4.4
+# to 22 s (at one thread, 3.5 against 3.2 s).  So no pexprk command loads
+# scipy's dense linear algebra.
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring, phi_0 of the module docstring.  Its
+    one validation: an argument whose 1-norm is not finite (overflowed or
+    NaN), which no scaling brings into range, or a result that overflows in
+    the squaring phase raises PhiEvaluationError, without a warning."""
     n = a.shape[0]
     # column sums accumulate row by row, in the order of a plain double loop
     with np.errstate(over="ignore"):  # an overflowing sum fails the check below
@@ -116,9 +100,11 @@ def _expm_pade13(a):
     )
     r = np.linalg.solve(v - u, v + u)
     if squarings:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails phi_cols_e1's check instead
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
             for _ in range(squarings):
                 r = r @ r
+        if not np.all(np.isfinite(r)):
+            raise PhiEvaluationError(f"phi evaluation overflowed (argument norm {norm1:.3g})")
     return r
 
 
@@ -127,12 +113,7 @@ def phi_cols_e1(p: int, a: np.ndarray) -> np.ndarray:
     exponential; raises PhiEvaluationError on an argument of non-finite
     1-norm or on overflow, and performs no other validation."""
     n = a.shape[0]
-    cols = _expm_pade13(_augmented(p, a, np.eye(1, n)[0]))[:n, n:]
-    if not np.all(np.isfinite(cols)):
-        raise PhiEvaluationError(
-            f"phi evaluation overflowed (argument norm {np.linalg.norm(a, 1):.3g})"
-        )
-    return cols
+    return expm(_augmented(p, a, np.eye(1, n)[0]))[:n, n:]
 
 
 def phi_array(p, z):
@@ -166,5 +147,5 @@ def phi_dense_matrices(p: int, a: np.ndarray) -> list[np.ndarray]:
     aug[:n, :n] = a
     for i in range(p):
         aug[i * n:(i + 1) * n, (i + 1) * n:(i + 2) * n] = eye
-    e = expm_dense(aug)
+    e = expm(aug)
     return [e[:n, (j + 1) * n:(j + 2) * n].copy() for j in range(p)]

@@ -37,10 +37,10 @@ With full supports that is plain addition.
 The recursion runs by vector, not by row (phipm's order, Niesen & Wright,
 ACM TOMS 38(3), 2012): once f_p(u_n) or r_{p,j} is formed, every product on
 it, in each later stage and in the update, is added into that row's sum, and
-the vector's factorization and coefficient memo are dropped
-(``EvalContext.clear``).  Each sum still adds its terms in row order (the
-phi_1 term, then j ascending), and a step keeps one Krylov basis alive
-instead of one per vector.  Each partition costs what one original-form step
+the vector's factorization (``EvalContext.clear``) and its coefficient memo,
+which holds each product under its node, are dropped.  Each sum still adds
+its terms in row order (the phi_1 term, then j ascending), and a step keeps
+one Krylov basis alive instead of one per vector.  Each partition costs what one original-form step
 costs: at order 4, 16 phi products on 5 Arnoldi factorizations, one per
 vector f_p(u_n), r_{p,2}, ..., r_{p,5}.  phi_1(c hL) f(u_n) is applied as the
 coefficient Phi(1, c), so the memo computes it once per distinct abscissa c.
@@ -93,9 +93,10 @@ from typing import Callable
 import numpy as np
 
 from .coeffexpr import Phi, eval_coeff, is_zero
-from .krylov import EvalContext, KrylovConfig, KrylovError, KrylovStats, phi_times_vector, require_converged
+from .krylov import (EvalContext, KrylovConfig, KrylovError, KrylovStats, phi_times_vector, require_converged,
+                     scaled_norm)
 from .operators import LinearOperator
-from .phi import MAX_DENSE_DIM, PhiEvaluationError, expm_dense
+from .phi import MAX_DENSE_DIM, PhiEvaluationError, expm
 from .tableaux import ExprkTableau, tableau
 
 
@@ -148,9 +149,9 @@ class SplitProblem:
 _EVAL_ERRORS = (PhiEvaluationError, KrylovError)
 
 
-def _apply_coeff(expr, L, h, v, cfg, ctx, where, phi_max):
+def _apply_coeff(expr, L, h, v, cfg, ctx, where, phi_max, memo):
     try:
-        return eval_coeff(expr, L, h, v, cfg, ctx, p=phi_max)
+        return eval_coeff(expr, L, h, v, cfg, ctx, p=phi_max, memo=memo)
     except _EVAL_ERRORS as exc:
         raise StepFailure(f"{where}: {exc}") from exc
 
@@ -177,20 +178,6 @@ def _phi(L, k, tau, v, cfg, ctx, where):
 # The Gray-Scott studies and references never reach it: their residual
 # tolerances stay below 3e-9 and 6e-8.
 _RESIDUAL_TOL_CAP = 1e-3
-
-
-def _scaled_norm(v) -> float:
-    """||v||, with v scaled by its largest entry first, so that no square
-    overflows: finite whenever the norm itself is.  0 for v = 0, and inf or
-    NaN for a non-finite v.  The sum is numpy's own loop, not BLAS ddot,
-    for the reasons ``krylov._dot`` gives: no BLAS threading, and no
-    overflow warning, though here the scaling already keeps every square
-    and the sum finite."""
-    scale = float(np.max(np.abs(v)))
-    if not 0.0 < scale < math.inf:
-        return scale
-    w = v / scale
-    return scale * math.sqrt(float(np.einsum("i,i->", w, w)))
 
 
 def _residual_cfg(cfg: KrylovConfig, f_norm: float, r_norm: float) -> KrylovConfig:
@@ -228,7 +215,7 @@ def _forward_substitution(t, ops, fns, residual, supports, u_n, h, cfg, ctx):
     parts = range(len(ops))
     x = [[None] * len(rows) for _ in parts]  # x[p][k]: row k's sum on partition p so far
     vs = fns  # column j's vectors: f_p(u_n) for j = 0, then r_{p,j+1}, which rows k >= j consume
-    f_norms = [_scaled_norm(f) for f in fns]
+    f_norms = [scaled_norm(f) for f in fns]
     for j in range(len(rows)):
         if j:
             total = np.zeros_like(u_n)
@@ -243,19 +230,21 @@ def _forward_substitution(t, ops, fns, residual, supports, u_n, h, cfg, ctx):
         for p in parts:
             vcfg = cfg  # the products on f_p(u_n) meet cfg.tol
             if j:
-                r_norm = _scaled_norm(vs[p])
+                r_norm = scaled_norm(vs[p])
                 if not r_norm:
                     continue  # a zero residual adds nothing to any row
                 vcfg = _residual_cfg(cfg, f_norms[p], r_norm)
+            memo = {}  # this vector's products, by coefficient node
             for k, (c, coeffs, row, name) in enumerate(rows[j:], j):
                 where = f"{row}, partition {p + 1}"
                 if not j:
                     x[p][k] = c * _apply_coeff(Phi(1, c), ops[p], h, vs[p], vcfg, ctx, f"{where}, phi_1 term",
-                                               t.phi_max)
+                                               t.phi_max, memo)
                 elif not is_zero(coeffs[j]):
                     x[p][k] = x[p][k] + _apply_coeff(coeffs[j], ops[p], h, vs[p], vcfg, ctx,
-                                                     f"{where}, {name}[{j + 1}]", t.phi_max)
-            ctx.clear()  # this vector's factorization and memo entries
+                                                     f"{where}, {name}[{j + 1}]", t.phi_max, memo)
+            memo.clear()  # this vector's products and factorization
+            ctx.clear()
     acc = np.zeros_like(u_n)
     for p in parts:
         acc[supports[p]] = acc[supports[p]] + x[p][-1]
@@ -349,10 +338,10 @@ def step_pexprk2_residual(
         if not ops[p].zero:
             residual -= _matvec(ops[p], du[supports[p]], ctx)
         out = out + h * crossed
-        r_norm = _scaled_norm(residual)
+        r_norm = scaled_norm(residual)
         if r_norm:  # a zero residual adds nothing
             out[supports[p]] = out[supports[p]] + h * _phi(
-                ops[p], 2, h, residual, _residual_cfg(cfg, _scaled_norm(fns[p]), r_norm), ctx,
+                ops[p], 2, h, residual, _residual_cfg(cfg, scaled_norm(fns[p]), r_norm), ctx,
                 f"update, residual term, partition {p + 1}",
             )
     return out
@@ -420,5 +409,5 @@ def stability_matrix_spectral_radius(L1, L2, h: float) -> float:
         raise ValueError("operators must be of equal dimension")
     if L1.dim > MAX_DENSE_DIM:
         raise ValueError(f"stability diagnostic is restricted to dimension <= {MAX_DENSE_DIM}")
-    m = expm_dense(h * L1.to_dense()) + expm_dense(h * L2.to_dense()) - np.eye(L1.dim)
+    m = expm(h * L1.to_dense()) + expm(h * L2.to_dense()) - np.eye(L1.dim)
     return float(np.max(np.abs(np.linalg.eigvals(m))))

@@ -10,11 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 import scipy.sparse
 
 from pexprk.coeffexpr import Const, CoefficientExpr, Phi, Prod, Scale, Sum, ZMul
 from pexprk.operators import LinearOperator
-from pexprk.phi import MAX_PHI_INDEX, PhiEvaluationError, _augmented, _check_square, expm_dense
+from pexprk.phi import MAX_PHI_INDEX, PhiEvaluationError, _augmented, _check_square
 from pexprk.problems import GrayScottModel, gs_unpartitioned
 from pexprk.steppers import SplitProblem
 
@@ -56,7 +57,8 @@ def phi_scalar(k: int, z: float) -> float:
 
 
 def phi_dense_times_vector(p: int, a: np.ndarray, v: np.ndarray) -> list[np.ndarray]:
-    """Columns phi_k(A) v for k = 1..p via one validated augmented exponential."""
+    """Columns phi_k(A) v for k = 1..p from scipy's exponential of the
+    augmented matrix, on validated arguments."""
     a = _check_square(a)
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
@@ -64,7 +66,7 @@ def phi_dense_times_vector(p: int, a: np.ndarray, v: np.ndarray) -> list[np.ndar
     v = np.asarray(v, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"vector length {v.shape} does not match matrix dimension {n}")
-    e = expm_dense(_augmented(p, a, v))
+    e = scipy.linalg.expm(_augmented(p, a, v))
     return [e[:n, n + j].copy() for j in range(p)]
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import pexprk
 from pexprk import cli, harness
@@ -33,7 +34,6 @@ from pexprk.harness import (
 )
 from pexprk.krylov import EvalContext, KrylovConfig
 from pexprk.operators import LinearOperator
-from pexprk.phi import expm_dense
 from pexprk.problems import PAPER_SCALE_GRID, PARTITION_NAMES, gs_rhs, gs_unpartitioned
 from pexprk.steppers import SplitProblem, integrate_fixed, pexprk_stepper, step_pexprk2_residual
 
@@ -301,7 +301,7 @@ class TestStudy:
         prob = SplitProblem((lambda u: a @ u,), (lambda u: LinearOperator(a),))
         cfg = RunConfig(grid=8, t0=0.0, tf=1.0, steps=(2, 4, 8))
         ref = reference_solution(cfg, problem=prob, u0=u0)
-        exact = expm_dense(a) @ u0
+        exact = scipy.linalg.expm(a) @ u0
         assert discrete_l2(ref.state - exact) <= 1e-11
         assert ref.n_steps == 8 * 32
         # an injected problem brings its initial state
@@ -765,12 +765,13 @@ class TestCli:
         assert len(rows) == 2 and metadata["partition"] == "physics"
 
     def test_run_leaves_dense_reference_modules_unimported(self, tmp_path):
-        # scipy.linalg serves only expm_dense, which loads it at first call,
-        # and scipy.integrate and decimal only the test oracles; none is on
-        # the run path.  Each module loads only what it uses: phi no scipy,
-        # tableaux neither the harness nor multiprocessing
-        argv = ["run", "--grid", "8", "--partition", "species", "--order", "4", "--form", "part",
-                "--steps", "1,2", "--out", str(tmp_path / "study.csv")]
+        # scipy.linalg, scipy.integrate and decimal serve only the test
+        # oracles; no command loads them, check-order's dense phi included.
+        # Each module loads only what it uses: phi no scipy, tableaux neither
+        # the harness nor multiprocessing
+        commands = [["run", "--grid", "8", "--partition", "species", "--order", "4", "--form", "part",
+                     "--steps", "1,2", "--out", str(tmp_path / "study.csv")],
+                    ["check-order", "--order", "4"], ["dump-tableau", "--order", "4", "--transformed"]]
         proc = self.run_python("-c", (
             "import sys\n"
             "import pexprk.phi\n"
@@ -778,11 +779,29 @@ class TestCli:
             "import pexprk.tableaux\n"
             "tableaux = [m for m in ('pexprk.harness', 'multiprocessing') if m in sys.modules]\n"
             "from pexprk import cli\n"
-            f"code = cli.main({argv!r})\n"
-            "print(code, [m for m in ('scipy.linalg', 'scipy.integrate', 'decimal') if m in sys.modules], phi, tableaux)\n"
+            f"codes = [cli.main(argv) for argv in {commands!r}]\n"
+            "print(codes, [m for m in ('scipy.linalg', 'scipy.integrate', 'decimal') if m in sys.modules], phi, tableaux)\n"
         ))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 [] [] []"
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [] [] []"
+
+    def test_partly_failed_study_prints_and_writes_its_failed_rows(self, tmp_path, main):
+        # an m_max of 10 fails the two largest steps; the study goes on
+        # (exit 0), and the first row that survives has no order
+        out = tmp_path / "study.csv"
+        proc = main("run", "--grid", "8", "--form", "orig", "--order", "2", "--steps", "1,2,4,8",
+                    "--krylov-mmax", "10", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        table = proc.stdout.splitlines()[4:8]
+        for line, n_steps in zip(table, (1, 2)):
+            assert line.split()[1:3] == ["failed", "-"], line
+            assert f"(step 1/{n_steps}: stage 2, partition 1, phi_1 term: phi_1(" in line
+            assert "did not converge within m_max=10" in line
+        body = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+        assert [r[1:5] for r in body[:2]] == [["nan", "", "0", "0"]] * 2
+        assert body[2][2] == "" and body[3][2] != ""
+        rows, _ = parse_csv(out)
+        assert [r.failed for r in rows] == [True, True, False, False]
 
     def test_overflowing_reduced_argument_names_the_failed_step(self, main):
         # tau H overflows at h = 1e308: a phi failure (exit 3), not a crash,

@@ -14,8 +14,10 @@ from pexprk.krylov import (
     KrylovConfig,
     KrylovError,
     _ArnoldiState,
+    _norm,
     check_schedule,
     phi_times_vector,
+    scaled_norm,
 )
 from pexprk.operators import LinearOperator
 from pexprk.phi import MAX_PHI_INDEX
@@ -473,6 +475,43 @@ class TestOverflowingNorm:
                 phi_times_vector(op, 1, 1.0, v, KrylovConfig())
 
 
+class TestScaledNorm:
+    """Every Krylov vector's norm is taken with scaling, so a finite nonzero
+    vector gets a factorization wherever its squared norm underflows or
+    overflows."""
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-170, 1e155, 1e300])
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["arnoldi", "lanczos"])
+    def test_extreme_vector_gives_the_scaled_product(self, symmetric, s):
+        # unscaled, 1e-170 and 1e-300 gave a norm of 0 and a "converged" zero
+        # product, 1e155 and 1e300 a "non-finite Krylov vector"
+        rng = np.random.default_rng(8)
+        a = symmetric_stable(rng, 20) if symmetric else stable_dense(rng, 20)
+        op = declared_symmetric(a) if symmetric else LinearOperator(a)
+        v = rng.uniform(-1, 1, size=20)
+        cfg = KrylovConfig(tol=1e-12, m_max=30)
+        want = phi_times_vector(op, 2, 0.5, v, cfg).approximation
+        res = phi_times_vector(op, 2, 0.5, s * v, cfg)
+        assert res.converged
+        assert np.linalg.norm(res.approximation / s - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_equals_the_plain_norm_bit_for_bit(self):
+        # the scaling is by a power of two, so where no square overflows or
+        # underflows the result is sqrt(v^T v) exactly
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            v = rng.uniform(-1, 1, size=rng.integers(1, 300)) * 10.0 ** rng.uniform(-100, 100)
+            assert scaled_norm(v) == _norm(v)
+            w = rng.uniform(-1, 1, size=50) * 10.0 ** rng.uniform(-100, 100, size=50)
+            assert scaled_norm(w) == _norm(w)
+
+    def test_zero_tiny_and_non_finite_vectors(self):
+        assert scaled_norm(np.zeros(4)) == 0.0
+        assert scaled_norm(np.full(4, 5e-324)) == pytest.approx(1e-323)
+        assert scaled_norm(np.array([1.0, np.inf])) == math.inf
+        assert math.isnan(scaled_norm(np.array([1.0, np.nan])))
+
+
 class TestSharedFactorization:
     def test_cache_reuses_matvecs_and_matches_fresh(self):
         rng = np.random.default_rng(99)
@@ -549,9 +588,8 @@ class TestSharedFactorization:
 
 
 class TestWorkspace:
-    """An EvalContext serves one (operator, vector) pair at a time: its
-    factorization, and its coefficient memo keyed by everything a product
-    depends on."""
+    """An EvalContext serves one (operator, vector) pair at a time, with its
+    factorization; a coefficient memo serves one eval_coeff call."""
 
     EXPR = Sum(Phi(1, 0.5), Scale(-2.0, Phi(2)))
 
@@ -580,13 +618,13 @@ class TestWorkspace:
         cfg = KrylovConfig(tol=1e-12, m_max=40)
         ctx = EvalContext()
         first = eval_coeff(self.EXPR, op, 0.5, v, cfg, ctx, p=2)
-        assert eval_coeff(self.EXPR, op, 0.5, v, cfg, ctx, p=2) is first  # the pair's memo
+        assert np.array_equal(eval_coeff(self.EXPR, op, 0.5, v, cfg, ctx, p=2), first)
         state = weakref.ref(ctx.arnoldi_state(op, v, cfg.m_max))
         second = eval_coeff(self.EXPR, op, 0.5, w, cfg, ctx, p=2)
         assert state() is None
         assert np.array_equal(second, eval_coeff(self.EXPR, op, 0.5, w, cfg, p=2))
         assert np.array_equal(eval_coeff(self.EXPR, op, 0.5, v, cfg, ctx, p=2), first)
-        assert ctx.stats.solves == 6  # two per pair, the memo hit excepted
+        assert ctx.stats.solves == 8  # two per call: no memo outlives its call
 
     @pytest.mark.parametrize("convert", [list, lambda v: v.astype(np.float32)], ids=["list", "float32"])
     def test_converted_vector_is_one_pair_through_the_tree(self, convert, monkeypatch):

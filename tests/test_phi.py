@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from pexprk import phi
 from pexprk.krylov import _ArnoldiState
-from pexprk.phi import (
-    PhiEvaluationError,
-    _augmented,
-    _expm_pade13,
-    expm_dense,
-    phi_array,
-    phi_cols_e1,
-    phi_dense_matrices,
-)
+from pexprk.phi import PhiEvaluationError, _augmented, expm, phi_array, phi_cols_e1, phi_dense_matrices
 from pexprk.problems import TIMESPAN, GrayScottModel, gs_initial, gs_partition, gs_rhs
 
 from oracles import gs_full_jacobian, phi_dense_times_vector, phi_scalar
@@ -132,36 +125,52 @@ class TestPhiScalar:
             assert abs(phi_scalar(k, z) - exact) <= rtol * abs(exact), (k, z)
 
 
-class TestExpmDense:
+class TestExpm:
     def test_zero_matrix(self):
-        assert np.allclose(expm_dense(np.zeros((2, 2))), np.eye(2), atol=1e-15)
+        assert np.allclose(expm(np.zeros((2, 2))), np.eye(2), atol=1e-15)
 
     def test_diagonal(self):
-        e = expm_dense(np.diag([1.0, -2.0]))
+        e = expm(np.diag([1.0, -2.0]))
         assert np.allclose(e, np.diag([math.e, math.exp(-2.0)]), rtol=1e-13)
 
     def test_nilpotent_hand_check(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(expm_dense(a), np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-15)
+        assert np.allclose(expm(a), np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-15)
 
     def test_inverse_identity(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
             a = rng.uniform(-1, 1, size=(6, 6))
             a *= 5.0 / np.linalg.norm(a, 2)
-            prod = expm_dense(a) @ expm_dense(-a)
+            prod = expm(a) @ expm(-a)
             assert np.max(np.abs(prod - np.eye(6))) <= 1e-12
 
-    def test_overflow_reported(self):
-        # scipy's expm warns of the overflow that expm_dense then reports
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(PhiEvaluationError):
-            expm_dense(np.diag([1e6, 1e6]))
+    def test_overflow_raises_without_warning(self):
+        # the squaring phase overflows: a named failure, and no warning
+        # (filterwarnings = error), whole matrices phi_k(A) included
+        with pytest.raises(PhiEvaluationError, match=r"phi evaluation overflowed \(argument norm 1e\+06\)"):
+            expm(np.diag([1e6, 1e6]))
+        with pytest.raises(PhiEvaluationError, match="overflowed"):
+            phi_dense_matrices(2, np.diag([1e6, 1e6]))
 
-    def test_rejects_a_nonsquare_or_non_finite_matrix(self):
-        with pytest.raises(ValueError, match="square"):
-            expm_dense(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="non-finite entries"):
-            expm_dense(np.array([[0.0, np.nan], [0.0, 0.0]]))
+    @pytest.mark.parametrize("n", [6, 50, 200])
+    def test_bordered_matrices_against_scipy(self, n, monkeypatch):
+        # the bordered matrices, (p + 1) n on a side, behind check-order's
+        # phi_1 .. phi_4 on its random L
+        bordered = []
+
+        def recorded(a):
+            bordered.append((a, expm(a)))
+            return bordered[-1][1]
+
+        monkeypatch.setattr(phi, "expm", recorded)
+        L = np.random.default_rng(0).uniform(-1, 1, size=(n, n))
+        for p in range(1, 5):
+            phi_dense_matrices(p, L)
+        assert [a.shape[0] for a, _ in bordered] == [2 * n, 3 * n, 4 * n, 5 * n]
+        for a, got in bordered:
+            want = scipy.linalg.expm(a)
+            assert norm1(got - want) <= 1e-13 * norm1(want), a.shape
 
 
 class TestPhiDenseTimesE1:
@@ -189,7 +198,7 @@ class TestPhiDenseTimesE1:
         a = rng.uniform(-1, 1, size=(6, 6)) + 3.0 * np.eye(6)
         assert np.linalg.cond(a) < 50
         cols = phi_dense_times_vector(4, a, e1(6))
-        mats = [expm_dense(a)]
+        mats = [scipy.linalg.expm(a)]
         for k in range(1, 5):
             mats.append(np.linalg.solve(a.T, (mats[k - 1] - np.eye(6) / math.factorial(k - 1)).T).T)
         for k in range(1, 5):
@@ -207,7 +216,7 @@ def norm1(a):
 
 
 def pade13_tolerance(a):
-    """Relative 1-norm error allowed for _expm_pade13(a): a few dozen rounding
+    """Relative 1-norm error allowed for expm(a): a few dozen rounding
     errors, plus eps ||A||_1, since the exponential's relative condition
     number is at least ||A|| (Van Loan, SINUM 14(6), 1977)."""
     return np.finfo(float).eps * (50 + norm1(a))
@@ -243,8 +252,8 @@ def gray_scott_reduced_matrices():
 
 
 class TestReducedExponential:
-    """The lean kernel behind every undeclared reduced evaluation, against
-    mpmath, from 1-norm 1e-8 through the squaring threshold 5.37 to 1e3."""
+    """The one matrix exponential, behind every undeclared reduced evaluation,
+    against mpmath, from 1-norm 1e-8 through the squaring threshold 5.37 to 1e3."""
 
     NORMS = (1e-8, 1e-4, 0.1, 1.0, 2.1, 5.37, 5.38, 30.0, 1e2, 1e3)
 
@@ -261,7 +270,7 @@ class TestReducedExponential:
     def test_exponential_against_mpmath(self):
         for a in self.matrices():
             want = mp_expm(a)
-            err = norm1(_expm_pade13(a) - want) / norm1(want)
+            err = norm1(expm(a) - want) / norm1(want)
             assert err <= pade13_tolerance(a), (norm1(a), err)
 
     def test_phi_columns_against_mpmath(self):
@@ -343,6 +352,12 @@ class TestPhiDenseMatrices:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError, match="need p >= 1, got 0"):
             phi_dense_matrices(0, np.eye(2))
+
+    def test_rejects_a_nonsquare_or_non_finite_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            phi_dense_matrices(1, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="non-finite entries"):
+            phi_dense_matrices(1, np.array([[0.0, np.nan], [0.0, 0.0]]))
 
     def test_consistent_with_e1_columns(self):
         rng = np.random.default_rng(5)

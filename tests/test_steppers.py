@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pexprk import coeffexpr, steppers
 from pexprk.coeffexpr import Phi, Scale, Sum, eval_dense
 from pexprk.harness import RunConfig, build_study
-from pexprk.krylov import EvalContext, KrylovConfig, KrylovError, KrylovStats
+from pexprk.krylov import EvalContext, KrylovConfig, KrylovError, KrylovStats, scaled_norm
 from pexprk.operators import LinearOperator
-from pexprk.phi import expm_dense
 from pexprk.problems import (
     PARTITION_NAMES,
     TIMESPAN,
@@ -120,7 +120,7 @@ class TestOriginalForm:
         h = 0.3
         L = LinearOperator(a)
         got = step_original(tableau(order), L, lambda u: a @ u, y0, h, TIGHT)
-        assert np.allclose(got, expm_dense(h * a) @ y0, rtol=1e-11, atol=1e-13)
+        assert np.allclose(got, scipy.linalg.expm(h * a) @ y0, rtol=1e-11, atol=1e-13)
 
     def test_small_h_consistency(self):
         orc = oracle_semilinear(8, seed=3)
@@ -152,7 +152,7 @@ class TestTransformedEquivalence:
         a = rng.normal(size=(8, 8)) / 3.0 - 2.0 * np.eye(8)
         y0 = rng.uniform(-1, 1, size=8)
         got = step_transformed(tableau(order), LinearOperator(a), lambda u: a @ u, y0, 0.4, TIGHT)
-        assert np.allclose(got, expm_dense(0.4 * a) @ y0, rtol=1e-11, atol=1e-13)
+        assert np.allclose(got, scipy.linalg.expm(0.4 * a) @ y0, rtol=1e-11, atol=1e-13)
 
     def test_zero_operator_degenerates_to_classical(self):
         orc = oracle_semilinear(9, seed=5)
@@ -421,7 +421,7 @@ class TestIntegrateFixed:
         u0 = rng.uniform(-1, 1, size=9)
         prob = SplitProblem((lambda u: a @ u,), (lambda u: LinearOperator(a),))
         res = integrate_fixed(make(3), prob, u0, 0.0, 1.0, 5, TIGHT)
-        assert np.allclose(res.state, expm_dense(a) @ u0, rtol=1e-10, atol=1e-13)
+        assert np.allclose(res.state, scipy.linalg.expm(a) @ u0, rtol=1e-10, atol=1e-13)
 
     def test_order3_convergence_on_oracle(self):
         orc = oracle_semilinear(12, seed=21)
@@ -557,15 +557,9 @@ class TestResidualTolerance:
     def test_scaled_norm_of_entries_near_the_largest_float(self):
         # their squares overflow; the scaled norm is finite and warns of nothing
         v = np.array([1e308, -1e308, 5e307])
-        assert steppers._scaled_norm(v) == pytest.approx(math.hypot(*v), rel=1e-15)
-        assert math.isfinite(steppers._scaled_norm(v))
-        assert steppers._residual_cfg(self.CFG, steppers._scaled_norm(v), 1.0).tol == steppers._RESIDUAL_TOL_CAP
-
-    def test_scaled_norm_of_zero_tiny_and_non_finite_vectors(self):
-        assert steppers._scaled_norm(np.zeros(4)) == 0.0
-        assert steppers._scaled_norm(np.full(4, 5e-324)) == pytest.approx(1e-323)
-        assert steppers._scaled_norm(np.array([1.0, np.inf])) == math.inf
-        assert math.isnan(steppers._scaled_norm(np.array([1.0, np.nan])))
+        assert scaled_norm(v) == pytest.approx(math.hypot(*v), rel=1e-15)
+        assert math.isfinite(scaled_norm(v))
+        assert steppers._residual_cfg(self.CFG, scaled_norm(v), 1.0).tol == steppers._RESIDUAL_TOL_CAP
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_zero_residual_takes_no_product(self, order, monkeypatch):
@@ -587,7 +581,7 @@ class TestResidualTolerance:
         ctx, t = EvalContext(), tableau(order)
         y0 = rng.uniform(-1, 1, size=10)
         got = step_exprk_original(t, prob, y0, 0.3, TIGHT, ctx)
-        assert np.allclose(got, expm_dense(0.3 * a) @ y0, rtol=1e-11, atol=1e-13)
+        assert np.allclose(got, scipy.linalg.expm(0.3 * a) @ y0, rtol=1e-11, atol=1e-13)
         assert ctx.stats.solves == len({*t.c[1:], 1.0}) == len(vectors)
         assert all(np.any(v) for v in vectors)
 
@@ -670,8 +664,8 @@ class TestAccuracyLedger:
             products.append((L, k, tau, v, kcfg.tol, res.dim_used, res.approximation))
             return res
 
-        def apply_spy(expr, L, h, v, kcfg, ctx, where, phi_max):
-            out = apply(expr, L, h, v, kcfg, ctx, where, phi_max)
+        def apply_spy(expr, L, h, v, kcfg, ctx, where, *rest):
+            out = apply(expr, L, h, v, kcfg, ctx, where, *rest)
             terms.append((where, expr, L, h, v, out))
             return out
 
@@ -698,7 +692,7 @@ class TestAccuracyLedger:
         for L, k, tau, v, tol, dim_used, approx in products:
             f_p = leading.setdefault(id(L), v)
             on_residual = k == 2 if residual_form else v is not f_p
-            want = steppers._residual_cfg(kcfg, steppers._scaled_norm(f_p), steppers._scaled_norm(v)).tol
+            want = steppers._residual_cfg(kcfg, scaled_norm(f_p), scaled_norm(v)).tol
             assert tol == (want if on_residual else kcfg.tol)
             error = norm(approx - exact_product(L, k, tau, v, dim_used))
             assert error <= self.PRODUCT_C * tol * norm(approx), (k, tau)
